@@ -6,7 +6,7 @@ SGD hinge), evaluation reports, and a self-contained binary model bundle.
 """
 
 from .corpus import ClassCounts, Document, Label, RawRecord, dataset_stats, parse_csv, parse_label, to_documents
-from .features import IdfWeights, SparseVector, Vocabulary, build_vocabulary, count_transform, fit_idf, tfidf_transform
+from .features import IdfWeights, SparseVector, Vocabulary, build_vocabulary, count_transform, featurize, fit_idf, tfidf_transform
 from .metrics import (
     ClassMetrics,
     Confusion,

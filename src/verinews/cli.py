@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 internal failure, 2 usage
 or input error. Option precedence is flags > config file > defaults; the
-config file is flat key=value text. VERINEWS_THREADS overrides the default
-worker count when no --threads flag is given.
+config file is flat key=value text. VERINEWS_THREADS sets the worker count
+when neither --threads nor a config threads= line does.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import RawRecord, parse_csv, to_documents
+from .corpus import RawRecord, decode_utf8, parse_csv, to_documents
 from .errors import VerinewsError
 from .metrics import render_confusion, render_report, report_from_json, report_to_json
 from .models import TrainConfig
@@ -281,14 +281,18 @@ def _cmd_report(args, config) -> int:
 
 
 def _read_records(path: str) -> list[RawRecord]:
-    return parse_csv(_read_text(path).encode("utf-8"))
+    return parse_csv(_read_bytes(path))
 
 
 def _read_text(path: str) -> str:
+    return decode_utf8(_read_bytes(path))
+
+
+def _read_bytes(path: str) -> bytes:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    return p.read_bytes()
 
 
 def _format_csv(rows: list[list[str]]) -> str:
@@ -331,16 +335,14 @@ def _resolve(args, config, key, cast, default):
 
 
 def _resolve_threads(args, config) -> int:
-    if getattr(args, "threads", None) is not None:
-        workers = args.threads
-    elif os.environ.get(THREADS_ENV):
+    """--threads > config threads= > VERINEWS_THREADS > all cores."""
+    workers = _resolve(args, config, "threads", int, None)
+    if workers is None and os.environ.get(THREADS_ENV):
         try:
             workers = int(os.environ[THREADS_ENV])
         except ValueError as exc:
             raise UsageError(f"{THREADS_ENV}: {exc}") from exc
-    elif "threads" in config:
-        workers = int(config["threads"])
-    else:
+    if workers is None:
         workers = default_workers()
     if workers < 1:
         raise UsageError(f"thread count must be >= 1, got {workers}")

@@ -2,9 +2,9 @@
 
 The expected file layout is a standard comma-delimited, double-quoted,
 UTF-8 CSV with a header row naming at least ``public_id``, ``title`` and
-``text``. Labeled files additionally carry a rating column, accepted under
-either the ``our rating`` or ``our_rating`` spelling. Columns are matched
-by header name, not position.
+``text``; a leading byte-order mark is skipped. Labeled files additionally
+carry a rating column, accepted under either the ``our rating`` or
+``our_rating`` spelling. Columns are matched by header name, not position.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import IO, Iterable
 
-from .errors import CsvParseError, CsvSchemaError, LabelError, VerinewsError
+from .errors import CsvParseError, CsvSchemaError, EncodingError, LabelError, VerinewsError
 
 RATING_HEADERS = ("our rating", "our_rating")
 REQUIRED_HEADERS = ("public_id", "title", "text")
@@ -109,7 +109,8 @@ def parse_csv(stream: bytes | str | IO) -> list[RawRecord]:
     Standard CSV quoting applies: quoted fields may contain commas, doubled
     quotes and embedded newlines. Missing cells become empty strings.
 
-    Raises CsvSchemaError when a required header column is absent and
+    Raises EncodingError (with the byte offset) on bytes that are not
+    UTF-8, CsvSchemaError when a required header column is absent and
     CsvParseError (with the offending data row number) on malformed input.
     """
     text = _as_text(stream)
@@ -205,13 +206,18 @@ def dataset_stats(docs: list[Document]) -> ClassCounts:
     return ClassCounts(counts=counts, total=len(docs))
 
 
+def decode_utf8(data: bytes) -> str:
+    """Strict UTF-8 decoding; invalid input raises EncodingError."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(data[exc.start], exc.start) from None
+
+
 def _as_text(stream: bytes | str | IO) -> str:
-    if isinstance(stream, bytes):
-        return stream.decode("utf-8")
-    if isinstance(stream, str):
-        return stream
-    data = stream.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    data = stream if isinstance(stream, (bytes, str)) else stream.read()
+    text = decode_utf8(data) if isinstance(data, bytes) else data
+    return text.removeprefix("\ufeff")  # a UTF-8 byte-order mark
 
 
 def _cell_getter(row: list[str]):

@@ -15,6 +15,14 @@ class CsvParseError(VerinewsError):
         super().__init__(message)
 
 
+class EncodingError(VerinewsError):
+    """Input bytes are not valid UTF-8."""
+
+    def __init__(self, byte: int, offset: int):
+        self.offset = offset
+        super().__init__(f"input is not valid UTF-8: byte 0x{byte:02x} at offset {offset}")
+
+
 class CsvSchemaError(VerinewsError):
     """The CSV header is missing a required column."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,9 +53,9 @@ class SparseVector:
         if indices.size:
             if indices[0] < 0 or indices[-1] >= self.dim:
                 raise ValueError("index out of range for dim")
-            if np.any(np.diff(indices) <= 0):
+            if (indices[1:] <= indices[:-1]).any():
                 raise ValueError("indices must be strictly increasing")
-        if np.any(values == 0.0) or np.any(values < 0.0):
+        if (values <= 0.0).any():
             raise ValueError("weights must be positive (zeros are not stored)")
         indices.setflags(write=False)
         values.setflags(write=False)
@@ -121,17 +122,6 @@ def build_vocabulary(
     return Vocabulary(term_to_index={t: i for i, t in enumerate(sorted(kept))})
 
 
-def count_transform(doc: CleanDoc, vocab: Vocabulary) -> SparseVector:
-    """Raw term counts; out-of-vocabulary tokens are dropped."""
-    lookup = vocab.term_to_index
-    counts: Counter[int] = Counter()
-    for token in doc.tokens:
-        i = lookup.get(token)
-        if i is not None:
-            counts[i] += 1
-    return SparseVector.from_counts(counts, dim=vocab.size)
-
-
 def fit_idf(corpus: list[CleanDoc], vocab: Vocabulary) -> IdfWeights:
     """idf(t) = ln((1 + N) / (1 + df(t))) + 1, so idf >= 1 always.
 
@@ -149,20 +139,58 @@ def fit_idf(corpus: list[CleanDoc], vocab: Vocabulary) -> IdfWeights:
     return IdfWeights(idf=idf, n_docs=n_docs)
 
 
+def featurize(
+    clean: list[CleanDoc], vocab: Vocabulary, idf: IdfWeights | None = None
+) -> sp.csr_matrix:
+    """One row per document: raw term counts, or with ``idf`` the counts
+    scaled by IDF and L2-normalized. Out-of-vocabulary tokens are dropped
+    and a row with no vocabulary term stays empty.
+    """
+    indptr, indices, data = _featurize_arrays(clean, vocab, idf)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(clean), vocab.size))
+
+
+def count_transform(doc: CleanDoc, vocab: Vocabulary) -> SparseVector:
+    """Raw term counts of one document; see featurize."""
+    _, indices, data = _featurize_arrays([doc], vocab, None)
+    return SparseVector(indices=indices, values=data, dim=vocab.size)
+
+
 def tfidf_transform(doc: CleanDoc, vocab: Vocabulary, idf: IdfWeights) -> SparseVector:
-    """Counts scaled by IDF, then L2-normalized (zero vectors stay zero)."""
-    if idf.idf.shape[0] != vocab.size:
+    """L2-normalized TF-IDF weights of one document; see featurize."""
+    _, indices, data = _featurize_arrays([doc], vocab, idf)
+    return SparseVector(indices=indices, values=data, dim=vocab.size)
+
+
+def _featurize_arrays(
+    clean: list[CleanDoc], vocab: Vocabulary, idf: IdfWeights | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR (indptr, indices, data) arrays for featurize."""
+    if idf is not None and idf.idf.shape[0] != vocab.size:
         raise DimensionMismatchError(
             f"idf length {idf.idf.shape[0]} != vocabulary size {vocab.size}"
         )
-    counts = count_transform(doc, vocab)
-    if counts.nnz == 0:
-        return counts
-    weighted = counts.values * idf.idf[counts.indices]
-    norm = np.sqrt(np.sum(weighted**2))
-    if norm > 0.0:
-        weighted = weighted / norm
-    return SparseVector(indices=counts.indices, values=weighted, dim=vocab.size)
+    n_docs, dim = len(clean), vocab.size
+    lengths = [len(d.tokens) for d in clean]
+    tokens = chain.from_iterable(d.tokens for d in clean)
+    ids = np.fromiter(
+        map(vocab.term_to_index.get, tokens, repeat(-1)), dtype=np.int64, count=sum(lengths)
+    )
+    rows = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    # Sorted row * dim + id keys order the entries by row, then by column.
+    keys, counts = np.unique((rows * dim + ids)[ids >= 0], return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(n_docs + 1, dtype=np.int64) * dim)
+    indices = keys % max(dim, 1)
+    data = counts.astype(np.float64)
+    if idf is not None:
+        data *= idf.idf[indices]
+        # Each norm is summed over its own row, as a one-row sum would be;
+        # a segmented reduction changes the last bits of some norms.
+        squares = data**2
+        bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
+        norms = np.sqrt([np.add.reduce(squares[lo:hi]) for lo, hi in bounds])
+        data /= np.repeat(norms, np.diff(indptr))
+    return indptr, indices, data
 
 
 def stack(vectors: list[SparseVector]) -> sp.csr_matrix:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .corpus import Label
@@ -19,6 +20,10 @@ from .errors import DimensionMismatchError, TrainingError
 from .features import SparseVector, stack
 
 N_CLASSES = 4
+
+# A CSR matrix with one row per document, or the documents' vectors, which
+# are stacked once.
+FeatureRows = sp.csr_matrix | list[SparseVector]
 
 KIND_LOGISTIC = "logistic"
 KIND_HINGE = "hinge"
@@ -71,30 +76,25 @@ class LinearModel:
     converged: bool = True
 
 
-def nb_fit(X: list[SparseVector], y: list[Label], alpha: float = 1.0) -> NbModel:
+def nb_fit(X: FeatureRows, y: list[Label], alpha: float = 1.0) -> NbModel:
     """Estimate priors and smoothed per-class term distributions.
 
     feature_log_prob[c][t] = ln((T_ct + alpha) / (sum_t' T_ct' + alpha*V))
     where T_ct is the total count of term t over class-c documents.
     """
-    if not X:
-        raise TrainingError("empty training set")
-    if len(X) != len(y):
-        raise TrainingError(f"{len(X)} vectors but {len(y)} labels")
+    X, labels = _training_data(X, y)
     if alpha <= 0:
         raise TrainingError(f"smoothing alpha must be positive, got {alpha}")
-    dim = X[0].dim
+    n, dim = X.shape
 
-    term_counts = np.zeros((N_CLASSES, dim))
-    doc_counts = np.zeros(N_CLASSES)
-    for vec, label in zip(X, y):
-        if vec.dim != dim:
-            raise DimensionMismatchError(f"vector dim {vec.dim} != {dim}")
-        term_counts[int(label), vec.indices] += vec.values
-        doc_counts[int(label)] += 1.0
+    # The (class x document) one-hot product adds each class's rows in
+    # document order: exact for counts, order-stable for other weights.
+    one_hot = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(N_CLASSES, n))
+    term_counts = (one_hot @ X).toarray()
+    doc_counts = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
 
     with np.errstate(divide="ignore"):
-        class_log_prior = np.log(doc_counts / len(X))
+        class_log_prior = np.log(doc_counts / n)
     if dim > 0:
         smoothed = term_counts + alpha
         feature_log_prob = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
@@ -108,23 +108,43 @@ def nb_fit(X: list[SparseVector], y: list[Label], alpha: float = 1.0) -> NbModel
     )
 
 
+def decision_scores(model: NbModel | LinearModel, X: FeatureRows) -> np.ndarray:
+    """(n, 4) per-class scores, one row per row of X: the NB log posterior
+    (prior + sum_t x_t * log theta) or the linear w_c . x + b_c."""
+    if isinstance(X, list):
+        X = stack(X)
+    if isinstance(model, NbModel):
+        weights, offsets = model.feature_log_prob, model.class_log_prior
+    else:
+        weights, offsets = model.weights, model.bias
+    if X.shape[1] != weights.shape[1]:
+        raise DimensionMismatchError(f"vector dim {X.shape[1]} != model dim {weights.shape[1]}")
+    return X @ weights.T + offsets
+
+
+def predict_labels(scores: np.ndarray) -> list[Label]:
+    """Row-wise argmax with ties broken toward the lowest label code.
+
+    Raises ValueError on a NaN score or on a row with no finite score.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != N_CLASSES:
+        raise ValueError(f"expected rows of {N_CLASSES} scores, got shape {scores.shape}")
+    if np.any(np.isnan(scores)):
+        raise ValueError("NaN score")
+    if not np.all(np.any(np.isfinite(scores), axis=1)):
+        raise ValueError("all class scores are -inf; no class is predictable")
+    return [Label(int(i)) for i in np.argmax(scores, axis=1)]
+
+
 def nb_log_posterior(model: NbModel, x: SparseVector) -> np.ndarray:
-    """Unnormalized log posterior per class: prior + sum_t x_t * log theta."""
-    if x.dim != model.vocab_size:
-        raise DimensionMismatchError(f"vector dim {x.dim} != model dim {model.vocab_size}")
-    return model.class_log_prior + model.feature_log_prob[:, x.indices] @ x.values
+    """Unnormalized log posterior per class for one vector."""
+    return decision_scores(model, [x])[0]
 
 
 def predict(scores: np.ndarray) -> Label:
-    """Label with the maximal score; ties break toward the lowest code."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (N_CLASSES,):
-        raise ValueError(f"expected {N_CLASSES} scores, got shape {scores.shape}")
-    if np.any(np.isnan(scores)):
-        raise ValueError("NaN score")
-    if not np.any(np.isfinite(scores)):
-        raise ValueError("all class scores are -inf; no class is predictable")
-    return Label(int(np.argmax(scores)))
+    """predict_labels for one row of scores."""
+    return predict_labels(np.asarray(scores, dtype=np.float64)[None, :])[0]
 
 
 def logistic_objective(z, X, y_pm, C):
@@ -143,16 +163,15 @@ def logistic_objective(z, X, y_pm, C):
     return f, grad
 
 
-def lr_fit(X: list[SparseVector], y: list[Label], cfg: TrainConfig) -> LinearModel:
+def lr_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
     """Fit four one-vs-rest L2-regularized logistic classifiers.
 
     Each subproblem is minimized with L-BFGS-B until the gradient max-norm
     drops below lr_tol or lr_max_iter iterations elapse; failing the
     gradient test only clears the converged flag.
     """
-    labels = _check_training_inputs(X, y)
-    X_csr = stack(X)
-    n, dim = X_csr.shape
+    X_csr, labels = _check_training_inputs(X, y)
+    dim = X_csr.shape[1]
 
     weights = np.zeros((N_CLASSES, dim))
     bias = np.zeros(N_CLASSES)
@@ -182,15 +201,11 @@ def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
 
 
 def linear_decision(model: LinearModel, x: SparseVector) -> np.ndarray:
-    """Per-class decision scores w_c . x + b_c."""
-    if x.dim != model.weights.shape[1]:
-        raise DimensionMismatchError(
-            f"vector dim {x.dim} != model dim {model.weights.shape[1]}"
-        )
-    return model.weights[:, x.indices] @ x.values + model.bias
+    """Per-class decision scores w_c . x + b_c for one vector."""
+    return decision_scores(model, [x])[0]
 
 
-def sgd_fit(X: list[SparseVector], y: list[Label], cfg: TrainConfig) -> LinearModel:
+def sgd_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
     """Fit four one-vs-rest hinge classifiers by per-example SGD.
 
     Per example: s = w.x + b; the L2 penalty (sgd_alpha/2)*||w||^2 decays w
@@ -199,9 +214,8 @@ def sgd_fit(X: list[SparseVector], y: list[Label], cfg: TrainConfig) -> LinearMo
     spawned from cfg.seed. Training stops early once the mean epoch
     objective improves by less than sgd_tol.
     """
-    labels = _check_training_inputs(X, y)
-    X_csr = stack(X)
-    n, dim = X_csr.shape
+    X_csr, labels = _check_training_inputs(X, y)
+    dim = X_csr.shape[1]
 
     eta0 = cfg.sgd_alpha**-0.25
     t0 = 1.0 / (cfg.sgd_alpha * eta0)
@@ -255,15 +269,25 @@ def _sgd_binary(X, y_pm, cfg, t0, rng):
     return scale * w, b, False
 
 
-def _check_training_inputs(X: list[SparseVector], y: list[Label]) -> np.ndarray:
-    if not X:
+def _training_data(X: FeatureRows, y: list[Label]) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(matrix, label codes); a vector list is stacked once."""
+    if isinstance(X, list):
+        if not X:
+            raise TrainingError("empty training set")
+        X = stack(X)
+    if X.shape[0] == 0:
         raise TrainingError("empty training set")
-    if len(X) != len(y):
-        raise TrainingError(f"{len(X)} vectors but {len(y)} labels")
+    if X.shape[0] != len(y):
+        raise TrainingError(f"{X.shape[0]} vectors but {len(y)} labels")
     labels = np.fromiter((int(label) for label in y), dtype=np.int64, count=len(y))
+    return X, labels
+
+
+def _check_training_inputs(X: FeatureRows, y: list[Label]) -> tuple[sp.csr_matrix, np.ndarray]:
+    X, labels = _training_data(X, y)
     if np.unique(labels).size < 2:
         raise TrainingError("training data contains a single class")
-    return labels
+    return X, labels
 
 
 def _check_finite(weights: np.ndarray, bias: np.ndarray):

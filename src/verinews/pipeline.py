@@ -14,21 +14,23 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import ClassCounts, Document, Label, dataset_stats
 from .errors import TrainingError
-from .features import (
-    SparseVector,
-    build_vocabulary,
-    count_transform,
-    fit_idf,
-    stack,
-    tfidf_transform,
-)
+from .features import build_vocabulary, featurize, fit_idf
 from .metrics import EvalReport, classification_report, confusion_matrix
-from .models import NbModel, TrainConfig, lr_fit, nb_fit, sgd_fit
+from .models import (
+    FeatureRows,
+    TrainConfig,
+    decision_scores,
+    lr_fit,
+    nb_fit,
+    predict_labels,
+    sgd_fit,
+)
 from .persistence import FEATURE_COUNT, FEATURE_TFIDF, ModelBundle
-from .textprep import CleanDoc, PipelineConfig, preprocess_document
+from .textprep import CleanDoc, PipelineConfig, preprocess_corpus
 
 # Below this many documents a pool costs more than it saves.
 PARALLEL_MIN_DOCS = 32
@@ -54,20 +56,23 @@ def default_workers() -> int:
 def preprocess_many(
     docs: list[Document], cfg: PipelineConfig, workers: int = 1
 ) -> list[CleanDoc]:
-    """Preprocess documents, preserving order; pure so pooling is safe."""
-    fn = partial(preprocess_document, cfg=cfg)
+    """Preprocess documents, preserving order; pure so pooling is safe.
+
+    Each preprocess_corpus call, over the whole list or over one pool
+    chunk, lemmatizes every distinct token once.
+    """
     if workers <= 1 or len(docs) < PARALLEL_MIN_DOCS:
-        return [fn(d) for d in docs]
-    chunk = max(1, len(docs) // (workers * 4))
+        return preprocess_corpus(docs, cfg)
+    size = max(1, len(docs) // (workers * 4))
+    chunks = [docs[i : i + size] for i in range(0, len(docs), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, docs, chunksize=chunk))
+        parts = pool.map(partial(preprocess_corpus, cfg=cfg), chunks)
+        return [clean for part in parts for clean in part]
 
 
-def transform_many(bundle: ModelBundle, clean: list[CleanDoc]) -> list[SparseVector]:
+def transform_many(bundle: ModelBundle, clean: list[CleanDoc]) -> sp.csr_matrix:
     """Vectorize with the bundle's frozen vocabulary (and IDF, if TF-IDF)."""
-    if bundle.feature_kind == FEATURE_TFIDF:
-        return [tfidf_transform(d, bundle.vocab, bundle.idf) for d in clean]
-    return [count_transform(d, bundle.vocab) for d in clean]
+    return featurize(clean, bundle.vocab, bundle.idf)
 
 
 def train_bundle(
@@ -95,21 +100,17 @@ def train_bundle(
     vocab = build_vocabulary(clean, min_df=min_df, max_df=max_df, max_terms=max_terms)
     labels = [d.label for d in clean]
 
-    idf = None
-    if feature_kind == FEATURE_TFIDF:
-        idf = fit_idf(clean, vocab)
-        vectors = [tfidf_transform(d, vocab, idf) for d in clean]
-    else:
-        vectors = [count_transform(d, vocab) for d in clean]
+    idf = fit_idf(clean, vocab) if feature_kind == FEATURE_TFIDF else None
+    X = featurize(clean, vocab, idf)
 
     if model_kind == MODEL_NB:
-        model = nb_fit(vectors, labels, alpha=nb_alpha)
+        model = nb_fit(X, labels, alpha=nb_alpha)
         converged = None
     elif model_kind == MODEL_LR:
-        model = lr_fit(vectors, labels, train_cfg)
+        model = lr_fit(X, labels, train_cfg)
         converged = model.converged
     else:
-        model = sgd_fit(vectors, labels, train_cfg)
+        model = sgd_fit(X, labels, train_cfg)
         converged = model.converged
 
     bundle = ModelBundle(
@@ -127,20 +128,9 @@ def train_bundle(
     return bundle, summary
 
 
-def score_matrix(bundle: ModelBundle, vectors: list[SparseVector]) -> np.ndarray:
+def score_matrix(bundle: ModelBundle, X: FeatureRows) -> np.ndarray:
     """(n, 4) decision scores; rows follow the input order."""
-    X = stack(vectors)
-    model = bundle.model
-    if isinstance(model, NbModel):
-        return X @ model.feature_log_prob.T + model.class_log_prior
-    return X @ model.weights.T + model.bias
-
-
-def predict_labels(scores: np.ndarray) -> list[Label]:
-    """Row-wise argmax with ties broken toward the lowest label code."""
-    if np.any(np.isnan(scores)):
-        raise ValueError("NaN score")
-    return [Label(int(i)) for i in np.argmax(scores, axis=1)]
+    return decision_scores(bundle.model, X)
 
 
 def predict_bundle(

@@ -215,14 +215,26 @@ def preprocess_document(doc: Document, cfg: PipelineConfig) -> CleanDoc:
     Lemmas are re-checked against the length and stop-word filters since
     lemmatization can shorten a token or surface a stop word.
     """
-    normalized = normalize_text(doc.title + " " + doc.body, cfg)
-    tokens = tokenize_and_filter(normalized, cfg)
-    lemmas = (_lemmatize_stable(t, cfg) for t in tokens)
-    kept = tuple(
-        t for t in lemmas if len(t) >= cfg.min_token_len and t not in cfg.stopword_list
-    )
-    return CleanDoc(id=doc.id, tokens=kept, label=doc.label)
+    return _preprocess(doc, cfg, {})
 
 
 def preprocess_corpus(docs: list[Document], cfg: PipelineConfig) -> list[CleanDoc]:
-    return [preprocess_document(d, cfg) for d in docs]
+    """preprocess_document over a list, lemmatizing each distinct token once."""
+    lemmas: dict[str, str] = {}
+    return [_preprocess(d, cfg, lemmas) for d in docs]
+
+
+def _preprocess(doc: Document, cfg: PipelineConfig, lemmas: dict[str, str]) -> CleanDoc:
+    # lemmas caches token -> kept lemma, or "" for a lemma the filters drop.
+    normalized = normalize_text(doc.title + " " + doc.body, cfg)
+    kept = []
+    for token in tokenize_and_filter(normalized, cfg):
+        lemma = lemmas.get(token)
+        if lemma is None:
+            lemma = _lemmatize_stable(token, cfg)
+            if len(lemma) < cfg.min_token_len or lemma in cfg.stopword_list:
+                lemma = ""
+            lemmas[token] = lemma
+        if lemma:
+            kept.append(lemma)
+    return CleanDoc(id=doc.id, tokens=tuple(kept), label=doc.label)

@@ -1,6 +1,8 @@
+import argparse
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from verinews import cli
 from verinews.corpus import parse_csv
@@ -266,3 +268,85 @@ class TestThreads:
     def test_bad_thread_count(self, train_csv, tmp_path):
         assert run("train", "--model", "nb", "--in", train_csv,
                    "--out", tmp_path / "m.bundle", "--threads", 0) == 2
+
+    def test_non_integer_config_threads_is_exit_2(self, train_csv, tmp_path, capsys):
+        cfgfile = tmp_path / "v.conf"
+        cfgfile.write_text("threads=abc\n", encoding="utf-8")
+        assert run("train", "--model", "nb", "--in", train_csv,
+                   "--out", tmp_path / "m.bundle", "--config", cfgfile) == 2
+        assert "threads" in capsys.readouterr().err
+
+    def test_precedence_flag_config_env_cores(self, monkeypatch):
+        monkeypatch.setenv(cli.THREADS_ENV, "3")
+        no_flag = argparse.Namespace(threads=None)
+        assert cli._resolve_threads(argparse.Namespace(threads=1), {"threads": "2"}) == 1
+        assert cli._resolve_threads(no_flag, {"threads": "2"}) == 2
+        assert cli._resolve_threads(no_flag, {}) == 3
+        monkeypatch.delenv(cli.THREADS_ENV)
+        assert cli._resolve_threads(no_flag, {}) == cli.default_workers()
+
+
+class TestInputBytes:
+    def test_invalid_utf8_is_exit_2_naming_the_offset(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"public_id,title,text\nx1,ab\xffc,d\n")
+        assert run("prep", "--in", bad, "--threads", 1) == 2
+        err = capsys.readouterr().err
+        assert "UTF-8" in err and "0xff" in err and "offset 26" in err
+
+    def test_byte_order_mark_before_header(self, tmp_path, nb_bundle):
+        text = _write_unlabeled(tmp_path / "plain.csv").read_bytes()
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("predict", "--in", tmp_path / "plain.csv", "--model", nb_bundle, "--out", a) == 0
+        assert run("predict", "--in", marked, "--model", nb_bundle, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+_headers = st.sampled_from(
+    ["public_id,title,text,our_rating", "public_id,title,text", "title,text,our rating", ""]
+)
+_cells = st.one_of(
+    st.sampled_from(["false", "TRUE", "partially false", "other", "", "p1", '"a,b"', '"open', "12"]),
+    st.text(max_size=12),
+)
+_csv_texts = st.builds(
+    lambda bom, header, rows: bom + "\n".join([header, *rows]) + "\n",
+    st.sampled_from(["", "\ufeff"]),
+    _headers,
+    st.lists(st.lists(_cells, max_size=5).map(",".join), max_size=8),
+)
+_input_bytes = st.one_of(
+    st.binary(max_size=120),
+    _csv_texts.map(str.encode),
+    st.builds(
+        lambda text, junk, at: text.encode()[:at] + junk + text.encode()[at:],
+        _csv_texts,
+        st.binary(min_size=1, max_size=3),
+        st.integers(0, 200),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def any_input_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("any_input")
+    assert run("train", "--model", "nb", "--in", _write_labeled(d / "train.csv"),
+               "--out", d / "nb.bundle", "--threads", 1) == 0
+    return d
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=_input_bytes, model=st.sampled_from(["nb", "lr", "sgd"]))
+def test_any_input_bytes_exit_0_or_2(any_input_dir, data, model):
+    d = any_input_dir
+    (d / "in.csv").write_bytes(data)
+    common = ("--in", d / "in.csv", "--threads", 1)
+    codes = [
+        run("prep", *common, "--out", d / "prep.csv"),
+        run("train", *common, "--model", model, "--out", d / "m.bundle"),
+        run("eval", *common, "--model", d / "nb.bundle", "--format", "json", "--out", d / "r.json"),
+        run("predict", *common, "--model", d / "nb.bundle", "--out", d / "p.csv"),
+    ]
+    assert set(codes) <= {0, 2}, codes

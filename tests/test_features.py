@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from verinews.errors import DimensionMismatchError
 from verinews.features import (
     IdfWeights,
     SparseVector,
+    Vocabulary,
     build_vocabulary,
     count_transform,
+    featurize,
     fit_idf,
     stack,
     tfidf_transform,
@@ -233,3 +236,68 @@ class TestStack:
         vs = [SparseVector.from_counts({0: 1.0}, 3), SparseVector.from_counts({0: 1.0}, 4)]
         with pytest.raises(DimensionMismatchError):
             stack(vs)
+
+
+# Reference per-document transforms, written out independently of featurize:
+# a Counter per document, then the L2 norm of each document on its own.
+def reference_count(d, vocab):
+    counts = Counter(vocab.term_to_index[t] for t in d.tokens if t in vocab.term_to_index)
+    return SparseVector.from_counts(counts, dim=vocab.size)
+
+
+def reference_tfidf(d, vocab, idf):
+    counts = reference_count(d, vocab)
+    if counts.nnz == 0:
+        return counts
+    weighted = counts.values * idf.idf[counts.indices]
+    weighted = weighted / np.sqrt(np.sum(weighted**2))
+    return SparseVector(indices=counts.indices, values=weighted, dim=vocab.size)
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    assert a.indptr.tolist() == b.indptr.tolist()
+    assert a.indices.tolist() == b.indices.tolist()
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+# Tokens from a small alphabet repeat within and across documents; "zzz..."
+# tokens never reach the vocabulary (all-OOV and partly-OOV documents).
+_feature_tokens = st.one_of(
+    st.text(alphabet="abcd", min_size=3, max_size=4), st.text(alphabet="z", min_size=3, max_size=5)
+)
+_feature_docs = st.lists(
+    st.lists(_feature_tokens, max_size=40).map(lambda ts: CleanDoc(id="f", tokens=tuple(ts))),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200)
+@given(train=_feature_docs, scored=_feature_docs, min_df=st.integers(1, 3))
+def test_featurize_matches_per_document_reference(train, scored, min_df):
+    # z-tokens stay out of the vocabulary; min_df above the corpus size
+    # empties it
+    in_vocab = [doc(*(t for t in d.tokens if t[0] != "z")) for d in train]
+    vocab = build_vocabulary(in_vocab, min_df=min_df)
+    idf = fit_idf(train, vocab)
+    for weights, reference in (
+        (None, lambda d: reference_count(d, vocab)),
+        (idf, lambda d: reference_tfidf(d, vocab, idf)),
+    ):
+        expected = [reference(d) for d in scored]
+        assert_same_csr(featurize(scored, vocab, weights), stack(expected))
+        for d, want in zip(scored, expected):
+            got = count_transform(d, vocab) if weights is None else tfidf_transform(d, vocab, idf)
+            assert got.indices.tolist() == want.indices.tolist()
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_featurize_edge_shapes(small_vocab):
+    assert featurize([], small_vocab).shape == (0, 3)
+    empty = featurize([doc(), doc("zebra")], Vocabulary(term_to_index={}))
+    assert empty.shape == (2, 0) and empty.nnz == 0
+    idf = fit_idf([doc("cat")], small_vocab)
+    assert featurize([doc(), doc("zebra")], small_vocab, idf).nnz == 0
+    with pytest.raises(DimensionMismatchError):
+        featurize([doc("cat")], small_vocab, IdfWeights(idf=np.ones(1), n_docs=1))

@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from verinews.corpus import Label
 from verinews.errors import DimensionMismatchError, TrainingError
-from verinews.features import SparseVector, stack
+from verinews.features import (
+    SparseVector,
+    build_vocabulary,
+    count_transform,
+    featurize,
+    fit_idf,
+    stack,
+    tfidf_transform,
+)
 from verinews.models import (
     LinearModel,
     NbModel,
@@ -18,8 +26,10 @@ from verinews.models import (
     nb_fit,
     nb_log_posterior,
     predict,
+    predict_labels,
     sgd_fit,
 )
+from verinews.textprep import CleanDoc
 
 
 def vec(counts, dim):
@@ -117,6 +127,52 @@ def test_nb_rows_always_sum_to_one(data):
     assert np.exp(m.class_log_prior).sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def reference_nb_fit(X, y, alpha):
+    """Per-document accumulation of class term totals, in document order."""
+    dim = X[0].dim
+    term_counts = np.zeros((4, dim))
+    doc_counts = np.zeros(4)
+    for x, label in zip(X, y):
+        term_counts[int(label), x.indices] += x.values
+        doc_counts[int(label)] += 1.0
+    with np.errstate(divide="ignore"):
+        prior = np.log(doc_counts / len(X))
+    if dim == 0:
+        return prior, np.zeros((4, 0))
+    smoothed = term_counts + alpha
+    return prior, np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
+
+
+# Eight possible terms over up to 40 documents: many documents add to each
+# (class, term) total, so a different summation order shows in the bits.
+_nb_docs = st.lists(
+    st.tuples(
+        st.lists(st.text(alphabet="ab", min_size=3, max_size=3), max_size=12),
+        st.sampled_from(list(Label)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=150)
+@given(_nb_docs, st.sampled_from([0.5, 1.0]), st.booleans())
+def test_nb_fit_matches_per_document_reference(data, alpha, tfidf):
+    # tfidf=True is NB forced onto TF-IDF weights, whose sums are not exact
+    docs = [CleanDoc(id="n", tokens=tuple(tokens)) for tokens, _ in data]
+    labels = [label for _, label in data]
+    vocab = build_vocabulary(docs)
+    idf = fit_idf(docs, vocab) if tfidf else None
+    vectors = [
+        tfidf_transform(d, vocab, idf) if tfidf else count_transform(d, vocab) for d in docs
+    ]
+    prior, log_prob = reference_nb_fit(vectors, labels, alpha)
+    for X in (featurize(docs, vocab, idf), vectors):
+        m = nb_fit(X, labels, alpha=alpha)
+        assert m.class_log_prior.tobytes() == prior.tobytes()
+        assert m.feature_log_prob.tobytes() == log_prob.tobytes()
+
+
 class TestNbPosterior:
     def test_zero_vector_returns_priors(self):
         m = nb_fit([vec({0: 1}, 2), vec({1: 1}, 2)], [Label.FALSE, Label.TRUE])
@@ -173,6 +229,15 @@ class TestPredict:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             predict(np.array([0.0, np.nan, 0.0, 0.0]))
+
+    def test_batch_rejects_a_row_of_neg_inf(self):
+        scores = np.array([[0.0, 1.0, 0.0, 0.0], [-np.inf] * 4])
+        with pytest.raises(ValueError, match="-inf"):
+            predict_labels(scores)
+
+    def test_batch_matches_per_row(self):
+        scores = np.array([[5.0, 5.0, 1.0, 1.0], [-1.0, -1.0, -1.0, 0.0], [-np.inf, 0.0, 2.0, 2.0]])
+        assert predict_labels(scores) == [predict(row) for row in scores]
 
 
 def _random_problem(rng, n=8, dim=20):

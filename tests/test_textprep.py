@@ -2,15 +2,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verinews.corpus import Document, Label
+from verinews.pipeline import preprocess_many
 from verinews.textprep import (
     CleanDoc,
     PipelineConfig,
+    _lemmatize_stable,
     lemmatize_token,
     load_lemma_exceptions,
     load_stopwords,
     normalize_text,
     parse_lemma_exceptions,
     parse_stopwords,
+    preprocess_corpus,
     preprocess_document,
     tokenize_and_filter,
 )
@@ -180,6 +183,50 @@ def test_normalize_never_grows_plain_text(text):
 @given(_any_text)
 def test_normalize_deterministic(text):
     assert normalize_text(text, _CFG) == normalize_text(text, _CFG)
+
+
+def reference_tokens(doc, cfg):
+    """Lemmatize every token afresh, with no cache."""
+    tokens = tokenize_and_filter(normalize_text(doc.title + " " + doc.body, cfg), cfg)
+    lemmas = (_lemmatize_stable(t, cfg) for t in tokens)
+    return tuple(t for t in lemmas if len(t) >= cfg.min_token_len and t not in cfg.stopword_list)
+
+
+# Stems and suffixes that fire every lemma rule, lemmas the filters drop
+# ("ties" -> "ty" is short, "thes" -> "the" is a stop word), and a table
+# entry whose lemma is a stop word.
+_lemma_cfg = PipelineConfig(
+    stopword_list=frozenset({"the", "was", "ran"}),
+    lemma_exceptions={"went": "go", "running": "ran", "geese": "goose"},
+)
+_words = st.builds(
+    str.__add__,
+    st.sampled_from(["the", "was", "went", "running", "geese", "hous", "pass", "run", "ski", "th", "t"]),
+    st.sampled_from(["", "s", "es", "ies", "sses", "ing", "ed"]),
+)
+_lemma_docs = st.lists(
+    st.lists(_words, max_size=15).map(lambda ws: Document(id="m", title=" ".join(ws), body="")),
+    max_size=10,
+)
+
+
+@settings(max_examples=150)
+@given(_lemma_docs)
+def test_cached_cleaning_matches_per_token_lemmatizer(docs):
+    expected = [reference_tokens(d, _lemma_cfg) for d in docs]
+    assert [c.tokens for c in preprocess_corpus(docs, _lemma_cfg)] == expected
+    assert [preprocess_document(d, _lemma_cfg).tokens for d in docs] == expected
+
+
+def test_pooled_chunks_match_the_uncached_reference():
+    words = ["houses", "running", "went", "geese", "passes", "skiing", "the", "ties"]
+    docs = [
+        Document(id=f"p{i}", title=" ".join(words[i % 8 :] + words[: i % 8]), body=f"{i} days")
+        for i in range(40)
+    ]
+    pooled = preprocess_many(docs, _lemma_cfg, workers=2)
+    assert [c.id for c in pooled] == [d.id for d in docs]
+    assert [c.tokens for c in pooled] == [reference_tokens(d, _lemma_cfg) for d in docs]
 
 
 _CFG = PipelineConfig.default()
