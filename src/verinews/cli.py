@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -31,27 +32,9 @@ from .textprep import PipelineConfig, load_lemma_exceptions, load_stopwords
 
 THREADS_ENV = "VERINEWS_THREADS"
 
-_CONFIG_KEYS = {
-    "model",
-    "features",
-    "format",
-    "threads",
-    "seed",
-    "nb_alpha",
-    "lr_c",
-    "lr_tol",
-    "lr_max_iter",
-    "sgd_alpha",
-    "sgd_epochs",
-    "sgd_tol",
-    "stopwords",
-    "lemmas",
-    "placeholder",
-    "min_token_len",
-    "min_df",
-    "max_df",
-    "max_terms",
-}
+# Flags that name this run's files or switches. Every other flag of every
+# subcommand may also be given as a config key, spelled as its dest.
+_FLAG_ONLY_KEYS = {"help", "config", "input", "out", "force"}
 
 
 class UsageError(Exception):
@@ -62,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config_file(getattr(args, "config", None))
+        config = _load_config_file(getattr(args, "config", None), _config_keys(parser))
         return args.run(args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -131,6 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for sub in subparsers.choices.values() for a in sub._actions}
+    return dests - _FLAG_ONLY_KEYS
+
+
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--threads", type=int, help="worker count (default: all cores)")
@@ -185,27 +174,15 @@ def _cmd_train(args, config) -> int:
         raise UsageError(f"{args.input}: no rating column; training needs labels")
     docs = to_documents(records, labeled=True)
 
-    train_cfg = TrainConfig(
-        lr_C=_resolve(args, config, "lr_c", float, 100.0),
-        lr_tol=_resolve(args, config, "lr_tol", float, 1e-4),
-        lr_max_iter=_resolve(args, config, "lr_max_iter", int, 100),
-        sgd_alpha=_resolve(args, config, "sgd_alpha", float, 1e-4),
-        sgd_epochs=_resolve(args, config, "sgd_epochs", int, 1000),
-        sgd_tol=_resolve(args, config, "sgd_tol", float, 1e-3),
-        seed=_resolve(args, config, "seed", int, 42),
-    )
     bundle, summary = train_bundle(
         docs,
         model_kind,
         feature_kind,
         pipeline_cfg=_resolve_pipeline(args, config),
-        train_cfg=train_cfg,
-        nb_alpha=_resolve(args, config, "nb_alpha", float, 1.0),
+        train_cfg=_resolve_train_config(args, config),
         workers=_resolve_threads(args, config),
         created_at=_source_date_epoch(),
-        min_df=_resolve(args, config, "min_df", int, 1),
-        max_df=_resolve(args, config, "max_df", int, None),
-        max_terms=_resolve(args, config, "max_terms", int, None),
+        **_given(args, config, {"nb_alpha": float, "min_df": int, "max_df": int, "max_terms": int}),
     )
     write_bundle(bundle, args.out)
 
@@ -303,7 +280,7 @@ def _format_csv(rows: list[list[str]]) -> str:
     return out.getvalue()
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
+def _load_config_file(path: str | None, keys: set[str]) -> dict[str, str]:
     if not path:
         return {}
     values = {}
@@ -315,7 +292,7 @@ def _load_config_file(path: str | None) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise UsageError(f"{path}:{i}: expected key=value, got {line!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise UsageError(f"{path}:{i}: unknown config key {key!r}")
         values[key] = value
     return values
@@ -332,6 +309,24 @@ def _resolve(args, config, key, cast, default):
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: {exc}") from exc
     return default
+
+
+def _given(args, config, casts: dict) -> dict:
+    """The keys of casts that a flag or the config file sets, cast; the
+    callee's own defaults cover the rest."""
+    values = {key: _resolve(args, config, key, cast, None) for key, cast in casts.items()}
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _resolve_train_config(args, config) -> TrainConfig:
+    """TrainConfig fields are set by the key that spells them in lower case
+    (lr_C by --lr-c or lr_c=)."""
+    fields = {f.name.lower(): f for f in dataclasses.fields(TrainConfig)}
+    given = _given(args, config, {key: type(f.default) for key, f in fields.items()})
+    try:
+        return TrainConfig(**{fields[key].name: value for key, value in given.items()})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _resolve_threads(args, config) -> int:

@@ -39,6 +39,10 @@ class DimensionMismatchError(VerinewsError):
     """A vector's dimensionality does not match the model/vocabulary."""
 
 
+class ReportError(VerinewsError):
+    """A JSON eval report is malformed or holds an unusable confusion grid."""
+
+
 class BundleError(VerinewsError):
     """Base class for model-bundle serialization failures."""
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Label
+from .errors import ReportError
 
 LABEL_ORDER = (Label.FALSE, Label.TRUE, Label.PARTIALLY_FALSE, Label.OTHER)
 
@@ -187,10 +188,30 @@ def report_to_json(report: EvalReport) -> str:
 
 def report_from_json(text: str) -> EvalReport:
     """Rebuild an EvalReport from its JSON form (metrics recomputed from
-    the confusion cells, which are the ground truth of the format)."""
-    payload = json.loads(text)
-    cells = np.asarray(payload["confusion"], dtype=np.int64)
-    return classification_report(Confusion(cells=cells))
+    the confusion cells, which are the ground truth of the format).
+
+    Raises ReportError unless the text is a JSON object whose "confusion"
+    is a 4x4 grid of non-negative integers with a total in [1, 2**63).
+    """
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ReportError(f"not a JSON report: {exc}") from exc
+    grid = payload.get("confusion") if isinstance(payload, dict) else None
+    if not (_is_list_of(grid, 4) and all(_is_list_of(row, 4) for row in grid)):
+        raise ReportError("a report needs a 'confusion' key holding a 4x4 grid")
+    cells = [cell for row in grid for cell in row]
+    # type() rather than isinstance(), which would let booleans through.
+    if not all(type(cell) is int and cell >= 0 for cell in cells):
+        raise ReportError("confusion cells must be non-negative integers")
+    total = sum(cells)
+    if not 0 < total <= np.iinfo(np.int64).max:
+        raise ReportError(f"confusion total must be between 1 and 2**63-1, got {total}")
+    return classification_report(Confusion(cells=np.array(grid, dtype=np.int64)))
+
+
+def _is_list_of(value, length: int) -> bool:
+    return isinstance(value, list) and len(value) == length
 
 
 def _cell_text(count: int, total: int) -> str:

@@ -1,12 +1,19 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import verinews
 from verinews import cli
-from verinews.corpus import parse_csv
-from verinews.persistence import read_bundle
+from verinews.corpus import parse_csv, to_documents
+from verinews.models import TrainConfig
+from verinews.persistence import read_bundle, save_bundle_bytes
+from verinews.pipeline import DEFAULT_FEATURES, train_bundle
 
 LABELED_ROWS = [
     ("a1", "You Can Be Fined 1500 If Your Passenger Is Unbuckled", "Distracted driving causes more deaths officials say", "FALSE"),
@@ -121,6 +128,38 @@ class TestTrain:
         cfgfile.write_text("sede=43\n", encoding="utf-8")
         assert run("train", "--model", "nb", "--in", train_csv,
                    "--out", tmp_path / "m.bundle", "--config", cfgfile) == 2
+
+    @pytest.mark.parametrize("model", ["nb", "lr", "sgd"])
+    def test_no_hyperparameter_flags_means_the_library_defaults(self, tmp_path, train_csv, model, monkeypatch):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        out = tmp_path / "m.bundle"
+        assert run("train", "--model", model, "--in", train_csv, "--out", out, "--threads", 1) == 0
+        docs = to_documents(parse_csv(train_csv.read_bytes()), labeled=True)
+        bundle, _ = train_bundle(docs, model, DEFAULT_FEATURES[model], train_cfg=TrainConfig())
+        assert out.read_bytes() == save_bundle_bytes(bundle)
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (("--lr-c", "-1"), ""),
+            (("--lr-max-iter", "0"), ""),
+            (("--sgd-epochs", "0"), ""),
+            ((), "lr_tol=nan\n"),
+            ((), "sgd_alpha=inf\n"),
+        ],
+    )
+    def test_bad_hyperparameter_is_exit_2(self, tmp_path, train_csv, flags, config, capsys):
+        cfgfile = tmp_path / "v.conf"
+        cfgfile.write_text(config or "# none\n", encoding="utf-8")
+        assert run("train", "--model", "lr", "--in", train_csv, "--out", tmp_path / "m.bundle",
+                   "--config", cfgfile, *flags) == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_config_keys_are_the_flags_that_configure(self):
+        keys = cli._config_keys(cli._build_parser())
+        assert {"lr_c", "lr_tol", "lr_max_iter", "sgd_alpha", "sgd_epochs", "sgd_tol", "seed"} <= keys
+        assert {"nb_alpha", "min_df", "max_df", "max_terms", "threads", "format", "min_token_len"} <= keys
+        assert not keys & {"config", "input", "out", "force", "help"}
 
     def test_vocab_pruning_flags(self, tmp_path, train_csv, capsys):
         out = tmp_path / "m.bundle"
@@ -245,6 +284,33 @@ class TestPrepAndReport:
     def test_report_missing_file(self, tmp_path):
         assert run("report", "--in", tmp_path / "nope.json") == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            "[1]",
+            "not json",
+            '{"confusion": [[1, 2], [3, 4]]}',
+            '{"confusion": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+            '{"confusion": [["abc", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+            '{"confusion": [[NaN, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+            '{"confusion": [[12345678901234567890123, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+            '{"confusion": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}',
+            '{"confusion": [[1.5, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+            '{"confusion": [[true, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+            "[" * 100_000,
+        ],
+        ids=[
+            "empty-object", "list", "not-json", "2x2", "negative", "string", "nan", "23-digits",
+            "all-zero", "float", "bool", "nested-too-deep",
+        ],
+    )
+    def test_bad_report_is_exit_2(self, tmp_path, text, capsys):
+        bad = tmp_path / "r.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run("report", "--in", bad) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestThreads:
     def test_parallel_output_matches_serial(self, tmp_path, monkeypatch):
@@ -317,9 +383,23 @@ _csv_texts = st.builds(
     _headers,
     st.lists(st.lists(_cells, max_size=5).map(",".join), max_size=8),
 )
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**64) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=24,
+)
+_report_texts = st.one_of(
+    _json_values.map(json.dumps),
+    st.builds(
+        lambda grid, extra: json.dumps({**extra, "confusion": grid}),
+        st.lists(st.lists(st.integers(-1, 3) | _json_values, min_size=3, max_size=5), min_size=3, max_size=5),
+        st.dictionaries(st.text(max_size=6), _json_values, max_size=2),
+    ),
+)
 _input_bytes = st.one_of(
     st.binary(max_size=120),
     _csv_texts.map(str.encode),
+    _report_texts.map(str.encode),
     st.builds(
         lambda text, junk, at: text.encode()[:at] + junk + text.encode()[at:],
         _csv_texts,
@@ -348,5 +428,50 @@ def test_any_input_bytes_exit_0_or_2(any_input_dir, data, model):
         run("train", *common, "--model", model, "--out", d / "m.bundle"),
         run("eval", *common, "--model", d / "nb.bundle", "--format", "json", "--out", d / "r.json"),
         run("predict", *common, "--model", d / "nb.bundle", "--out", d / "p.csv"),
+        run("report", *common),
     ]
     assert set(codes) <= {0, 2}, codes
+
+
+_IMPORTS_SNIPPET = """
+import json, sys
+from verinews import cli
+
+lazy = ("scipy.optimize", "scipy.special")
+loaded = {}
+d = sys.argv[1]
+for step, argv in [
+    ("import", None),
+    ("train nb", ["train", "--model", "nb", "--out", d + "/nb.bundle"]),
+    ("train sgd", ["train", "--model", "sgd", "--out", d + "/sgd.bundle"]),
+    ("eval nb", ["eval", "--model", d + "/nb.bundle", "--out", d + "/r.json"]),
+    ("predict nb", ["predict", "--model", d + "/nb.bundle", "--out", d + "/p.csv"]),
+    ("train lr", ["train", "--model", "lr", "--out", d + "/lr.bundle"]),
+]:
+    if argv is not None:
+        assert cli.main([*argv, "--in", d + "/train.csv", "--threads", "1"]) == 0, step
+    loaded[step] = [name for name in lazy if name in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_lr_training_loads_the_optimizer(tmp_path):
+    # Importing scipy.optimize costs every CLI process about a third of a
+    # second; only the LR fit needs it (and scipy.special).
+    _write_labeled(tmp_path / "train.csv")
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(verinews.__file__).resolve().parent.parent)]
+        + [os.path.abspath(entry) for entry in inherited if entry]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_SNIPPET, str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    lazy = ["scipy.optimize", "scipy.special"]
+    assert loaded == {
+        "import": [], "train nb": [], "train sgd": [], "eval nb": [], "predict nb": [], "train lr": lazy,
+    }

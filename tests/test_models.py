@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from verinews.corpus import Label
@@ -21,6 +23,7 @@ from verinews.models import (
     TrainConfig,
     _minimize_logistic,
     linear_decision,
+    logistic_hessp,
     logistic_objective,
     lr_fit,
     nb_fit,
@@ -249,6 +252,26 @@ def _random_problem(rng, n=8, dim=20):
     return stack(rows), np.where(labels == 1, 1.0, -1.0)
 
 
+def _random_multiclass_problem(rng, n=200, dim=60):
+    X = sp.random(
+        n, dim, density=0.1, format="csr", random_state=rng, data_rvs=lambda k: rng.uniform(0.1, 1.0, k)
+    )
+    return X, rng.integers(0, 4, size=n)
+
+
+def _lbfgs_reference_objective(X, y_pm, C):
+    """The objective that L-BFGS-B reaches when run well past lr_tol."""
+    result = scipy.optimize.minimize(
+        logistic_objective,
+        np.zeros(X.shape[1] + 1),
+        args=(X, y_pm, C),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 10_000, "gtol": 1e-8, "ftol": 0.0},
+    )
+    return result.fun
+
+
 class TestLogistic:
     def test_separable_points_rank_correctly(self):
         X = [vec({0: 1.0}, 2), vec({1: 1.0}, 2)]
@@ -275,6 +298,31 @@ class TestLogistic:
                     - logistic_objective(zm, X, y_pm, 100.0)[0]
                 ) / (2 * h)
             assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6
+
+    def test_hessp_matches_finite_differences_of_the_gradient(self):
+        rng = np.random.default_rng(12)
+        X, y_pm = _random_problem(rng)
+        h = 1e-6
+        for _ in range(10):
+            z = rng.normal(size=X.shape[1] + 1)
+            p = rng.normal(size=z.size)
+            hp = logistic_hessp(z, p, X, y_pm, 100.0)
+            fd = (
+                logistic_objective(z + h * p, X, y_pm, 100.0)[1]
+                - logistic_objective(z - h * p, X, y_pm, 100.0)[1]
+            ) / (2 * h)
+            assert np.linalg.norm(hp - fd) / np.linalg.norm(fd) < 1e-6
+
+    def test_every_class_meets_the_gradient_test_and_beats_lbfgs(self):
+        X, labels = _random_multiclass_problem(np.random.default_rng(13))
+        cfg = TrainConfig()
+        m = lr_fit(X, [Label(int(c)) for c in labels], cfg)
+        assert m.converged
+        for c in range(4):
+            y_pm = np.where(labels == c, 1.0, -1.0)
+            f, grad = logistic_objective(np.append(m.weights[c], m.bias[c]), X, y_pm, cfg.lr_C)
+            assert np.max(np.abs(grad)) <= cfg.lr_tol
+            assert f <= _lbfgs_reference_objective(X, y_pm, cfg.lr_C) * (1 + 1e-9)
 
     def test_larger_c_fits_training_data_tighter(self):
         X = [vec({0: 1.0}, 2), vec({1: 1.0}, 2)] * 3
@@ -395,3 +443,9 @@ class TestTrainConfig:
             TrainConfig(sgd_alpha=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(lr_max_iter=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, value):
+        # A NaN lr_tol would end the Newton loop before its first step.
+        with pytest.raises(ValueError, match="lr_tol"):
+            TrainConfig(lr_tol=value)
