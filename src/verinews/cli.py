@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .corpus import RawRecord, decode_utf8, parse_csv, to_documents
-from .errors import VerinewsError
+from .errors import VerinewsError, VocabularyError
 from .metrics import render_confusion, render_report, report_from_json, report_to_json
 from .models import TrainConfig
 from .persistence import FEATURE_COUNT, FEATURE_TFIDF, read_bundle, write_bundle
@@ -174,16 +174,19 @@ def _cmd_train(args, config) -> int:
         raise UsageError(f"{args.input}: no rating column; training needs labels")
     docs = to_documents(records, labeled=True)
 
-    bundle, summary = train_bundle(
-        docs,
-        model_kind,
-        feature_kind,
-        pipeline_cfg=_resolve_pipeline(args, config),
-        train_cfg=_resolve_train_config(args, config),
-        workers=_resolve_threads(args, config),
-        created_at=_source_date_epoch(),
-        **_given(args, config, {"nb_alpha": float, "min_df": int, "max_df": int, "max_terms": int}),
-    )
+    try:
+        bundle, summary = train_bundle(
+            docs,
+            model_kind,
+            feature_kind,
+            pipeline_cfg=_resolve_pipeline(args, config),
+            train_cfg=_resolve_train_config(args, config),
+            workers=_resolve_threads(args, config),
+            created_at=_source_date_epoch(),
+            **_given(args, config, {"nb_alpha": float, "min_df": int, "max_df": int, "max_terms": int}),
+        )
+    except VocabularyError as exc:
+        raise UsageError(f"--{exc.param.replace('_', '-')}: {exc}") from exc
     write_bundle(bundle, args.out)
 
     counts = " ".join(

@@ -35,6 +35,14 @@ class TrainingError(VerinewsError):
     """Training preconditions violated (empty data, bad hyperparameters...)."""
 
 
+class VocabularyError(VerinewsError):
+    """A vocabulary bound (min_df, max_df, max_terms) is below 1."""
+
+    def __init__(self, param: str, value: int):
+        self.param = param
+        super().__init__(f"{param} must be >= 1, got {value}")
+
+
 class DimensionMismatchError(VerinewsError):
     """A vector's dimensionality does not match the model/vocabulary."""
 

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, VocabularyError
 from .textprep import CleanDoc
 
 
@@ -106,10 +106,11 @@ def build_vocabulary(
     Pruning is off by default. min_df/max_df bound the term's document
     frequency (absolute counts, inclusive); max_terms keeps the highest-df
     terms, breaking ties lexicographically so the result stays independent
-    of document order.
+    of document order. A bound below 1 raises VocabularyError.
     """
-    if min_df < 1:
-        raise ValueError("min_df must be >= 1")
+    for param, value in (("min_df", min_df), ("max_df", max_df), ("max_terms", max_terms)):
+        if value is not None and value < 1:
+            raise VocabularyError(param, value)
     df: Counter[str] = Counter()
     for doc in corpus:
         df.update(set(doc.tokens))

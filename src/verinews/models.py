@@ -3,7 +3,10 @@ one-vs-rest logistic / hinge linear models on TF-IDF vectors.
 
 All training is deterministic. The SGD classifier shuffles with a PCG64
 generator seeded from the training config, so a fixed seed reproduces
-bit-identical weights on any platform.
+bit-identical weights on any platform. Its four one-vs-rest subproblems
+can run concurrently on a process pool with the same result, and its step
+loop keeps BLAS out of the fit (see _sgd_binary), so the weights do not
+depend on the BLAS thread count either.
 
 Only the logistic functions import scipy.optimize and scipy.special, and
 they do so when called: importing the two takes about a third of a second,
@@ -13,7 +16,9 @@ which NB and SGD training, eval and predict would otherwise pay at start-up.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -174,15 +179,43 @@ def logistic_hessp(z, p, X, y_pm, C):
     With q = X@p_w + p_b and D = C*sigma*(1-sigma), sigma = expit(-y*s),
     H p = [p_w + X.T@(D*q), sum(D*q)].
     """
+    return _weighted_hessp(_hessian_weights(z, X, y_pm, C), p, X)
+
+
+def _hessian_weights(z, X, y_pm, C):
+    """D = C*sigma*(1-sigma) at z."""
     from scipy.special import expit
 
     w, b = z[:-1], z[-1]
     sigma = expit(-y_pm * (X @ w + b))
-    dq = C * sigma * (1.0 - sigma) * (X @ p[:-1] + p[-1])
+    return C * sigma * (1.0 - sigma)
+
+
+def _weighted_hessp(d, p, X):
+    dq = d * (X @ p[:-1] + p[-1])
     hp = np.empty_like(p)
     hp[:-1] = p[:-1] + X.T @ dq
     hp[-1] = float(np.sum(dq))
     return hp
+
+
+def _cached_hessp():
+    """logistic_hessp that keeps D for the last z it saw, compared by value.
+
+    trust-ncg asks for several products at each iterate (about three on
+    the benchmark corpora); each after the first skips X@w and expit, and
+    the products keep their bits.
+    """
+    last = {}
+
+    def hessp(z, p, X, y_pm, C):
+        key = z.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _hessian_weights(z, X, y_pm, C)
+        return _weighted_hessp(last[key], p, X)
+
+    return hessp
 
 
 def lr_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
@@ -218,7 +251,7 @@ def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
         np.zeros(X.shape[1] + 1),
         args=(X, y_pm, cfg.lr_C),
         jac=True,
-        hessp=logistic_hessp,
+        hessp=_cached_hessp(),
         method="trust-ncg",
         callback=callback,
         options={"maxiter": cfg.lr_max_iter, "gtol": cfg.lr_tol},
@@ -232,7 +265,9 @@ def linear_decision(model: LinearModel, x: SparseVector) -> np.ndarray:
     return decision_scores(model, [x])[0]
 
 
-def sgd_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
+def sgd_fit(
+    X: FeatureRows, y: list[Label], cfg: TrainConfig, pool: Executor | None = None
+) -> LinearModel:
     """Fit four one-vs-rest hinge classifiers by per-example SGD.
 
     Per example: s = w.x + b; the L2 penalty (sgd_alpha/2)*||w||^2 decays w
@@ -240,56 +275,69 @@ def sgd_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
     eta*y to b. Shuffling draws from one PCG64 stream per subproblem,
     spawned from cfg.seed. Training stops early once the mean epoch
     objective improves by less than sgd_tol.
+
+    The four subproblems share nothing, so a pool fits them concurrently;
+    results are gathered in class order and equal the serial fit bit for
+    bit. Without a pool they run one after another in this process.
     """
     X_csr, labels = _check_training_inputs(X, y)
-    dim = X_csr.shape[1]
-
-    eta0 = cfg.sgd_alpha**-0.25
-    t0 = 1.0 / (cfg.sgd_alpha * eta0)
-
-    weights = np.zeros((N_CLASSES, dim))
-    bias = np.zeros(N_CLASSES)
-    converged = True
     seeds = np.random.SeedSequence(cfg.seed).spawn(N_CLASSES)
-    for c in range(N_CLASSES):
-        y_pm = np.where(labels == c, 1.0, -1.0)
-        w, b, stopped = _sgd_binary(X_csr, y_pm, cfg, t0, np.random.Generator(np.random.PCG64(seeds[c])))
-        weights[c] = w
-        bias[c] = b
-        converged = converged and stopped
+    fit = partial(_sgd_binary, X_csr, labels, cfg)
+    results = list((pool.map if pool is not None else map)(fit, range(N_CLASSES), seeds))
+
+    weights = np.stack([w for w, _, _ in results])
+    bias = np.array([b for _, b, _ in results])
+    converged = all(stopped for _, _, stopped in results)
     _check_finite(weights, bias)
     return LinearModel(weights=weights, bias=bias, kind=KIND_HINGE, converged=converged)
 
 
-def _sgd_binary(X, y_pm, cfg, t0, rng):
+def _sgd_binary(X, labels, cfg, c, seed):
+    """(w, b, stopped) for class c against the rest, shuffled by seed.
+
+    The step loop runs on Python floats and lists. Its one BLAS call is a
+    ddot over one row's terms, far below OpenBLAS's threading threshold;
+    the once-per-epoch ||w||^2 of length V uses a numpy reduction instead
+    of a ddot, which for V above 10 000 would wake a BLAS helper thread
+    that then spins for the rest of the fit. That term only feeds the
+    stopping test.
+    """
     n, dim = X.shape
+    y_pm = np.where(labels == c, 1.0, -1.0)
+    rng = np.random.Generator(np.random.PCG64(seed))
     alpha = cfg.sgd_alpha
+    eta0 = alpha**-0.25
+    t0 = 1.0 / (alpha * eta0)
     w = np.zeros(dim)
     scale = 1.0  # w_effective = scale * w; keeps the per-step decay O(nnz)
     b = 0.0
     t = 0.0
     prev_loss = None
-    indptr, cols, data = X.indptr, X.indices, X.data
+    indptr, cols, data = X.indptr.tolist(), X.indices, X.data
+    labels = y_pm.tolist()
 
     for _ in range(cfg.sgd_epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             lo, hi = indptr[i], indptr[i + 1]
             idx, val = cols[lo:hi], data[lo:hi]
-            s = scale * float(w[idx] @ val) + b
+            wi = w[idx]
+            s = scale * float(wi.dot(val)) + b
             eta = 1.0 / (alpha * (t0 + t))
             scale *= max(0.0, 1.0 - eta * alpha)
             if scale < 1e-9:
                 w *= scale
                 scale = 1.0
-            yi = y_pm[i]
+                wi = w[idx]
+            yi = labels[i]
             if yi * s < 1.0:
-                w[idx] += (eta * yi / scale) * val
+                w[idx] = wi + (eta * yi / scale) * val
                 b += eta * yi
             t += 1.0
 
         w_eff = scale * w
         margins = 1.0 - y_pm * (X @ w_eff + b)
-        loss = float(np.mean(np.maximum(0.0, margins))) + 0.5 * alpha * float(w_eff @ w_eff)
+        penalty = float(np.add.reduce(w_eff * w_eff))
+        loss = float(np.mean(np.maximum(0.0, margins))) + 0.5 * alpha * penalty
         if prev_loss is not None and prev_loss - loss < cfg.sgd_tol:
             return w_eff, b, True
         prev_loss = loss

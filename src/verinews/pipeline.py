@@ -9,7 +9,9 @@ identical to the serial path because every stage is a pure function.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -61,13 +63,29 @@ def preprocess_many(
     Each preprocess_corpus call, over the whole list or over one pool
     chunk, lemmatizes every distinct token once.
     """
-    if workers <= 1 or len(docs) < PARALLEL_MIN_DOCS:
+    with _worker_pool(workers, len(docs)) as pool:
+        return _preprocess(docs, cfg, workers, pool)
+
+
+@contextmanager
+def _worker_pool(workers: int, n_docs: int) -> Iterator[ProcessPoolExecutor | None]:
+    """A pool of `workers` processes, or None where the serial path wins."""
+    if workers <= 1 or n_docs < PARALLEL_MIN_DOCS:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
+def _preprocess(
+    docs: list[Document], cfg: PipelineConfig, workers: int, pool: ProcessPoolExecutor | None
+) -> list[CleanDoc]:
+    if pool is None:
         return preprocess_corpus(docs, cfg)
     size = max(1, len(docs) // (workers * 4))
     chunks = [docs[i : i + size] for i in range(0, len(docs), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(partial(preprocess_corpus, cfg=cfg), chunks)
-        return [clean for part in parts for clean in part]
+    parts = pool.map(partial(preprocess_corpus, cfg=cfg), chunks)
+    return [clean for part in parts for clean in part]
 
 
 def transform_many(bundle: ModelBundle, clean: list[CleanDoc]) -> sp.csr_matrix:
@@ -96,22 +114,25 @@ def train_bundle(
     pipeline_cfg = pipeline_cfg or PipelineConfig.default()
     train_cfg = train_cfg or TrainConfig()
 
-    clean = preprocess_many(docs, pipeline_cfg, workers)
-    vocab = build_vocabulary(clean, min_df=min_df, max_df=max_df, max_terms=max_terms)
-    labels = [d.label for d in clean]
+    # One pool serves cleaning and the SGD fit. It forks during cleaning,
+    # before the feature matrix exists, so the workers do not copy it.
+    with _worker_pool(workers, len(docs)) as pool:
+        clean = _preprocess(docs, pipeline_cfg, workers, pool)
+        vocab = build_vocabulary(clean, min_df=min_df, max_df=max_df, max_terms=max_terms)
+        labels = [d.label for d in clean]
 
-    idf = fit_idf(clean, vocab) if feature_kind == FEATURE_TFIDF else None
-    X = featurize(clean, vocab, idf)
+        idf = fit_idf(clean, vocab) if feature_kind == FEATURE_TFIDF else None
+        X = featurize(clean, vocab, idf)
 
-    if model_kind == MODEL_NB:
-        model = nb_fit(X, labels, alpha=nb_alpha)
-        converged = None
-    elif model_kind == MODEL_LR:
-        model = lr_fit(X, labels, train_cfg)
-        converged = model.converged
-    else:
-        model = sgd_fit(X, labels, train_cfg)
-        converged = model.converged
+        if model_kind == MODEL_NB:
+            model = nb_fit(X, labels, alpha=nb_alpha)
+            converged = None
+        elif model_kind == MODEL_LR:
+            model = lr_fit(X, labels, train_cfg)
+            converged = model.converged
+        else:
+            model = sgd_fit(X, labels, train_cfg, pool=pool)
+            converged = model.converged
 
     bundle = ModelBundle(
         pipeline=pipeline_cfg,

@@ -155,6 +155,23 @@ class TestTrain:
                    "--config", cfgfile, *flags) == 2
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--min-df", "0"), ("--min-df", "-3"), ("--max-df", "0"), ("--max-terms", "0"), ("--max-terms", "-1")],
+    )
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_vocabulary_bound_below_1_is_exit_2(self, tmp_path, train_csv, flag, value, via, capsys):
+        out = tmp_path / "m.bundle"
+        if via == "flag":
+            extra = (flag, value)
+        else:
+            cfgfile = tmp_path / "v.conf"
+            cfgfile.write_text(f"{flag[2:].replace('-', '_')}={value}\n", encoding="utf-8")
+            extra = ("--config", cfgfile)
+        assert run("train", "--model", "nb", "--in", train_csv, "--out", out, *extra) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_keys_are_the_flags_that_configure(self):
         keys = cli._config_keys(cli._build_parser())
         assert {"lr_c", "lr_tol", "lr_max_iter", "sgd_alpha", "sgd_epochs", "sgd_tol", "seed"} <= keys
@@ -313,7 +330,8 @@ class TestPrepAndReport:
 
 
 class TestThreads:
-    def test_parallel_output_matches_serial(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("model", ["nb", "lr", "sgd"])
+    def test_parallel_output_matches_serial(self, tmp_path, model):
         # enough rows to cross the pool threshold
         rows = [
             (f"p{i}", f"Repeating headline number {i}", f"Body text {i} with shared words",
@@ -322,8 +340,8 @@ class TestThreads:
         ]
         train = _write_labeled(tmp_path / "big.csv", rows)
         serial, parallel = tmp_path / "s.bundle", tmp_path / "p.bundle"
-        assert run("train", "--model", "nb", "--in", train, "--out", serial, "--threads", 1) == 0
-        assert run("train", "--model", "nb", "--in", train, "--out", parallel, "--threads", 2) == 0
+        assert run("train", "--model", model, "--in", train, "--out", serial, "--threads", 1) == 0
+        assert run("train", "--model", model, "--in", train, "--out", parallel, "--threads", 2) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_env_var_override(self, tmp_path, train_csv, monkeypatch):

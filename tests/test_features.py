@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verinews.errors import DimensionMismatchError
+from verinews.errors import DimensionMismatchError, VocabularyError
 from verinews.features import (
     IdfWeights,
     SparseVector,
@@ -58,6 +58,14 @@ class TestVocabulary:
         vocab = build_vocabulary(corpus, max_terms=2)
         # dog (df 2) first, then the lexicographically smallest df-1 term
         assert vocab.term_to_index == {"ant": 0, "dog": 1}
+
+    @pytest.mark.parametrize("bound", ["min_df", "max_df", "max_terms"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_bound_below_1_rejected(self, bound, value):
+        # max_terms=-1 once kept all but the last term.
+        with pytest.raises(VocabularyError, match=f"{bound} must be >= 1") as info:
+            build_vocabulary([doc("cat"), doc("dog")], **{bound: value})
+        assert info.value.param == bound
 
     def test_pruning_defaults_off(self):
         corpus = [doc("cat"), doc("dog")]

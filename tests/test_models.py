@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from verinews.models import (
     LinearModel,
     NbModel,
     TrainConfig,
+    _cached_hessp,
     _minimize_logistic,
     linear_decision,
     logistic_hessp,
@@ -313,6 +315,21 @@ class TestLogistic:
             ) / (2 * h)
             assert np.linalg.norm(hp - fd) / np.linalg.norm(fd) < 1e-6
 
+    def test_cached_hessp_matches_uncached_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        X, labels = _random_multiclass_problem(rng)
+        y_pm = np.where(labels == 0, 1.0, -1.0)
+        points = [rng.normal(size=X.shape[1] + 1) for _ in range(3)]
+        hessp = _cached_hessp()
+        # One array whose value changes in place, as an optimizer's iterate
+        # may: the cache must key on the value, not the object.
+        z = np.empty_like(points[0])
+        for k in (0, 0, 1, 0, 2, 2, 2, 1):
+            z[:] = points[k]
+            p = rng.normal(size=z.size)
+            cached = hessp(z, p, X, y_pm, 100.0)
+            assert cached.tobytes() == logistic_hessp(z, p, X, y_pm, 100.0).tobytes()
+
     def test_every_class_meets_the_gradient_test_and_beats_lbfgs(self):
         X, labels = _random_multiclass_problem(np.random.default_rng(13))
         cfg = TrainConfig()
@@ -398,7 +415,86 @@ def _toy_tfidf_set():
     return X, y
 
 
+def _reference_sgd_fit(X, labels, cfg):
+    """sgd_fit's first version: one subproblem after another, the step
+    loop on numpy scalars with an in-place scatter, and ||w||^2 by ddot.
+    Weights, bias and the converged flag must match it bit for bit."""
+    eta0 = cfg.sgd_alpha**-0.25
+    t0 = 1.0 / (cfg.sgd_alpha * eta0)
+    weights = np.zeros((4, X.shape[1]))
+    bias = np.zeros(4)
+    converged = True
+    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+    for c in range(4):
+        y_pm = np.where(labels == c, 1.0, -1.0)
+        rng = np.random.Generator(np.random.PCG64(seeds[c]))
+        weights[c], bias[c], stopped = _reference_sgd_binary(X, y_pm, cfg, t0, rng)
+        converged = converged and stopped
+    return weights, bias, converged
+
+
+def _reference_sgd_binary(X, y_pm, cfg, t0, rng):
+    n, dim = X.shape
+    alpha = cfg.sgd_alpha
+    w = np.zeros(dim)
+    scale = 1.0
+    b = 0.0
+    t = 0.0
+    prev_loss = None
+    indptr, cols, data = X.indptr, X.indices, X.data
+
+    for _ in range(cfg.sgd_epochs):
+        for i in rng.permutation(n):
+            lo, hi = indptr[i], indptr[i + 1]
+            idx, val = cols[lo:hi], data[lo:hi]
+            s = scale * float(w[idx] @ val) + b
+            eta = 1.0 / (alpha * (t0 + t))
+            scale *= max(0.0, 1.0 - eta * alpha)
+            if scale < 1e-9:
+                w *= scale
+                scale = 1.0
+            yi = y_pm[i]
+            if yi * s < 1.0:
+                w[idx] += (eta * yi / scale) * val
+                b += eta * yi
+            t += 1.0
+
+        w_eff = scale * w
+        margins = 1.0 - y_pm * (X @ w_eff + b)
+        loss = float(np.mean(np.maximum(0.0, margins))) + 0.5 * alpha * float(w_eff @ w_eff)
+        if prev_loss is not None and prev_loss - loss < cfg.sgd_tol:
+            return w_eff, b, True
+        prev_loss = loss
+    return scale * w, b, False
+
+
+# The default schedule; sgd_alpha=1.0, where the first step's decay is 0 and
+# takes the rescale branch; and an epoch cap the fit hits (converged False).
+SGD_CONFIGS = [TrainConfig(), TrainConfig(sgd_alpha=1.0, seed=5), TrainConfig(sgd_epochs=2, seed=9)]
+
+
 class TestSgd:
+    @pytest.mark.parametrize("cfg", SGD_CONFIGS)
+    @pytest.mark.parametrize("problem_seed", [21, 22])
+    def test_matches_the_reference_loop_bit_for_bit(self, cfg, problem_seed):
+        X, labels = _random_multiclass_problem(np.random.default_rng(problem_seed), n=300, dim=80)
+        m = sgd_fit(X, [Label(int(c)) for c in labels], cfg)
+        weights, bias, converged = _reference_sgd_fit(X, labels, cfg)
+        assert m.weights.tobytes() == weights.tobytes()
+        assert m.bias.tobytes() == bias.tobytes()
+        assert m.converged == converged
+
+    def test_pooled_fit_equals_serial_fit(self):
+        X, labels = _random_multiclass_problem(np.random.default_rng(23), n=300, dim=80)
+        y = [Label(int(c)) for c in labels]
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = [sgd_fit(X, y, cfg, pool=pool) for cfg in SGD_CONFIGS]
+        for cfg, m in zip(SGD_CONFIGS, pooled):
+            serial = sgd_fit(X, y, cfg)
+            assert m.weights.tobytes() == serial.weights.tobytes()
+            assert m.bias.tobytes() == serial.bias.tobytes()
+            assert m.converged == serial.converged
+
     def test_same_seed_bit_identical(self):
         X, y = _toy_tfidf_set()
         a = sgd_fit(X, y, TrainConfig(seed=42))
