@@ -32,6 +32,9 @@ from .textprep import PipelineConfig, load_lemma_exceptions, load_stopwords
 
 THREADS_ENV = "VERINEWS_THREADS"
 
+# 9999-12-31T23:59:59Z, the last second that stdlib time functions format.
+MAX_SOURCE_DATE_EPOCH = 253402300799
+
 # Flags that name this run's files or switches. Every other flag of every
 # subcommand may also be given as a config key, spelled as its dest.
 _FLAG_ONLY_KEYS = {"help", "config", "input", "out", "force"}
@@ -229,6 +232,7 @@ def _cmd_eval(args, config) -> int:
 def _cmd_predict(args, config) -> int:
     bundle = read_bundle(args.model)
     docs = to_documents(_read_records(args.input), labeled=False)
+    _warn_duplicate_ids([doc.id for doc in docs])
     rows = []
     if docs:
         preds, scores = predict_bundle(bundle, docs, _resolve_threads(args, config))
@@ -247,6 +251,23 @@ def _cmd_predict(args, config) -> int:
     Path(args.out).write_text(_format_csv([header, *rows]), encoding="utf-8")
     print(f"wrote {len(rows)} predictions to {args.out}")
     return 0
+
+
+def _warn_duplicate_ids(ids: list[str]):
+    """Name the first repeated public_id on stderr; every row is still
+    predicted, in input order."""
+    seen: set[str] = set()
+    repeats = []
+    for public_id in ids:
+        if public_id in seen:
+            repeats.append(public_id)
+        seen.add(public_id)
+    if repeats:
+        print(
+            f"warning: {len(repeats)} duplicate public_id value(s), first {repeats[0]!r}; "
+            "each row is predicted",
+            file=sys.stderr,
+        )
 
 
 def _cmd_report(args, config) -> int:
@@ -370,14 +391,21 @@ def _resolve_pipeline(args, config) -> PipelineConfig:
 
 def _source_date_epoch() -> int | None:
     # Reproducible-builds convention: record a creation time only when the
-    # environment pins one, keeping rerun outputs byte-identical.
+    # environment pins one, keeping rerun outputs byte-identical. The LR fit
+    # imports scipy, whose import parses this variable too, so it is checked
+    # before training starts.
     raw = os.environ.get("SOURCE_DATE_EPOCH")
     if raw is None:
         return None
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"SOURCE_DATE_EPOCH: {exc}") from exc
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value <= MAX_SOURCE_DATE_EPOCH:
+        raise UsageError(
+            f"SOURCE_DATE_EPOCH must be an integer in [0, {MAX_SOURCE_DATE_EPOCH}], got {raw!r}"
+        )
+    return value
 
 
 if __name__ == "__main__":

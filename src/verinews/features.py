@@ -4,6 +4,11 @@ The vocabulary indexes every distinct training token in lexicographic
 order, so two runs over the same corpus (in any document order) produce
 bit-identical feature matrices. IDF uses the smoothed form
 ln((1 + N) / (1 + df)) + 1 and TF-IDF vectors are L2-normalized.
+
+A corpus is one CSR matrix, and the two products the models need, row
+dot products and per-class column sums, are np.bincount kernels over its
+arrays. bincount adds in storage order, so each sum is the sequential sum
+that scipy.sparse computes, bit for bit, without importing scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, VocabularyError
 from .textprep import CleanDoc
@@ -35,6 +39,55 @@ class Vocabulary:
         for term, i in self.term_to_index.items():
             ordered[i] = term
         return ordered
+
+
+@dataclass(frozen=True)
+class CSR:
+    """A compressed-sparse-row matrix of float64 weights.
+
+    Row i stores columns indices[indptr[i]:indptr[i+1]], strictly
+    increasing, with weights data[indptr[i]:indptr[i+1]]. The kernels below
+    read only these four fields, so they accept a scipy csr_matrix too.
+    """
+
+    data: np.ndarray  # float64, length nnz
+    indices: np.ndarray  # int64, length nnz
+    indptr: np.ndarray  # int64, length rows + 1
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[row_ids(self), self.indices] = self.data
+        return dense
+
+
+def row_ids(X: CSR) -> np.ndarray:
+    """The row of each stored entry, in storage order."""
+    return np.repeat(np.arange(X.shape[0], dtype=np.int64), np.diff(X.indptr))
+
+
+def row_dots(X: CSR, W: np.ndarray) -> np.ndarray:
+    """X @ W.T for a (k, V) W, or X @ W for one length-V W.
+
+    Each row sums its entries in storage order, starting from 0.0.
+    """
+    rows, n = row_ids(X), X.shape[0]
+    dots = [
+        np.bincount(rows, weights=X.data * w[X.indices], minlength=n) for w in np.atleast_2d(W)
+    ]
+    return dots[0] if W.ndim == 1 else np.column_stack(dots)
+
+
+def class_sums(X: CSR, labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n_classes, V) sums of the rows of each class, added in row order."""
+    dim = X.shape[1]
+    keys = labels[row_ids(X)] * dim + X.indices
+    sums = np.bincount(keys, weights=X.data, minlength=n_classes * dim)
+    return sums.reshape(n_classes, dim)
 
 
 @dataclass(frozen=True)
@@ -142,13 +195,13 @@ def fit_idf(corpus: list[CleanDoc], vocab: Vocabulary) -> IdfWeights:
 
 def featurize(
     clean: list[CleanDoc], vocab: Vocabulary, idf: IdfWeights | None = None
-) -> sp.csr_matrix:
+) -> CSR:
     """One row per document: raw term counts, or with ``idf`` the counts
     scaled by IDF and L2-normalized. Out-of-vocabulary tokens are dropped
     and a row with no vocabulary term stays empty.
     """
     indptr, indices, data = _featurize_arrays(clean, vocab, idf)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(clean), vocab.size))
+    return CSR(data=data, indices=indices, indptr=indptr, shape=(len(clean), vocab.size))
 
 
 def count_transform(doc: CleanDoc, vocab: Vocabulary) -> SparseVector:
@@ -194,7 +247,7 @@ def _featurize_arrays(
     return indptr, indices, data
 
 
-def stack(vectors: list[SparseVector]) -> sp.csr_matrix:
+def stack(vectors: list[SparseVector]) -> CSR:
     """Stack per-document vectors into one CSR matrix for batched math."""
     if not vectors:
         raise ValueError("cannot stack an empty vector list")
@@ -204,8 +257,6 @@ def stack(vectors: list[SparseVector]) -> sp.csr_matrix:
             raise DimensionMismatchError(f"mixed dims in stack: {v.dim} != {dim}")
     indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
     indptr[1:] = np.cumsum([v.nnz for v in vectors])
-    if indptr[-1] == 0:
-        return sp.csr_matrix((len(vectors), dim), dtype=np.float64)
     indices = np.concatenate([v.indices for v in vectors])
     data = np.concatenate([v.values for v in vectors])
-    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
+    return CSR(data=data, indices=indices, indptr=indptr, shape=(len(vectors), dim))

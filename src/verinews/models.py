@@ -8,9 +8,13 @@ can run concurrently on a process pool with the same result, and its step
 loop keeps BLAS out of the fit (see _sgd_binary), so the weights do not
 depend on the BLAS thread count either.
 
-Only the logistic functions import scipy.optimize and scipy.special, and
-they do so when called: importing the two takes about a third of a second,
-which NB and SGD training, eval and predict would otherwise pay at start-up.
+The logistic classifier is fitted by LIBLINEAR's trust-region Newton
+method, written here with numpy reductions in place of BLAS calls, so its
+weights do not depend on the thread count either. It is the one caller of
+scipy: its hundreds of sparse products per class run faster in
+scipy.sparse, which it imports when called. Every other path works on the
+features module's CSR kernels, so NB and SGD training, eval and predict
+never pay the fifth of a second that importing scipy.sparse takes.
 """
 
 from __future__ import annotations
@@ -21,17 +25,22 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Label
 from .errors import DimensionMismatchError, TrainingError
-from .features import SparseVector, stack
+from .features import CSR, SparseVector, class_sums, row_dots, stack
 
 N_CLASSES = 4
 
 # A CSR matrix with one row per document, or the documents' vectors, which
 # are stacked once.
-FeatureRows = sp.csr_matrix | list[SparseVector]
+FeatureRows = CSR | list[SparseVector]
+
+# LIBLINEAR's trust-region rules: a step is accepted when the actual
+# reduction exceeds ETA[0] times the predicted one; the ratio picks how the
+# radius scales (SIGMA).
+ETA = (1e-4, 0.25, 0.75)
+SIGMA = (0.25, 0.5, 4.0)
 
 KIND_LOGISTIC = "logistic"
 KIND_HINGE = "hinge"
@@ -95,10 +104,9 @@ def nb_fit(X: FeatureRows, y: list[Label], alpha: float = 1.0) -> NbModel:
         raise TrainingError(f"smoothing alpha must be positive, got {alpha}")
     n, dim = X.shape
 
-    # The (class x document) one-hot product adds each class's rows in
-    # document order: exact for counts, order-stable for other weights.
-    one_hot = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(N_CLASSES, n))
-    term_counts = (one_hot @ X).toarray()
+    # Each class's rows are added in document order: exact for counts,
+    # order-stable for other weights.
+    term_counts = class_sums(X, labels, N_CLASSES)
     doc_counts = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
 
     with np.errstate(divide="ignore"):
@@ -127,7 +135,7 @@ def decision_scores(model: NbModel | LinearModel, X: FeatureRows) -> np.ndarray:
         weights, offsets = model.weights, model.bias
     if X.shape[1] != weights.shape[1]:
         raise DimensionMismatchError(f"vector dim {X.shape[1]} != model dim {weights.shape[1]}")
-    return X @ weights.T + offsets
+    return row_dots(X, weights) + offsets
 
 
 def predict_labels(scores: np.ndarray) -> list[Label]:
@@ -161,15 +169,9 @@ def logistic_objective(z, X, y_pm, C):
     z is [w..., b]; the objective is 0.5*||w||^2 + C * sum ln(1+exp(-y*s))
     with s = X@w + b and y in {-1, +1}. The bias is unregularized.
     """
-    from scipy.special import expit
-
-    w, b = z[:-1], z[-1]
-    margins = -y_pm * (X @ w + b)
-    f = 0.5 * float(w @ w) + C * float(np.sum(np.logaddexp(0.0, margins)))
-    coef = C * (-y_pm) * expit(margins)
-    grad = np.empty_like(z)
-    grad[:-1] = w + X.T @ coef
-    grad[-1] = float(np.sum(coef))
+    X = _scipy_rows(X)
+    f, margins = _logistic_loss(z, X, y_pm, C)
+    grad, _ = _logistic_gradient(z, X, y_pm, C, margins)
     return f, grad
 
 
@@ -179,15 +181,33 @@ def logistic_hessp(z, p, X, y_pm, C):
     With q = X@p_w + p_b and D = C*sigma*(1-sigma), sigma = expit(-y*s),
     H p = [p_w + X.T@(D*q), sum(D*q)].
     """
+    X = _scipy_rows(X)
     return _weighted_hessp(_hessian_weights(z, X, y_pm, C), p, X)
+
+
+def _logistic_loss(z, X, y_pm, C):
+    """(objective, margins -y*s) at z."""
+    w, b = z[:-1], z[-1]
+    margins = -y_pm * (X @ w + b)
+    f = 0.5 * _dot(w, w) + C * float(np.sum(np.logaddexp(0.0, margins)))
+    return f, margins
+
+
+def _logistic_gradient(z, X, y_pm, C, margins):
+    """(gradient, D) at z from its margins; D = C*sigma*(1-sigma) shares
+    sigma with the gradient."""
+    sigma = _expit(margins)
+    coef = C * (-y_pm) * sigma
+    grad = np.empty_like(z)
+    grad[:-1] = z[:-1] + X.T @ coef
+    grad[-1] = float(np.sum(coef))
+    return grad, C * sigma * (1.0 - sigma)
 
 
 def _hessian_weights(z, X, y_pm, C):
     """D = C*sigma*(1-sigma) at z."""
-    from scipy.special import expit
-
     w, b = z[:-1], z[-1]
-    sigma = expit(-y_pm * (X @ w + b))
+    sigma = _expit(-y_pm * (X @ w + b))
     return C * sigma * (1.0 - sigma)
 
 
@@ -199,35 +219,35 @@ def _weighted_hessp(d, p, X):
     return hp
 
 
-def _cached_hessp():
-    """logistic_hessp that keeps D for the last z it saw, compared by value.
+def _expit(x):
+    """1 / (1 + exp(-x)), without overflow."""
+    return np.exp(-np.logaddexp(0.0, -x))
 
-    trust-ncg asks for several products at each iterate (about three on
-    the benchmark corpora); each after the first skips X@w and expit, and
-    the products keep their bits.
-    """
-    last = {}
 
-    def hessp(z, p, X, y_pm, C):
-        key = z.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = _hessian_weights(z, X, y_pm, C)
-        return _weighted_hessp(last[key], p, X)
+def _dot(a, b) -> float:
+    # np.dot would call BLAS, which splits long sums across its threads.
+    return float(np.add.reduce(a * b))
 
-    return hessp
+
+def _scipy_rows(X):
+    """X as a scipy csr_matrix over the same arrays, for the LR products."""
+    import scipy.sparse
+
+    if scipy.sparse.issparse(X):
+        return X
+    return scipy.sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape, copy=False)
 
 
 def lr_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
     """Fit four one-vs-rest L2-regularized logistic classifiers.
 
-    Each subproblem is minimized with a trust-region Newton method (Newton
-    steps solved by conjugate gradients on the exact Hessian) until the
-    gradient norm drops below lr_tol or lr_max_iter Newton iterations
-    elapse; failing the gradient max-norm test only clears the converged
-    flag.
+    Each subproblem is minimized by trust-region Newton (see
+    _minimize_logistic) until the gradient max-norm drops to lr_tol or
+    lr_max_iter Newton iterations elapse; hitting the limit only clears
+    the converged flag.
     """
     X_csr, labels = _check_training_inputs(X, y)
+    X_csr = _scipy_rows(X_csr)
     dim = X_csr.shape[1]
 
     weights = np.zeros((N_CLASSES, dim))
@@ -244,20 +264,80 @@ def lr_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
 
 
 def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
-    import scipy.optimize
+    """(z, converged): logistic_objective minimized from z = 0 by TRON.
 
-    result = scipy.optimize.minimize(
-        logistic_objective,
-        np.zeros(X.shape[1] + 1),
-        args=(X, y_pm, cfg.lr_C),
-        jac=True,
-        hessp=_cached_hessp(),
-        method="trust-ncg",
-        callback=callback,
-        options={"maxiter": cfg.lr_max_iter, "gtol": cfg.lr_tol},
-    )
-    _, grad = logistic_objective(result.x, X, y_pm, cfg.lr_C)
-    return result.x, float(np.max(np.abs(grad))) <= cfg.lr_tol
+    Trust-region Newton as in LIBLINEAR (Lin, Weng & Keerthi, JMLR 2008):
+    each iteration solves the Newton system inside the radius by Steihaug
+    CG, accepts the step if it achieves enough of the predicted reduction,
+    and rescales the radius by how well the quadratic model predicted.
+    Stops once max|grad| <= lr_tol, or after lr_max_iter iterations;
+    callback(z) runs after each iteration.
+    """
+    X = _scipy_rows(X)
+    C = cfg.lr_C
+    z = np.zeros(X.shape[1] + 1)
+    f, margins = _logistic_loss(z, X, y_pm, C)
+    grad, d = _logistic_gradient(z, X, y_pm, C, margins)
+    radius = math.sqrt(_dot(grad, grad))
+    for k in range(cfg.lr_max_iter):
+        if np.max(np.abs(grad)) <= cfg.lr_tol:
+            return z, True
+        s, r = _steihaug_cg(grad, lambda p: _weighted_hessp(d, p, X), radius)
+        f_new, margins = _logistic_loss(z + s, X, y_pm, C)
+        gs = _dot(grad, s)
+        predicted = -0.5 * (gs - _dot(s, r))
+        actual = f - f_new
+        s_norm = math.sqrt(_dot(s, s))
+        if k == 0:
+            radius = min(radius, s_norm)
+        # Step multiple minimizing the quadratic through f, gs and f_new.
+        curvature = f_new - f - gs
+        alpha = SIGMA[2] if curvature <= 0 else max(SIGMA[0], -0.5 * gs / curvature)
+        if actual < ETA[0] * predicted:
+            radius = min(max(alpha, SIGMA[0]) * s_norm, SIGMA[1] * radius)
+        elif actual < ETA[1] * predicted:
+            radius = max(SIGMA[0] * radius, min(alpha * s_norm, SIGMA[1] * radius))
+        elif actual < ETA[2] * predicted:
+            radius = max(SIGMA[0] * radius, min(alpha * s_norm, SIGMA[2] * radius))
+        else:
+            radius = max(radius, min(alpha * s_norm, SIGMA[2] * radius))
+        if actual > ETA[0] * predicted:
+            z, f = z + s, f_new
+            grad, d = _logistic_gradient(z, X, y_pm, C, margins)
+        if callback is not None:
+            callback(z)
+    return z, bool(np.max(np.abs(grad)) <= cfg.lr_tol)
+
+
+def _steihaug_cg(g, hessp, radius):
+    """(s, r): CG on H s = -g from s = 0, stopped when the residual
+    r = -g - H s has norm <= 0.1*||g||, or on the trust-region boundary
+    when a step would leave it or meets non-positive curvature."""
+    s = np.zeros_like(g)
+    r = -g
+    d = r.copy()
+    rr = _dot(r, r)
+    tol = 0.1 * math.sqrt(rr)
+    while True:
+        hd = hessp(d)
+        dhd = _dot(d, hd)
+        if dhd > 0:
+            alpha = rr / dhd
+            s_next = s + alpha * d
+            if math.sqrt(_dot(s_next, s_next)) <= radius:
+                s, r = s_next, r - alpha * hd
+                rr_next = _dot(r, r)
+                if math.sqrt(rr_next) <= tol:
+                    return s, r
+                d = r + (rr_next / rr) * d
+                rr = rr_next
+                continue
+        # tau >= 0 with ||s + tau*d|| = radius
+        sd, ss, dd = _dot(s, d), _dot(s, s), _dot(d, d)
+        gap = radius * radius - ss
+        root = math.sqrt(sd * sd + dd * gap)
+        tau = gap / (sd + root) if sd >= 0 else (root - sd) / dd
+        return s + tau * d, r - tau * hd
 
 
 def linear_decision(model: LinearModel, x: SparseVector) -> np.ndarray:
@@ -335,7 +415,7 @@ def _sgd_binary(X, labels, cfg, c, seed):
             t += 1.0
 
         w_eff = scale * w
-        margins = 1.0 - y_pm * (X @ w_eff + b)
+        margins = 1.0 - y_pm * (row_dots(X, w_eff) + b)
         penalty = float(np.add.reduce(w_eff * w_eff))
         loss = float(np.mean(np.maximum(0.0, margins))) + 0.5 * alpha * penalty
         if prev_loss is not None and prev_loss - loss < cfg.sgd_tol:
@@ -344,7 +424,7 @@ def _sgd_binary(X, labels, cfg, c, seed):
     return scale * w, b, False
 
 
-def _training_data(X: FeatureRows, y: list[Label]) -> tuple[sp.csr_matrix, np.ndarray]:
+def _training_data(X: FeatureRows, y: list[Label]) -> tuple[CSR, np.ndarray]:
     """(matrix, label codes); a vector list is stacked once."""
     if isinstance(X, list):
         if not X:
@@ -358,7 +438,7 @@ def _training_data(X: FeatureRows, y: list[Label]) -> tuple[sp.csr_matrix, np.nd
     return X, labels
 
 
-def _check_training_inputs(X: FeatureRows, y: list[Label]) -> tuple[sp.csr_matrix, np.ndarray]:
+def _check_training_inputs(X: FeatureRows, y: list[Label]) -> tuple[CSR, np.ndarray]:
     X, labels = _training_data(X, y)
     if np.unique(labels).size < 2:
         raise TrainingError("training data contains a single class")

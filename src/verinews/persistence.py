@@ -233,7 +233,10 @@ class _Reader:
 
     def take_str(self, what: str) -> str:
         (n,) = struct.unpack("<I", self.take(4, what))
-        return self.take(n, what).decode("utf-8")
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BundleIntegrityError(f"{what} is not valid UTF-8: {exc}") from exc
 
     def remaining(self) -> int:
         return len(self.blob) - self.pos

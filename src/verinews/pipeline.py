@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import ClassCounts, Document, Label, dataset_stats
 from .errors import TrainingError
-from .features import build_vocabulary, featurize, fit_idf
+from .features import CSR, build_vocabulary, featurize, fit_idf
 from .metrics import EvalReport, classification_report, confusion_matrix
 from .models import (
     FeatureRows,
@@ -88,7 +87,7 @@ def _preprocess(
     return [clean for part in parts for clean in part]
 
 
-def transform_many(bundle: ModelBundle, clean: list[CleanDoc]) -> sp.csr_matrix:
+def transform_many(bundle: ModelBundle, clean: list[CleanDoc]) -> CSR:
     """Vectorize with the bundle's frozen vocabulary (and IDF, if TF-IDF)."""
     return featurize(clean, bundle.vocab, bundle.idf)
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +273,26 @@ class TestPredict:
         majority = "false"
         assert all(line.split(",")[1] == majority for line in rows)
 
+    def test_duplicate_ids_warn_and_every_row_is_predicted(self, tmp_path, nb_bundle, capsys):
+        def write(name, ids):
+            path = tmp_path / name
+            rows = "".join(f"{i},Headline,Body text\n" for i in ids)
+            path.write_text("public_id,title,text\n" + rows, encoding="utf-8")
+            return path
+
+        ids = ["x1", "dup", "x2", "dup", "dup", "x1"]
+        out = tmp_path / "preds.csv"
+        unique = write("unique.csv", [f"u{k}" for k in range(6)])
+        assert run("predict", "--in", unique, "--model", nb_bundle, "--out", out, "--threads", 1) == 0
+        assert capsys.readouterr().err == ""
+
+        repeated = write("repeated.csv", ids)
+        assert run("predict", "--in", repeated, "--model", nb_bundle, "--out", out, "--threads", 1) == 0
+        captured = capsys.readouterr()
+        assert "3 duplicate public_id" in captured.err and "'dup'" in captured.err
+        assert captured.out == f"wrote 6 predictions to {out}\n"
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ids
+
 
 class TestPrepAndReport:
     def test_prep_matches_library_pipeline(self, tmp_path, train_csv, capsys):
@@ -370,6 +391,79 @@ class TestThreads:
         assert cli._resolve_threads(no_flag, {}) == cli.default_workers()
 
 
+_EPOCH_SNIPPET = """
+import json, sys
+from verinews import cli
+
+d = sys.argv[1]
+common = ["--in", d + "/train.csv", "--threads", "1"]
+codes = {"prep": cli.main(["prep", *common, "--out", d + "/prep.csv"])}
+for model in ("nb", "lr", "sgd"):
+    codes["train " + model] = cli.main(["train", *common, "--model", model, "--out", d + "/new.b"])
+codes["eval"] = cli.main(["eval", *common, "--model", d + "/nb.b", "--format", "json", "--out", d + "/r.json"])
+codes["predict"] = cli.main(["predict", *common, "--model", d + "/nb.b", "--out", d + "/p.csv"])
+codes["report"] = cli.main(["report", "--in", d + "/r.json"])
+print(json.dumps(codes))
+"""
+
+
+@pytest.mark.parametrize(
+    "value, train_code",
+    [("abc", 2), ("-1", 2), ("99999999999999999999", 2), ("253402300800", 2), ("253402300799", 0)],
+)
+def test_any_source_date_epoch_exits_0_or_2(tmp_path, value, train_code):
+    # A fresh interpreter, because the variable is also parsed when scipy
+    # is imported, which used to fail before main ran.
+    _write_labeled(tmp_path / "train.csv")
+    assert run("train", "--model", "nb", "--in", tmp_path / "train.csv", "--out", tmp_path / "nb.b",
+               "--threads", 1) == 0
+    env = {**_child_env(), "SOURCE_DATE_EPOCH": value}
+    result = subprocess.run(
+        [sys.executable, "-c", _EPOCH_SNIPPET, str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
+    )
+    assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+    codes = json.loads(result.stdout.splitlines()[-1])
+    assert codes == {
+        "prep": 0, "train nb": train_code, "train lr": train_code, "train sgd": train_code,
+        "eval": 0, "predict": 0, "report": 0,
+    }
+    if train_code == 2:
+        assert "SOURCE_DATE_EPOCH must be an integer in [0, 253402300799]" in result.stderr
+    else:
+        assert read_bundle(tmp_path / "new.b").created_at == int(value)
+
+
+def test_lr_bundle_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Over 10 000 terms, so a BLAS dot product over the weights would be
+    # split across OpenBLAS threads, and its rounding would follow the
+    # thread count.
+    rng = random.Random(5)
+    syllables = [c + v for c in "bcdfghjklmnprtvz" for v in "aeiou"]
+    words = ["".join(rng.choice(syllables) for _ in range(4)) for _ in range(15_000)]
+    ratings = ["false", "true", "partially false", "other"]
+    lines = ["public_id,title,text,our_rating"]
+    for i in range(400):
+        body = " ".join(rng.choice(words) for _ in range(100))
+        lines.append(f"d{i},Headline {i},{body},{ratings[i % 4]}")
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    bundles = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"lr-{threads}.b"
+        env = {**_child_env(), "OPENBLAS_NUM_THREADS": threads}
+        env.pop("SOURCE_DATE_EPOCH", None)
+        result = subprocess.run(
+            [sys.executable, "-m", "verinews.cli", "train", "--model", "lr", "--in", "train.csv",
+             "--out", out.name, "--threads", "1"],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        bundles.append(out.read_bytes())
+    assert read_bundle(tmp_path / "lr-1.b").vocab.size > 10_000
+    assert bundles[0] == bundles[1]
+
+
 class TestInputBytes:
     def test_invalid_utf8_is_exit_2_naming_the_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -455,41 +549,49 @@ _IMPORTS_SNIPPET = """
 import json, sys
 from verinews import cli
 
-lazy = ("scipy.optimize", "scipy.special")
+watched = ("scipy", "scipy.sparse", "scipy.optimize", "scipy.special")
+d, steps = sys.argv[1], json.loads(sys.argv[2])
 loaded = {}
-d = sys.argv[1]
-for step, argv in [
-    ("import", None),
-    ("train nb", ["train", "--model", "nb", "--out", d + "/nb.bundle"]),
-    ("train sgd", ["train", "--model", "sgd", "--out", d + "/sgd.bundle"]),
-    ("eval nb", ["eval", "--model", d + "/nb.bundle", "--out", d + "/r.json"]),
-    ("predict nb", ["predict", "--model", d + "/nb.bundle", "--out", d + "/p.csv"]),
-    ("train lr", ["train", "--model", "lr", "--out", d + "/lr.bundle"]),
-]:
+for step, argv in [["import", None], *steps]:
     if argv is not None:
-        assert cli.main([*argv, "--in", d + "/train.csv", "--threads", "1"]) == 0, step
-    loaded[step] = [name for name in lazy if name in sys.modules]
+        assert cli.main([*argv, "--threads", "1"]) == 0, step
+    loaded[step] = [name for name in watched if name in sys.modules]
 print(json.dumps(loaded))
 """
 
 
-def test_only_lr_training_loads_the_optimizer(tmp_path):
-    # Importing scipy.optimize costs every CLI process about a third of a
-    # second; only the LR fit needs it (and scipy.special).
-    _write_labeled(tmp_path / "train.csv")
+def _child_env():
+    """os.environ with this checkout's src first on PYTHONPATH."""
     inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(verinews.__file__).resolve().parent.parent)]
         + [os.path.abspath(entry) for entry in inherited if entry]
     )
+    return env
+
+
+def _modules_loaded_by(d, steps):
     result = subprocess.run(
-        [sys.executable, "-c", _IMPORTS_SNIPPET, str(tmp_path)],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
+        [sys.executable, "-c", _IMPORTS_SNIPPET, str(d), json.dumps(steps)],
+        capture_output=True, text=True, cwd=d, env=_child_env(), timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    loaded = json.loads(result.stdout.splitlines()[-1])
-    lazy = ["scipy.optimize", "scipy.special"]
-    assert loaded == {
-        "import": [], "train nb": [], "train sgd": [], "eval nb": [], "predict nb": [], "train lr": lazy,
-    }
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_only_lr_training_loads_the_optimizer(tmp_path):
+    # Importing scipy.sparse costs every CLI process about a fifth of a
+    # second and scipy.optimize a third more; only the LR fit uses scipy,
+    # and only its sparse products.
+    _write_labeled(tmp_path / "train.csv")
+    train = ["--in", "train.csv"]
+    lr = _modules_loaded_by(tmp_path, [["train lr", ["train", "--model", "lr", *train, "--out", "lr.b"]]])
+    assert lr == {"import": [], "train lr": ["scipy", "scipy.sparse"]}
+
+    steps = [[f"train {m}", ["train", "--model", m, *train, "--out", f"{m}.b"]] for m in ("nb", "sgd")]
+    for m in ("nb", "lr", "sgd"):
+        steps.append([f"eval {m}", ["eval", "--model", f"{m}.b", *train, "--out", "r.json"]])
+        steps.append([f"predict {m}", ["predict", "--model", f"{m}.b", *train, "--out", "p.csv"]])
+    scoring = _modules_loaded_by(tmp_path, steps)
+    assert scoring == {step: [] for step in ["import", *(name for name, _ in steps)]}

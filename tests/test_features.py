@@ -3,17 +3,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from verinews.errors import DimensionMismatchError, VocabularyError
 from verinews.features import (
+    CSR,
     IdfWeights,
     SparseVector,
     Vocabulary,
     build_vocabulary,
+    class_sums,
     count_transform,
     featurize,
     fit_idf,
+    row_dots,
     stack,
     tfidf_transform,
 )
@@ -309,3 +313,19 @@ def test_featurize_edge_shapes(small_vocab):
     assert featurize([doc(), doc("zebra")], small_vocab, idf).nnz == 0
     with pytest.raises(DimensionMismatchError):
         featurize([doc("cat")], small_vocab, IdfWeights(idf=np.ones(1), n_docs=1))
+
+
+def test_kernels_equal_scipy_products_bit_for_bit():
+    # Rows of about 40 random weights, so a different summation order
+    # would show in the last bits.
+    rng = np.random.default_rng(31)
+    M = sp.random(60, 80, density=0.5, format="csr", random_state=rng)
+    X = CSR(data=M.data, indices=M.indices.astype(np.int64), indptr=M.indptr.astype(np.int64),
+            shape=M.shape)
+    W = rng.normal(size=(4, 80))
+    labels = rng.integers(0, 4, size=60)
+    one_hot = sp.csr_matrix((np.ones(60), (labels, np.arange(60))), shape=(4, 60))
+    for rows in (X, M):
+        assert row_dots(rows, W).tobytes() == (M @ W.T).tobytes()
+        assert row_dots(rows, W[1]).tobytes() == (M @ W[1]).tobytes()
+        assert class_sums(rows, labels, 4).tobytes() == (one_hot @ M).toarray().tobytes()

@@ -7,6 +7,7 @@ import scipy.optimize
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from verinews import models
 from verinews.corpus import Label
 from verinews.errors import DimensionMismatchError, TrainingError
 from verinews.features import (
@@ -22,7 +23,7 @@ from verinews.models import (
     LinearModel,
     NbModel,
     TrainConfig,
-    _cached_hessp,
+    _hessian_weights,
     _minimize_logistic,
     linear_decision,
     logistic_hessp,
@@ -315,20 +316,30 @@ class TestLogistic:
             ) / (2 * h)
             assert np.linalg.norm(hp - fd) / np.linalg.norm(fd) < 1e-6
 
-    def test_cached_hessp_matches_uncached_bit_for_bit(self):
+    def test_newton_loop_hessian_weights_match_hessian_weights_bit_for_bit(self, monkeypatch):
+        # The loop computes D alongside the gradient at each accepted iterate;
+        # every D its Hessian products use must equal _hessian_weights there.
         rng = np.random.default_rng(14)
         X, labels = _random_multiclass_problem(rng)
         y_pm = np.where(labels == 0, 1.0, -1.0)
-        points = [rng.normal(size=X.shape[1] + 1) for _ in range(3)]
-        hessp = _cached_hessp()
-        # One array whose value changes in place, as an optimizer's iterate
-        # may: the cache must key on the value, not the object.
-        z = np.empty_like(points[0])
-        for k in (0, 0, 1, 0, 2, 2, 2, 1):
-            z[:] = points[k]
-            p = rng.normal(size=z.size)
-            cached = hessp(z, p, X, y_pm, 100.0)
-            assert cached.tobytes() == logistic_hessp(z, p, X, y_pm, 100.0).tobytes()
+        cfg = TrainConfig()
+        used = []
+        hessp = models._weighted_hessp
+
+        def recording_hessp(d, p, X):
+            if not used or used[-1] is not d:
+                used.append(d)
+            return hessp(d, p, X)
+
+        monkeypatch.setattr(models, "_weighted_hessp", recording_hessp)
+        iterates = [np.zeros(X.shape[1] + 1)]
+        _minimize_logistic(
+            X, y_pm, cfg,
+            callback=lambda z: iterates.append(z) if z is not iterates[-1] else None,
+        )
+        assert len(used) >= 2
+        for d, z in zip(used, iterates):
+            assert d.tobytes() == _hessian_weights(z, X, y_pm, cfg.lr_C).tobytes()
 
     def test_every_class_meets_the_gradient_test_and_beats_lbfgs(self):
         X, labels = _random_multiclass_problem(np.random.default_rng(13))

@@ -1,10 +1,13 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verinews.corpus import Label
 from verinews.errors import (
+    BundleError,
     BundleIntegrityError,
     BundleValidationError,
     BundleVersionError,
@@ -226,3 +229,69 @@ class TestValidation:
                 feature_kind="hashing",
                 n_train_docs=1,
             )
+
+
+def _sections(raw):
+    """[tag, body] pairs of a saved bundle's payload."""
+    payload = raw[len(MAGIC) + 12 : -32]
+    sections, pos = [], 0
+    while pos < len(payload):
+        tag, length = struct.unpack_from("<IQ", payload, pos)
+        sections.append([tag, bytearray(payload[pos + 12 : pos + 12 + length])])
+        pos += 12 + length
+    return sections
+
+
+def _sealed(sections, lengths):
+    """A bundle over the sections, with the declared section lengths and a
+    valid checksum."""
+    payload = b"".join(struct.pack("<IQ", tag, n) + body for (tag, body), n in zip(sections, lengths))
+    head = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + payload
+    return head + hashlib.sha256(head).digest()
+
+
+_SAVED = [save_bundle_bytes(b) for b, _ in (_nb_bundle(), _linear_bundle(lr_fit), _linear_bundle(sgd_fit))]
+
+# Each edit: (what, section, offset, value). Counts and string lengths are
+# u32/u64 fields inside a section body, so overwriting a body word at any
+# offset reaches them.
+_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["tag", "length", "u32", "u64", "drop", "repeat"]),
+        st.integers(0, 4),
+        st.integers(0, 10**6),
+        st.one_of(st.integers(0, 40), st.integers(0, 2**64 - 1)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(saved=st.sampled_from(_SAVED), edits=_edits)
+def test_corrupt_sections_under_a_valid_checksum_raise_only_bundle_errors(saved, edits):
+    sections = _sections(saved)
+    lengths = [len(body) for _, body in sections]
+    for what, index, offset, value in edits:
+        if not sections:
+            break
+        i = index % len(sections)
+        body = sections[i][1]
+        if what == "tag":
+            sections[i][0] = value % 2**32
+        elif what == "length":
+            lengths[i] = value
+        elif what == "drop":
+            del sections[i], lengths[i]
+        elif what == "repeat":
+            sections.append([sections[i][0], bytearray(body)])
+            lengths.append(len(body))
+        else:
+            fmt = "<I" if what == "u32" else "<Q"
+            at = offset % max(1, len(body) - struct.calcsize(fmt) + 1)
+            body[at : at + struct.calcsize(fmt)] = struct.pack(fmt, value % 2 ** (8 * struct.calcsize(fmt)))
+            lengths[i] = len(body)
+    try:
+        load_bundle(_sealed(sections, lengths))
+    except BundleError:
+        pass
