@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 internal failure, 2 usage
 or input error. Option precedence is flags > config file > defaults; the
-config file is flat key=value text. VERINEWS_THREADS sets the worker count
-when neither --threads nor a config threads= line does.
+config file is flat key=value text, and each value goes through the type
+and choices of the flag that spells it. VERINEWS_THREADS sets the worker
+count when neither --threads nor a config threads= line does.
 """
 
 from __future__ import annotations
@@ -49,11 +50,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config_file(getattr(args, "config", None), _config_keys(parser))
-        return args.run(args, config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (VerinewsError, OSError) as exc:
+        _merge_config(parser, args, config)
+        return args.run(args)
+    except (UsageError, VerinewsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort internal failure
@@ -117,10 +116,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for sub in subparsers.choices.values() for a in sub._actions}
+    dests = {a.dest for sub in _subparsers(parser).values() for a in sub._actions}
     return dests - _FLAG_ONLY_KEYS
+
+
+def _merge_config(parser: argparse.ArgumentParser, args, config: dict[str, str]):
+    """Set each option of the running subcommand that no flag set from its
+    config key, converted and checked as argparse does the flag."""
+    for action in _subparsers(parser)[args.command]._actions:
+        if action.dest not in config or getattr(args, action.dest) is not None:
+            continue
+        raw = config[action.dest]
+        try:
+            value = (action.type or str)(raw)
+        except ValueError as exc:
+            raise UsageError(f"config key {action.dest!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(str, action.choices))
+            raise UsageError(f"config key {action.dest!r}: {raw!r} is not one of {choices}")
+        setattr(args, action.dest, value)
 
 
 def _common_flags(p: argparse.ArgumentParser):
@@ -138,12 +158,11 @@ def _pipeline_flags(p: argparse.ArgumentParser):
 # --- commands -------------------------------------------------------------
 
 
-def _cmd_prep(args, config) -> int:
+def _cmd_prep(args) -> int:
     records = _read_records(args.input)
     labeled = bool(records) and records[0].rating is not None
     docs = to_documents(records, labeled=labeled)
-    cfg = _resolve_pipeline(args, config)
-    clean = preprocess_many(docs, cfg, _resolve_threads(args, config))
+    clean = preprocess_many(docs, _resolve_pipeline(args), _resolve_threads(args))
 
     rows = [
         [d.id, d.label.display_name if d.label is not None else "", ",".join(d.tokens)]
@@ -157,15 +176,11 @@ def _cmd_prep(args, config) -> int:
     return 0
 
 
-def _cmd_train(args, config) -> int:
-    model_kind = _resolve(args, config, "model", str, None)
+def _cmd_train(args) -> int:
+    model_kind = args.model
     if model_kind is None:
         raise UsageError("--model is required (nb, lr or sgd)")
-    if model_kind not in DEFAULT_FEATURES:
-        raise UsageError(f"unknown model {model_kind!r}")
-    feature_kind = _resolve(args, config, "features", str, DEFAULT_FEATURES[model_kind])
-    if feature_kind not in (FEATURE_COUNT, FEATURE_TFIDF):
-        raise UsageError(f"unknown feature kind {feature_kind!r}")
+    feature_kind = args.features or DEFAULT_FEATURES[model_kind]
     if DEFAULT_FEATURES[model_kind] != feature_kind and not args.force:
         raise UsageError(
             f"{model_kind} expects {DEFAULT_FEATURES[model_kind]} features; "
@@ -182,11 +197,11 @@ def _cmd_train(args, config) -> int:
             docs,
             model_kind,
             feature_kind,
-            pipeline_cfg=_resolve_pipeline(args, config),
-            train_cfg=_resolve_train_config(args, config),
-            workers=_resolve_threads(args, config),
+            pipeline_cfg=_resolve_pipeline(args),
+            train_cfg=_resolve_train_config(args),
+            workers=_resolve_threads(args),
             created_at=_source_date_epoch(),
-            **_given(args, config, {"nb_alpha": float, "min_df": int, "max_df": int, "max_terms": int}),
+            **_given(args, "nb_alpha", "min_df", "max_df", "max_terms"),
         )
     except VocabularyError as exc:
         raise UsageError(f"--{exc.param.replace('_', '-')}: {exc}") from exc
@@ -204,7 +219,7 @@ def _cmd_train(args, config) -> int:
     return 0
 
 
-def _cmd_eval(args, config) -> int:
+def _cmd_eval(args) -> int:
     bundle = read_bundle(args.model)
     records = _read_records(args.input)
     if not records:
@@ -212,16 +227,13 @@ def _cmd_eval(args, config) -> int:
     if records[0].rating is None:
         raise UsageError(f"{args.input}: no rating column; evaluation needs labels")
     docs = to_documents(records, labeled=True)
-    report = evaluate_bundle(bundle, docs, _resolve_threads(args, config))
+    report = evaluate_bundle(bundle, docs, _resolve_threads(args))
 
-    fmt = _resolve(args, config, "format", str, "text")
-    if fmt == "json":
+    if args.format == "json":
         text = report_to_json(report)
-    elif fmt == "text":
+    else:
         title = f"{bundle.model_kind} on {bundle.feature_kind} features"
         text = render_report(report) + "\n" + render_confusion(report.confusion, title)
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -229,13 +241,13 @@ def _cmd_eval(args, config) -> int:
     return 0
 
 
-def _cmd_predict(args, config) -> int:
+def _cmd_predict(args) -> int:
     bundle = read_bundle(args.model)
     docs = to_documents(_read_records(args.input), labeled=False)
     _warn_duplicate_ids([doc.id for doc in docs])
     rows = []
     if docs:
-        preds, scores = predict_bundle(bundle, docs, _resolve_threads(args, config))
+        preds, scores = predict_bundle(bundle, docs, _resolve_threads(args))
         rows = [
             [doc.id, label.display_name, *[repr(float(s)) for s in row]]
             for doc, label, row in zip(docs, preds, scores)
@@ -270,7 +282,7 @@ def _warn_duplicate_ids(ids: list[str]):
         )
 
 
-def _cmd_report(args, config) -> int:
+def _cmd_report(args) -> int:
     report = report_from_json(_read_text(args.input))
     sys.stdout.write(render_report(report))
     sys.stdout.write("\n")
@@ -322,40 +334,25 @@ def _load_config_file(path: str | None, keys: set[str]) -> dict[str, str]:
     return values
 
 
-def _resolve(args, config, key, cast, default):
-    """flags > config file > default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise UsageError(f"config key {key!r}: {exc}") from exc
-    return default
-
-
-def _given(args, config, casts: dict) -> dict:
-    """The keys of casts that a flag or the config file sets, cast; the
+def _given(args, *keys: str) -> dict:
+    """The keys that a flag or the config file sets, with their values; the
     callee's own defaults cover the rest."""
-    values = {key: _resolve(args, config, key, cast, None) for key, cast in casts.items()}
-    return {key: value for key, value in values.items() if value is not None}
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
-def _resolve_train_config(args, config) -> TrainConfig:
+def _resolve_train_config(args) -> TrainConfig:
     """TrainConfig fields are set by the key that spells them in lower case
     (lr_C by --lr-c or lr_c=)."""
-    fields = {f.name.lower(): f for f in dataclasses.fields(TrainConfig)}
-    given = _given(args, config, {key: type(f.default) for key, f in fields.items()})
+    names = {f.name.lower(): f.name for f in dataclasses.fields(TrainConfig)}
     try:
-        return TrainConfig(**{fields[key].name: value for key, value in given.items()})
+        return TrainConfig(**{names[key]: value for key, value in _given(args, *names).items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_threads(args, config) -> int:
-    """--threads > config threads= > VERINEWS_THREADS > all cores."""
-    workers = _resolve(args, config, "threads", int, None)
+def _resolve_threads(args) -> int:
+    """--threads or config threads= > VERINEWS_THREADS > all cores."""
+    workers = args.threads
     if workers is None and os.environ.get(THREADS_ENV):
         try:
             workers = int(os.environ[THREADS_ENV])
@@ -368,23 +365,16 @@ def _resolve_threads(args, config) -> int:
     return workers
 
 
-def _resolve_pipeline(args, config) -> PipelineConfig:
-    base = PipelineConfig.default()
-    stopwords_path = _resolve(args, config, "stopwords", str, None)
-    lemmas_path = _resolve(args, config, "lemmas", str, None)
+def _resolve_pipeline(args) -> PipelineConfig:
+    changes = _given(args, "min_token_len")
+    if args.placeholder is not None:
+        changes["numeric_placeholder"] = args.placeholder
     try:
-        return PipelineConfig(
-            stopword_list=load_stopwords(stopwords_path)
-            if stopwords_path
-            else base.stopword_list,
-            lemma_exceptions=load_lemma_exceptions(lemmas_path)
-            if lemmas_path
-            else base.lemma_exceptions,
-            numeric_placeholder=_resolve(
-                args, config, "placeholder", str, base.numeric_placeholder
-            ),
-            min_token_len=_resolve(args, config, "min_token_len", int, base.min_token_len),
-        )
+        if args.stopwords:
+            changes["stopword_list"] = load_stopwords(args.stopwords)
+        if args.lemmas:
+            changes["lemma_exceptions"] = load_lemma_exceptions(args.lemmas)
+        return dataclasses.replace(PipelineConfig.default(), **changes)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -70,6 +70,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.lr_max_iter < 1 or self.sgd_epochs < 1:
             raise ValueError("iteration limits must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,8 @@ def nb_fit(X: FeatureRows, y: list[Label], alpha: float = 1.0) -> NbModel:
     where T_ct is the total count of term t over class-c documents.
     """
     X, labels = _training_data(X, y)
-    if alpha <= 0:
-        raise TrainingError(f"smoothing alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise TrainingError(f"smoothing alpha must be positive and finite, got {alpha}")
     n, dim = X.shape
 
     # Each class's rows are added in document order: exact for counts,
@@ -113,9 +115,13 @@ def nb_fit(X: FeatureRows, y: list[Label], alpha: float = 1.0) -> NbModel:
         class_log_prior = np.log(doc_counts / n)
     if dim > 0:
         smoothed = term_counts + alpha
-        feature_log_prob = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
+        # A huge alpha overflows the row sums; the finite check rejects it.
+        with np.errstate(over="ignore"):
+            feature_log_prob = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
     else:
         feature_log_prob = np.zeros((N_CLASSES, 0))
+    if not np.all(np.isfinite(feature_log_prob)):
+        raise TrainingError(f"smoothing alpha {alpha} gives non-finite log probabilities")
     return NbModel(
         class_log_prior=class_log_prior,
         feature_log_prob=feature_log_prob,

@@ -364,12 +364,15 @@ def _validate(bundle: ModelBundle) -> None:
             raise BundleValidationError(
                 "model", f"nb vocab_size {model.vocab_size} != vocabulary size {vocab_size}"
             )
+        # Written as `not <=` so that a NaN fails each test.
         prior_mass = float(np.sum(np.exp(model.class_log_prior)))
-        if abs(prior_mass - 1.0) > 1e-9:
+        if not abs(prior_mass - 1.0) <= 1e-9:
             raise BundleValidationError("class_log_prior", f"mass {prior_mass} != 1")
+        if not np.all(np.isfinite(model.feature_log_prob)):
+            raise BundleValidationError("feature_log_prob", "non-finite values")
         if vocab_size > 0:
             row_mass = np.sum(np.exp(model.feature_log_prob), axis=1)
-            if np.any(np.abs(row_mass - 1.0) > 1e-9):
+            if not np.all(np.abs(row_mass - 1.0) <= 1e-9):
                 raise BundleValidationError("feature_log_prob", "row mass != 1")
     else:
         if model.weights.shape != (N_CLASSES, vocab_size):

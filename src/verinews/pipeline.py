@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import ClassCounts, Document, Label, dataset_stats
 from .errors import TrainingError
-from .features import CSR, build_vocabulary, featurize, fit_idf
+from .features import build_vocabulary, featurize, fit_idf
 from .metrics import EvalReport, classification_report, confusion_matrix
 from .models import (
     FeatureRows,
@@ -62,18 +62,20 @@ def preprocess_many(
     Each preprocess_corpus call, over the whole list or over one pool
     chunk, lemmatizes every distinct token once.
     """
-    with _worker_pool(workers, len(docs)) as pool:
+    with _worker_pool(workers, len(docs)) as (pool, workers):
         return _preprocess(docs, cfg, workers, pool)
 
 
 @contextmanager
-def _worker_pool(workers: int, n_docs: int) -> Iterator[ProcessPoolExecutor | None]:
-    """A pool of `workers` processes, or None where the serial path wins."""
+def _worker_pool(workers: int, n_docs: int) -> Iterator[tuple[ProcessPoolExecutor | None, int]]:
+    """(pool, size) with at most one process per core, since a forked pool
+    starts them all at its first task; (None, 1) where serial wins."""
+    workers = min(workers, default_workers())
     if workers <= 1 or n_docs < PARALLEL_MIN_DOCS:
-        yield None
+        yield None, 1
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool
+        yield pool, workers
 
 
 def _preprocess(
@@ -85,11 +87,6 @@ def _preprocess(
     chunks = [docs[i : i + size] for i in range(0, len(docs), size)]
     parts = pool.map(partial(preprocess_corpus, cfg=cfg), chunks)
     return [clean for part in parts for clean in part]
-
-
-def transform_many(bundle: ModelBundle, clean: list[CleanDoc]) -> CSR:
-    """Vectorize with the bundle's frozen vocabulary (and IDF, if TF-IDF)."""
-    return featurize(clean, bundle.vocab, bundle.idf)
 
 
 def train_bundle(
@@ -115,7 +112,7 @@ def train_bundle(
 
     # One pool serves cleaning and the SGD fit. It forks during cleaning,
     # before the feature matrix exists, so the workers do not copy it.
-    with _worker_pool(workers, len(docs)) as pool:
+    with _worker_pool(workers, len(docs)) as (pool, workers):
         clean = _preprocess(docs, pipeline_cfg, workers, pool)
         vocab = build_vocabulary(clean, min_df=min_df, max_df=max_df, max_terms=max_terms)
         labels = [d.label for d in clean]
@@ -157,7 +154,7 @@ def predict_bundle(
     bundle: ModelBundle, docs: list[Document], workers: int = 1
 ) -> tuple[list[Label], np.ndarray]:
     clean = preprocess_many(docs, bundle.pipeline, workers)
-    scores = score_matrix(bundle, transform_many(bundle, clean))
+    scores = score_matrix(bundle, featurize(clean, bundle.vocab, bundle.idf))
     return predict_labels(scores), scores
 
 

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import random
@@ -173,6 +172,23 @@ class TestTrain:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "model, flag, value",
+        [("sgd", "--seed", "-1"), ("nb", "--nb-alpha", "nan"), ("nb", "--nb-alpha", "inf"), ("nb", "--nb-alpha", "1e308")],
+    )
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_bad_seed_or_nb_alpha_is_exit_2_with_no_bundle(self, tmp_path, train_csv, model, flag, value, via, capsys):
+        if via == "flag":
+            extra = ("--model", model, flag, value)
+        else:
+            cfgfile = tmp_path / "v.conf"
+            cfgfile.write_text(f"model={model}\n{flag[2:].replace('-', '_')}={value}\n", encoding="utf-8")
+            extra = ("--config", cfgfile)
+        out = tmp_path / "m.bundle"
+        assert run("train", "--in", train_csv, "--out", out, "--threads", 1, *extra) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_config_keys_are_the_flags_that_configure(self):
         keys = cli._config_keys(cli._build_parser())
         assert {"lr_c", "lr_tol", "lr_max_iter", "sgd_alpha", "sgd_epochs", "sgd_tol", "seed"} <= keys
@@ -240,6 +256,40 @@ class TestEval:
                        "--format", "json", "--out", out, "--threads", 1) == 0
         assert nb_bundle.read_bytes() == before
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("train", "model=xx\n"), ("train", "model=nb\nfeatures=bogus\n"), ("eval", "format=xml\n")],
+)
+def test_config_value_outside_the_flag_choices_is_exit_2(tmp_path, train_csv, nb_bundle, command, config, capsys):
+    cfgfile = tmp_path / "v.conf"
+    cfgfile.write_text(config, encoding="utf-8")
+    out = tmp_path / "out"
+    extra = ("--out", out) if command == "train" else ("--model", nb_bundle, "--out", out)
+    assert run(command, "--in", train_csv, "--config", cfgfile, "--threads", 1, *extra) == 2
+    key = config.splitlines()[-1].split("=")[0]
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_format_json_writes_the_flag_bytes(tmp_path, train_csv, nb_bundle):
+    cfgfile = tmp_path / "v.conf"
+    cfgfile.write_text("format=json\n", encoding="utf-8")
+    via_config, via_flag = tmp_path / "c.json", tmp_path / "f.json"
+    common = ("--in", train_csv, "--model", nb_bundle, "--threads", 1)
+    assert run("eval", *common, "--config", cfgfile, "--out", via_config) == 0
+    assert run("eval", *common, "--format", "json", "--out", via_flag) == 0
+    assert via_config.read_bytes() == via_flag.read_bytes()
+    json.loads(via_config.read_text())
+
+
+def test_report_checks_config_threads_like_the_flag(tmp_path, capsys):
+    # report declares --threads without using it; its config value is still checked.
+    cfgfile = tmp_path / "v.conf"
+    cfgfile.write_text("threads=abc\n", encoding="utf-8")
+    assert run("report", "--in", tmp_path / "r.json", "--config", cfgfile) == 2
+    assert "config key 'threads'" in capsys.readouterr().err
 
 
 class TestPredict:
@@ -382,13 +432,19 @@ class TestThreads:
         assert "threads" in capsys.readouterr().err
 
     def test_precedence_flag_config_env_cores(self, monkeypatch):
+        parser = cli._build_parser()
+
+        def threads(flags, config):
+            args = parser.parse_args(["report", "--in", "r.json", *flags])
+            cli._merge_config(parser, args, config)
+            return cli._resolve_threads(args)
+
         monkeypatch.setenv(cli.THREADS_ENV, "3")
-        no_flag = argparse.Namespace(threads=None)
-        assert cli._resolve_threads(argparse.Namespace(threads=1), {"threads": "2"}) == 1
-        assert cli._resolve_threads(no_flag, {"threads": "2"}) == 2
-        assert cli._resolve_threads(no_flag, {}) == 3
+        assert threads(["--threads", "1"], {"threads": "2"}) == 1
+        assert threads([], {"threads": "2"}) == 2
+        assert threads([], {}) == 3
         monkeypatch.delenv(cli.THREADS_ENV)
-        assert cli._resolve_threads(no_flag, {}) == cli.default_workers()
+        assert threads([], {}) == cli.default_workers()
 
 
 _EPOCH_SNIPPET = """

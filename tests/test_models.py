@@ -101,6 +101,13 @@ class TestNbFit:
         with pytest.raises(TrainingError, match="alpha"):
             nb_fit([vec({0: 1}, 1)], [Label.FALSE], alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_nan_or_infinite_alpha_rejected(self, alpha, dim):
+        # With an empty vocabulary no log probability shows the bad alpha.
+        with pytest.raises(TrainingError, match="alpha"):
+            nb_fit([vec({0: 1} if dim else {}, dim)], [Label.FALSE], alpha=alpha)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(TrainingError):
             nb_fit([vec({0: 1}, 1)], [Label.FALSE, Label.TRUE])

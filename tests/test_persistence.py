@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -216,6 +217,22 @@ class TestValidation:
             n_train_docs=1,
         )
         with pytest.raises(BundleValidationError, match="idf"):
+            load_bundle(save_bundle_bytes(bad))
+
+    @pytest.mark.parametrize(
+        "field, bad", [("class_log_prior", np.nan), ("feature_log_prob", np.nan), ("feature_log_prob", -np.inf)]
+    )
+    def test_non_finite_nb_parameters_rejected_on_load(self, field, bad):
+        # save_bundle_bytes seals the bundle with a valid checksum, so only
+        # validation stands between these parameters and NaN scores.
+        bundle, _ = _nb_bundle()
+        values = getattr(bundle.model, field).copy()
+        values.flat[0] = bad
+        if bad == -np.inf:
+            # The rest of the row keeps its mass at 1, so only the finite check fails.
+            values[0, 1:] -= np.log(np.exp(values[0, 1:]).sum())
+        bad = dataclasses.replace(bundle, model=dataclasses.replace(bundle.model, **{field: values}))
+        with pytest.raises(BundleValidationError, match=field):
             load_bundle(save_bundle_bytes(bad))
 
     def test_unknown_feature_kind_rejected(self):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verinews import pipeline
 from verinews.corpus import Document, Label
 from verinews.pipeline import preprocess_many
 from verinews.textprep import (
@@ -218,15 +219,51 @@ def test_cached_cleaning_matches_per_token_lemmatizer(docs):
     assert [preprocess_document(d, _lemma_cfg).tokens for d in docs] == expected
 
 
-def test_pooled_chunks_match_the_uncached_reference():
+def _pool_docs():
     words = ["houses", "running", "went", "geese", "passes", "skiing", "the", "ties"]
-    docs = [
+    return [
         Document(id=f"p{i}", title=" ".join(words[i % 8 :] + words[: i % 8]), body=f"{i} days")
         for i in range(40)
     ]
+
+
+def test_pooled_chunks_match_the_uncached_reference():
+    docs = _pool_docs()
     pooled = preprocess_many(docs, _lemma_cfg, workers=2)
     assert [c.id for c in pooled] == [d.id for d in docs]
     assert [c.tokens for c in pooled] == [reference_tokens(d, _lemma_cfg) for d in docs]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_pool_is_capped_at_the_core_count(monkeypatch, cores):
+    # A forked pool starts all its processes at the first task, so a large
+    # worker count must not become that many processes.
+    sizes, chunks = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            chunks.extend(len(part) for part in parts)
+            return map(fn, parts)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline, "default_workers", lambda: cores)
+    docs = _pool_docs()
+    pooled = preprocess_many(docs, _lemma_cfg, workers=10_000)
+    assert [c.tokens for c in pooled] == [reference_tokens(d, _lemma_cfg) for d in docs]
+    if cores == 1:
+        assert sizes == [] and chunks == []
+    else:
+        assert sizes == [cores]
+        assert max(chunks) == len(docs) // (cores * 4) and sum(chunks) == len(docs)
 
 
 _CFG = PipelineConfig.default()
