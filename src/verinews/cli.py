@@ -26,10 +26,9 @@ from .pipeline import (
     default_workers,
     evaluate_bundle,
     predict_bundle,
-    preprocess_many,
     train_bundle,
 )
-from .textprep import PipelineConfig, load_lemma_exceptions, load_stopwords
+from .textprep import PipelineConfig, load_lemma_exceptions, load_stopwords, preprocess_corpus
 
 THREADS_ENV = "VERINEWS_THREADS"
 
@@ -145,7 +144,7 @@ def _merge_config(parser: argparse.ArgumentParser, args, config: dict[str, str])
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--threads", type=int, help="worker count (default: all cores)")
+    p.add_argument("--threads", type=int, help="SGD training pool size (default: all cores)")
 
 
 def _pipeline_flags(p: argparse.ArgumentParser):
@@ -162,7 +161,9 @@ def _cmd_prep(args) -> int:
     records = _read_records(args.input)
     labeled = bool(records) and records[0].rating is not None
     docs = to_documents(records, labeled=labeled)
-    clean = preprocess_many(docs, _resolve_pipeline(args), _resolve_threads(args))
+    cfg = _resolve_pipeline(args)
+    _resolve_threads(args)
+    clean = preprocess_corpus(docs, cfg)
 
     rows = [
         [d.id, d.label.display_name if d.label is not None else "", ",".join(d.tokens)]
@@ -227,7 +228,8 @@ def _cmd_eval(args) -> int:
     if records[0].rating is None:
         raise UsageError(f"{args.input}: no rating column; evaluation needs labels")
     docs = to_documents(records, labeled=True)
-    report = evaluate_bundle(bundle, docs, _resolve_threads(args))
+    _resolve_threads(args)
+    report = evaluate_bundle(bundle, docs)
 
     if args.format == "json":
         text = report_to_json(report)
@@ -247,7 +249,8 @@ def _cmd_predict(args) -> int:
     _warn_duplicate_ids([doc.id for doc in docs])
     rows = []
     if docs:
-        preds, scores = predict_bundle(bundle, docs, _resolve_threads(args))
+        _resolve_threads(args)
+        preds, scores = predict_bundle(bundle, docs)
         rows = [
             [doc.id, label.display_name, *[repr(float(s)) for s in row]]
             for doc, label, row in zip(docs, preds, scores)
@@ -351,7 +354,11 @@ def _resolve_train_config(args) -> TrainConfig:
 
 
 def _resolve_threads(args) -> int:
-    """--threads or config threads= > VERINEWS_THREADS > all cores."""
+    """--threads or config threads= > VERINEWS_THREADS > all cores.
+
+    Only train --model sgd uses the count. prep, eval and predict clean
+    serially and check it all the same, so a bad count exits 2 on each.
+    """
     workers = args.threads
     if workers is None and os.environ.get(THREADS_ENV):
         try:

@@ -1,9 +1,11 @@
 """End-to-end glue: preprocess, featurize, train, score, evaluate.
 
 These functions tie the modules together behind the bundle abstraction so
-the CLI, the demos, and library users share one code path. Preprocessing
-fans out over a process pool when asked; results are order-stable and
-identical to the serial path because every stage is a pure function.
+the CLI, the demos, and library users share one code path. Cleaning is
+serial: it maps each distinct whitespace run once per call, which beats a
+process pool at every corpus size the benchmark runs. Only the SGD fit
+fans its four classes out over a pool when asked; its results are identical
+to the serial fit because each class's fit is a pure function.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .models import (
 from .persistence import FEATURE_COUNT, FEATURE_TFIDF, ModelBundle
 from .textprep import CleanDoc, PipelineConfig, preprocess_corpus
 
-# Below this many documents a pool costs more than it saves.
+# Below this many training documents a pool costs more than it saves.
 PARALLEL_MIN_DOCS = 32
 
 MODEL_NB = "nb"
@@ -57,36 +58,24 @@ def default_workers() -> int:
 def preprocess_many(
     docs: list[Document], cfg: PipelineConfig, workers: int = 1
 ) -> list[CleanDoc]:
-    """Preprocess documents, preserving order; pure so pooling is safe.
+    """preprocess_corpus, kept with this signature for existing callers.
 
-    Each preprocess_corpus call, over the whole list or over one pool
-    chunk, lemmatizes every distinct token once.
+    workers is unused: cleaning each distinct whitespace run once makes the
+    serial call faster than a pool at the sizes the benchmark runs.
     """
-    with _worker_pool(workers, len(docs)) as (pool, workers):
-        return _preprocess(docs, cfg, workers, pool)
+    return preprocess_corpus(docs, cfg)
 
 
 @contextmanager
-def _worker_pool(workers: int, n_docs: int) -> Iterator[tuple[ProcessPoolExecutor | None, int]]:
-    """(pool, size) with at most one process per core, since a forked pool
-    starts them all at its first task; (None, 1) where serial wins."""
+def _worker_pool(workers: int, n_docs: int) -> Iterator[ProcessPoolExecutor | None]:
+    """A pool of at most one process per core, since a forked pool starts
+    them all at its first task; None where serial wins."""
     workers = min(workers, default_workers())
     if workers <= 1 or n_docs < PARALLEL_MIN_DOCS:
-        yield None, 1
+        yield None
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool, workers
-
-
-def _preprocess(
-    docs: list[Document], cfg: PipelineConfig, workers: int, pool: ProcessPoolExecutor | None
-) -> list[CleanDoc]:
-    if pool is None:
-        return preprocess_corpus(docs, cfg)
-    size = max(1, len(docs) // (workers * 4))
-    chunks = [docs[i : i + size] for i in range(0, len(docs), size)]
-    parts = pool.map(partial(preprocess_corpus, cfg=cfg), chunks)
-    return [clean for part in parts for clean in part]
+        yield pool
 
 
 def train_bundle(
@@ -102,7 +91,10 @@ def train_bundle(
     max_df: int | None = None,
     max_terms: int | None = None,
 ) -> tuple[ModelBundle, TrainSummary]:
-    """Full training pass: clean, build vocabulary, featurize, fit."""
+    """Full training pass: clean, build vocabulary, featurize, fit.
+
+    workers sizes the pool that the SGD fit runs its four classes on.
+    """
     if model_kind not in DEFAULT_FEATURES:
         raise ValueError(f"unknown model kind {model_kind!r}")
     if any(d.label is None for d in docs):
@@ -110,25 +102,25 @@ def train_bundle(
     pipeline_cfg = pipeline_cfg or PipelineConfig.default()
     train_cfg = train_cfg or TrainConfig()
 
-    # One pool serves cleaning and the SGD fit. It forks during cleaning,
-    # before the feature matrix exists, so the workers do not copy it.
-    with _worker_pool(workers, len(docs)) as (pool, workers):
-        clean = _preprocess(docs, pipeline_cfg, workers, pool)
-        vocab = build_vocabulary(clean, min_df=min_df, max_df=max_df, max_terms=max_terms)
-        labels = [d.label for d in clean]
+    clean = preprocess_corpus(docs, pipeline_cfg)
+    vocab = build_vocabulary(clean, min_df=min_df, max_df=max_df, max_terms=max_terms)
+    labels = [d.label for d in clean]
 
-        idf = fit_idf(clean, vocab) if feature_kind == FEATURE_TFIDF else None
-        X = featurize(clean, vocab, idf)
+    idf = fit_idf(clean, vocab) if feature_kind == FEATURE_TFIDF else None
+    X = featurize(clean, vocab, idf)
 
-        if model_kind == MODEL_NB:
-            model = nb_fit(X, labels, alpha=nb_alpha)
-            converged = None
-        elif model_kind == MODEL_LR:
-            model = lr_fit(X, labels, train_cfg)
-            converged = model.converged
-        else:
+    if model_kind == MODEL_NB:
+        model = nb_fit(X, labels, alpha=nb_alpha)
+        converged = None
+    elif model_kind == MODEL_LR:
+        model = lr_fit(X, labels, train_cfg)
+        converged = model.converged
+    else:
+        # The only pool of a run. It forks at the first class task, after X
+        # exists, so its processes share the parent's pages copy-on-write.
+        with _worker_pool(workers, len(docs)) as pool:
             model = sgd_fit(X, labels, train_cfg, pool=pool)
-            converged = model.converged
+        converged = model.converged
 
     bundle = ModelBundle(
         pipeline=pipeline_cfg,
@@ -150,19 +142,15 @@ def score_matrix(bundle: ModelBundle, X: FeatureRows) -> np.ndarray:
     return decision_scores(bundle.model, X)
 
 
-def predict_bundle(
-    bundle: ModelBundle, docs: list[Document], workers: int = 1
-) -> tuple[list[Label], np.ndarray]:
-    clean = preprocess_many(docs, bundle.pipeline, workers)
+def predict_bundle(bundle: ModelBundle, docs: list[Document]) -> tuple[list[Label], np.ndarray]:
+    clean = preprocess_corpus(docs, bundle.pipeline)
     scores = score_matrix(bundle, featurize(clean, bundle.vocab, bundle.idf))
     return predict_labels(scores), scores
 
 
-def evaluate_bundle(
-    bundle: ModelBundle, docs: list[Document], workers: int = 1
-) -> EvalReport:
+def evaluate_bundle(bundle: ModelBundle, docs: list[Document]) -> EvalReport:
     """Score a labeled corpus against the bundle's frozen vocabulary."""
     if any(d.label is None for d in docs):
         raise TrainingError("evaluation requires a fully labeled corpus")
-    preds, _ = predict_bundle(bundle, docs, workers)
+    preds, _ = predict_bundle(bundle, docs)
     return classification_report(confusion_matrix([d.label for d in docs], preds))

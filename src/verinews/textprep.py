@@ -6,6 +6,12 @@ placeholder token, and punctuation-to-space substitution. Tokens shorter
 than the configured minimum or on the stop-word list are dropped, and the
 survivors are lemmatized with an exceptions table plus suffix rules.
 
+URLs and emails never span whitespace, so they are removed one whitespace
+run at a time, in time linear in the text. Tag removal and the ASCII fold
+can span or join runs, so they and lowercasing act on the whole text; every
+later step stays inside one run. A corpus call therefore maps each distinct
+run to its kept lemmas once and reuses the result for the rest of the call.
+
 Everything here is a pure function of (input, config): same bytes in, same
 tokens out, on any machine.
 """
@@ -23,8 +29,12 @@ from .corpus import Document, Label
 DEFAULT_PLACEHOLDER = "somenuber"
 DEFAULT_MIN_TOKEN_LEN = 3
 
-_URL_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://\S*|www\.\S*")
-_EMAIL_RE = re.compile(r"\S*@\S*\.\S*")
+# Link removal looks only at the whitespace runs that hold one of these.
+_LINK_NEEDLES = ("://", "www.", "@")
+_RUN_START_RE = re.compile(r"(?s:.*)\s")  # ends after the last whitespace
+_RUN_END_RE = re.compile(r"\S*")
+_SCHEME_START_RE = re.compile(r"(?s:.*)[^A-Za-z0-9+.-]")  # ends after the last non-scheme char
+_LETTER_RE = re.compile(r"[A-Za-z]")
 # Greedy [^<]* deletes the maximal span without a nested '<'; an unclosed
 # '<' never matches, so pathological input survives to the punctuation pass.
 _TAG_RE = re.compile(r"<[^<]*>")
@@ -134,13 +144,75 @@ def normalize_text(raw: str, cfg: PipelineConfig) -> str:
     Order: URLs, emails, markup tags, non-ASCII, lowercase, digit runs to
     the placeholder token, remaining non-alphanumerics to spaces.
     """
-    s = _URL_RE.sub("", raw)
-    s = _EMAIL_RE.sub("", s)
-    s = _TAG_RE.sub("", s)
-    s = s.encode("ascii", "ignore").decode("ascii")
-    s = s.lower()
+    return _substitute(_strip_and_fold(raw), cfg)
+
+
+def _strip_and_fold(raw: str) -> str:
+    # The rules that may act across whitespace runs; the result is ASCII.
+    s = _TAG_RE.sub("", _strip_links(raw))
+    return s.encode("ascii", "ignore").decode("ascii").lower()
+
+
+def _substitute(s: str, cfg: PipelineConfig) -> str:
+    # Digit runs, then non-alphanumerics; neither looks past whitespace.
     s = _DIGIT_RUN_RE.sub(_placeholder_sub(cfg.numeric_placeholder), s)
     return _NON_ALNUM_RE.sub(" ", s)
+
+
+def _strip_links(s: str) -> str:
+    """Equal to deleting each match of the URL pattern
+    [A-Za-z][A-Za-z0-9+.-]*://\\S*|www\\.\\S* and then of the email pattern
+    \\S*@\\S*\\.\\S*, in time linear in len(s).
+
+    Neither pattern matches whitespace, so each acts on one whitespace run
+    (as str.isspace and sre's \\s define it) and only on a run that holds a
+    needle. The next position of each needle is kept until the scan passes
+    it, so no stretch of s is searched twice.
+    """
+    found = [s.find(needle) for needle in _LINK_NEEDLES]
+    parts = []
+    done = 0  # s[:done] is final, and s[done] is whitespace unless done == 0
+    while True:
+        at = min((i for i in found if i >= 0), default=-1)
+        if at < 0:
+            break
+        head = _RUN_START_RE.match(s, done, at)
+        start = head.end() if head else done
+        end = _RUN_END_RE.match(s, at).end()
+        parts += (s[done:start], _strip_run(s[start:end]))
+        done = end
+        for k, i in enumerate(found):
+            if 0 <= i < end:
+                found[k] = s.find(_LINK_NEEDLES[k], end)
+    if not parts:
+        return s
+    parts.append(s[done:])
+    return "".join(parts)
+
+
+def _strip_run(run: str) -> str:
+    # A URL match starts at the first "www." or at the first scheme letter:
+    # an ASCII letter followed by [A-Za-z0-9+.-]* up to a "://". Either way
+    # its greedy \S* takes the rest of the run.
+    cut = run.find("www.")
+    if cut < 0:
+        cut = len(run)
+    lo = 0  # no scheme stretch reaches back past a "://", so none before lo
+    sep = run.find("://")
+    while 0 <= sep and lo < cut:
+        tail = _SCHEME_START_RE.match(run, lo, sep)
+        letter = _LETTER_RE.search(run, tail.end() if tail else lo, sep)
+        if letter:
+            cut = min(cut, letter.start())
+            break
+        lo = sep + 3
+        sep = run.find("://", lo)
+    # What is left is one email match, from its start to its end, if it
+    # holds an "@" with a "." after it.
+    at = run.find("@", 0, cut)
+    if at >= 0 and run.find(".", at + 1, cut) >= 0:
+        return ""
+    return run[:cut]
 
 
 def _placeholder_sub(placeholder: str):
@@ -219,22 +291,30 @@ def preprocess_document(doc: Document, cfg: PipelineConfig) -> CleanDoc:
 
 
 def preprocess_corpus(docs: list[Document], cfg: PipelineConfig) -> list[CleanDoc]:
-    """preprocess_document over a list, lemmatizing each distinct token once."""
-    lemmas: dict[str, str] = {}
-    return [_preprocess(d, cfg, lemmas) for d in docs]
+    """preprocess_document over a list, cleaning each distinct whitespace
+    run once."""
+    runs: dict[str, tuple[str, ...]] = {}
+    return [_preprocess(d, cfg, runs) for d in docs]
 
 
-def _preprocess(doc: Document, cfg: PipelineConfig, lemmas: dict[str, str]) -> CleanDoc:
-    # lemmas caches token -> kept lemma, or "" for a lemma the filters drop.
-    normalized = normalize_text(doc.title + " " + doc.body, cfg)
-    kept = []
-    for token in tokenize_and_filter(normalized, cfg):
-        lemma = lemmas.get(token)
-        if lemma is None:
-            lemma = _lemmatize_stable(token, cfg)
-            if len(lemma) < cfg.min_token_len or lemma in cfg.stopword_list:
-                lemma = ""
-            lemmas[token] = lemma
-        if lemma:
-            kept.append(lemma)
+def _preprocess(
+    doc: Document, cfg: PipelineConfig, runs: dict[str, tuple[str, ...]]
+) -> CleanDoc:
+    # runs caches each folded whitespace run -> the lemmas it keeps.
+    kept: list[str] = []
+    for run in _strip_and_fold(doc.title + " " + doc.body).split():
+        lemmas = runs.get(run)
+        if lemmas is None:
+            lemmas = runs[run] = _run_lemmas(run, cfg)
+        kept += lemmas
     return CleanDoc(id=doc.id, tokens=tuple(kept), label=doc.label)
+
+
+def _run_lemmas(run: str, cfg: PipelineConfig) -> tuple[str, ...]:
+    # The substitutions leave a run of ASCII letters as it is.
+    kept = []
+    for token in tokenize_and_filter(run if run.isalpha() else _substitute(run, cfg), cfg):
+        lemma = _lemmatize_stable(token, cfg)
+        if len(lemma) >= cfg.min_token_len and lemma not in cfg.stopword_list:
+            kept.append(lemma)
+    return tuple(kept)

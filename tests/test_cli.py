@@ -1,14 +1,11 @@
 import json
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import verinews
 from verinews import cli
 from verinews.corpus import parse_csv, to_documents
 from verinews.models import TrainConfig
@@ -431,6 +428,29 @@ class TestThreads:
                    "--out", tmp_path / "m.bundle", "--config", cfgfile) == 2
         assert "threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["prep", "eval", "predict"])
+    @pytest.mark.parametrize("setting", ["flag 0", "config abc", "env abc"])
+    def test_bad_thread_count_is_exit_2_where_cleaning_is_serial(
+        self, tmp_path, train_csv, nb_bundle, monkeypatch, capsys, command, setting
+    ):
+        # Only train --model sgd uses the count, but every subcommand that
+        # reads data still rejects a bad one.
+        how, value = setting.split()
+        flags = []
+        if how == "flag":
+            flags = ["--threads", value]
+        elif how == "config":
+            cfgfile = tmp_path / "v.conf"
+            cfgfile.write_text(f"threads={value}\n", encoding="utf-8")
+            flags = ["--config", cfgfile]
+        else:
+            monkeypatch.setenv(cli.THREADS_ENV, value)
+        out = tmp_path / "out"
+        extra = ["--out", out] if command == "prep" else ["--model", nb_bundle, "--out", out]
+        assert run(command, "--in", train_csv, *extra, *flags) == 2
+        assert "thread" in capsys.readouterr().err.lower()
+        assert not out.exists()
+
     def test_precedence_flag_config_env_cores(self, monkeypatch):
         parser = cli._build_parser()
 
@@ -467,13 +487,13 @@ print(json.dumps(codes))
     "value, train_code",
     [("abc", 2), ("-1", 2), ("99999999999999999999", 2), ("253402300800", 2), ("253402300799", 0)],
 )
-def test_any_source_date_epoch_exits_0_or_2(tmp_path, value, train_code):
+def test_any_source_date_epoch_exits_0_or_2(tmp_path, child_env, value, train_code):
     # A fresh interpreter, because the variable is also parsed when scipy
     # is imported, which used to fail before main ran.
     _write_labeled(tmp_path / "train.csv")
     assert run("train", "--model", "nb", "--in", tmp_path / "train.csv", "--out", tmp_path / "nb.b",
                "--threads", 1) == 0
-    env = {**_child_env(), "SOURCE_DATE_EPOCH": value}
+    env = {**child_env, "SOURCE_DATE_EPOCH": value}
     result = subprocess.run(
         [sys.executable, "-c", _EPOCH_SNIPPET, str(tmp_path)],
         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
@@ -490,7 +510,7 @@ def test_any_source_date_epoch_exits_0_or_2(tmp_path, value, train_code):
         assert read_bundle(tmp_path / "new.b").created_at == int(value)
 
 
-def test_lr_bundle_does_not_depend_on_the_blas_thread_count(tmp_path):
+def test_lr_bundle_does_not_depend_on_the_blas_thread_count(tmp_path, child_env):
     # Over 10 000 terms, so a BLAS dot product over the weights would be
     # split across OpenBLAS threads, and its rounding would follow the
     # thread count.
@@ -507,7 +527,7 @@ def test_lr_bundle_does_not_depend_on_the_blas_thread_count(tmp_path):
     bundles = []
     for threads in ("1", "2"):
         out = tmp_path / f"lr-{threads}.b"
-        env = {**_child_env(), "OPENBLAS_NUM_THREADS": threads}
+        env = {**child_env, "OPENBLAS_NUM_THREADS": threads}
         env.pop("SOURCE_DATE_EPOCH", None)
         result = subprocess.run(
             [sys.executable, "-m", "verinews.cli", "train", "--model", "lr", "--in", "train.csv",
@@ -616,38 +636,29 @@ print(json.dumps(loaded))
 """
 
 
-def _child_env():
-    """os.environ with this checkout's src first on PYTHONPATH."""
-    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(verinews.__file__).resolve().parent.parent)]
-        + [os.path.abspath(entry) for entry in inherited if entry]
-    )
-    return env
-
-
-def _modules_loaded_by(d, steps):
+def _modules_loaded_by(d, steps, env):
     result = subprocess.run(
         [sys.executable, "-c", _IMPORTS_SNIPPET, str(d), json.dumps(steps)],
-        capture_output=True, text=True, cwd=d, env=_child_env(), timeout=300,
+        capture_output=True, text=True, cwd=d, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
 
 
-def test_only_lr_training_loads_the_optimizer(tmp_path):
+def test_only_lr_training_loads_the_optimizer(tmp_path, child_env):
     # Importing scipy.sparse costs every CLI process about a fifth of a
     # second and scipy.optimize a third more; only the LR fit uses scipy,
     # and only its sparse products.
     _write_labeled(tmp_path / "train.csv")
     train = ["--in", "train.csv"]
-    lr = _modules_loaded_by(tmp_path, [["train lr", ["train", "--model", "lr", *train, "--out", "lr.b"]]])
+    lr = _modules_loaded_by(
+        tmp_path, [["train lr", ["train", "--model", "lr", *train, "--out", "lr.b"]]], child_env
+    )
     assert lr == {"import": [], "train lr": ["scipy", "scipy.sparse"]}
 
     steps = [[f"train {m}", ["train", "--model", m, *train, "--out", f"{m}.b"]] for m in ("nb", "sgd")]
     for m in ("nb", "lr", "sgd"):
         steps.append([f"eval {m}", ["eval", "--model", f"{m}.b", *train, "--out", "r.json"]])
         steps.append([f"predict {m}", ["predict", "--model", f"{m}.b", *train, "--out", "p.csv"]])
-    scoring = _modules_loaded_by(tmp_path, steps)
+    scoring = _modules_loaded_by(tmp_path, steps, child_env)
     assert scoring == {step: [] for step in ["import", *(name for name, _ in steps)]}

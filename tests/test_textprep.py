@@ -1,13 +1,20 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from verinews import pipeline
 from verinews.corpus import Document, Label
-from verinews.pipeline import preprocess_many
+from verinews.persistence import FEATURE_COUNT, FEATURE_TFIDF
+from verinews.pipeline import evaluate_bundle, predict_bundle, preprocess_many, train_bundle
 from verinews.textprep import (
     CleanDoc,
     PipelineConfig,
     _lemmatize_stable,
+    _strip_links,
     lemmatize_token,
     load_lemma_exceptions,
     load_stopwords,
@@ -186,9 +193,32 @@ def test_normalize_deterministic(text):
     assert normalize_text(text, _CFG) == normalize_text(text, _CFG)
 
 
+# The regex chain that the link stripper and the per-run memo must equal.
+_URL_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://\S*|www\.\S*")
+_EMAIL_RE = re.compile(r"\S*@\S*\.\S*")
+_TAG_RE = re.compile(r"<[^<]*>")
+_DIGIT_RUN_RE = re.compile(r"\d+(?:[.,]\d+)*")
+_NON_ALNUM_RE = re.compile(r"[^a-z0-9]")
+
+
+def reference_normalize(raw, cfg):
+    """Each cleaning rule applied to the whole text, one after another."""
+    def placeholder(m):
+        s = m.string
+        left = " " if m.start() > 0 and s[m.start() - 1].isalnum() else ""
+        right = " " if m.end() < len(s) and s[m.end()].isalnum() else ""
+        return left + cfg.numeric_placeholder + right
+
+    s = _EMAIL_RE.sub("", _URL_RE.sub("", raw))
+    s = _TAG_RE.sub("", s)
+    s = s.encode("ascii", "ignore").decode("ascii").lower()
+    s = _DIGIT_RUN_RE.sub(placeholder, s)
+    return _NON_ALNUM_RE.sub(" ", s)
+
+
 def reference_tokens(doc, cfg):
-    """Lemmatize every token afresh, with no cache."""
-    tokens = tokenize_and_filter(normalize_text(doc.title + " " + doc.body, cfg), cfg)
+    """The reference chain, then every token lemmatized afresh, with no cache."""
+    tokens = tokenize_and_filter(reference_normalize(doc.title + " " + doc.body, cfg), cfg)
     lemmas = (_lemmatize_stable(t, cfg) for t in tokens)
     return tuple(t for t in lemmas if len(t) >= cfg.min_token_len and t not in cfg.stopword_list)
 
@@ -219,10 +249,78 @@ def test_cached_cleaning_matches_per_token_lemmatizer(docs):
     assert [preprocess_document(d, _lemma_cfg).tokens for d in docs] == expected
 
 
+# Pieces that fire each cleaning rule and sit on each edge between them:
+# Unicode whitespace that the ASCII fold deletes (so two runs can join),
+# \x1c-\x1f that it keeps, a zero-width space that is not whitespace, URL
+# schemes and "www." in both cases, emails, tags, digit runs with
+# separators, non-ASCII letters and digits, and words for every lemma rule.
+_WHITESPACE = [" ", "\n", "\u00a0", "\u2028", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\x85"]
+_RUN_PIECES = [
+    "\u200b", "<", ">", "@", "://", ":", "/", "www.", "WWW.", "w", "+", ".", "-", ",",
+    "1", "2.5", "3,000", "7.", "a", "Z", "x1", "é", "ß", "\u0663", "\u00b2",
+    "the", "went", "running", "houses", "ties", "passes", "Skiing", "stopped", "geese",
+]
+_runs = st.lists(st.sampled_from(_RUN_PIECES), max_size=12).map("".join)
+_texts = st.lists(st.sampled_from(_RUN_PIECES + _WHITESPACE), max_size=40).map("".join)
+_text_docs = st.lists(
+    st.builds(lambda t, b: Document(id="x", title=t, body=b), _texts, _texts), max_size=6
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_runs, _texts))
+def test_link_stripper_matches_the_regexes(text):
+    assert _strip_links(text) == _EMAIL_RE.sub("", _URL_RE.sub("", text))
+
+
+@settings(max_examples=300)
+@given(_texts)
+def test_normalize_matches_the_regex_chain(text):
+    for cfg in (_CFG, _lemma_cfg):
+        assert normalize_text(text, cfg) == reference_normalize(text, cfg)
+
+
+@settings(max_examples=200)
+@given(_text_docs)
+def test_cleaning_matches_the_regex_chain(docs):
+    for cfg in (_CFG, _lemma_cfg):
+        expected = [reference_tokens(d, cfg) for d in docs]
+        assert [c.tokens for c in preprocess_corpus(docs, cfg)] == expected
+        assert [preprocess_document(d, cfg).tokens for d in docs] == expected
+
+
+_PATHOLOGICAL_SNIPPET = """
+from verinews.corpus import Document
+from verinews.textprep import PipelineConfig, normalize_text, preprocess_document
+
+cfg = PipelineConfig.default()
+for text in ["a" * 10**6, "a@" * 500_000, "a@ " * 300_000, "1://" * 250_000, "www." * 250_000]:
+    normalize_text(text, cfg)
+    preprocess_document(Document(id="p", title=text, body=""), cfg)
+"""
+
+
+def test_pathological_inputs_clean_in_linear_time(child_env):
+    # The URL and email regexes backtracked over whole words: "a@" * 1000
+    # alone took 4 s, eight times the time of "a@" * 500. A child with a
+    # deadline turns a regression into a failure instead of a hung suite;
+    # all five inputs together take seconds, not minutes.
+    result = subprocess.run(
+        [sys.executable, "-c", _PATHOLOGICAL_SNIPPET],
+        capture_output=True, text=True, cwd=str(Path(__file__).parent), env=child_env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def _pool_docs():
     words = ["houses", "running", "went", "geese", "passes", "skiing", "the", "ties"]
     return [
-        Document(id=f"p{i}", title=" ".join(words[i % 8 :] + words[: i % 8]), body=f"{i} days")
+        Document(
+            id=f"p{i}",
+            title=" ".join(words[i % 8 :] + words[: i % 8]),
+            body=f"{i} days",
+            label=Label(i % 4),
+        )
         for i in range(40)
     ]
 
@@ -237,8 +335,10 @@ def test_pooled_chunks_match_the_uncached_reference():
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_pool_is_capped_at_the_core_count(monkeypatch, cores):
     # A forked pool starts all its processes at the first task, so a large
-    # worker count must not become that many processes.
-    sizes, chunks = [], []
+    # worker count must not become that many processes. The SGD fit is the
+    # only step that uses a pool; cleaning, the other fits and scoring run
+    # serially whatever the worker count.
+    sizes = []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -250,20 +350,22 @@ def test_pool_is_capped_at_the_core_count(monkeypatch, cores):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, parts):
-            chunks.extend(len(part) for part in parts)
-            return map(fn, parts)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(pipeline, "default_workers", lambda: cores)
     docs = _pool_docs()
-    pooled = preprocess_many(docs, _lemma_cfg, workers=10_000)
-    assert [c.tokens for c in pooled] == [reference_tokens(d, _lemma_cfg) for d in docs]
-    if cores == 1:
-        assert sizes == [] and chunks == []
-    else:
-        assert sizes == [cores]
-        assert max(chunks) == len(docs) // (cores * 4) and sum(chunks) == len(docs)
+    bundle, _ = train_bundle(docs, "sgd", FEATURE_TFIDF, _lemma_cfg, workers=10_000)
+    assert sizes == ([] if cores == 1 else [cores])
+
+    sizes.clear()
+    train_bundle(docs, "nb", FEATURE_COUNT, _lemma_cfg, workers=10_000)
+    train_bundle(docs, "lr", FEATURE_TFIDF, _lemma_cfg, workers=10_000)
+    predict_bundle(bundle, docs)
+    evaluate_bundle(bundle, docs)
+    preprocess_many(docs, _lemma_cfg, workers=2)
+    assert sizes == []
 
 
 _CFG = PipelineConfig.default()
