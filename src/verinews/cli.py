@@ -19,15 +19,9 @@ from pathlib import Path
 from .corpus import RawRecord, decode_utf8, parse_csv, to_documents
 from .errors import VerinewsError, VocabularyError
 from .metrics import render_confusion, render_report, report_from_json, report_to_json
-from .models import TrainConfig
+from .models import TrainConfig, default_workers
 from .persistence import FEATURE_COUNT, FEATURE_TFIDF, read_bundle, write_bundle
-from .pipeline import (
-    DEFAULT_FEATURES,
-    default_workers,
-    evaluate_bundle,
-    predict_bundle,
-    train_bundle,
-)
+from .pipeline import DEFAULT_FEATURES, evaluate_bundle, predict_bundle, train_bundle
 from .textprep import PipelineConfig, load_lemma_exceptions, load_stopwords, preprocess_corpus
 
 THREADS_ENV = "VERINEWS_THREADS"
@@ -50,6 +44,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config_file(getattr(args, "config", None), _config_keys(parser))
         _merge_config(parser, args, config)
+        if hasattr(args, "threads"):
+            args.threads = _resolve_threads(args)
         return args.run(args)
     except (UsageError, VerinewsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -109,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.set_defaults(run=_cmd_predict)
 
     rep = sub.add_parser("report", help="render a JSON eval report as text")
-    _common_flags(rep)
+    rep.add_argument("--config", help="flat key=value config file")
     rep.add_argument("--in", dest="input", required=True, help="JSON report path")
     rep.set_defaults(run=_cmd_report)
     return parser
@@ -162,7 +158,6 @@ def _cmd_prep(args) -> int:
     labeled = bool(records) and records[0].rating is not None
     docs = to_documents(records, labeled=labeled)
     cfg = _resolve_pipeline(args)
-    _resolve_threads(args)
     clean = preprocess_corpus(docs, cfg)
 
     rows = [
@@ -200,7 +195,7 @@ def _cmd_train(args) -> int:
             feature_kind,
             pipeline_cfg=_resolve_pipeline(args),
             train_cfg=_resolve_train_config(args),
-            workers=_resolve_threads(args),
+            workers=args.threads,
             created_at=_source_date_epoch(),
             **_given(args, "nb_alpha", "min_df", "max_df", "max_terms"),
         )
@@ -228,7 +223,6 @@ def _cmd_eval(args) -> int:
     if records[0].rating is None:
         raise UsageError(f"{args.input}: no rating column; evaluation needs labels")
     docs = to_documents(records, labeled=True)
-    _resolve_threads(args)
     report = evaluate_bundle(bundle, docs)
 
     if args.format == "json":
@@ -247,14 +241,11 @@ def _cmd_predict(args) -> int:
     bundle = read_bundle(args.model)
     docs = to_documents(_read_records(args.input), labeled=False)
     _warn_duplicate_ids([doc.id for doc in docs])
-    rows = []
-    if docs:
-        _resolve_threads(args)
-        preds, scores = predict_bundle(bundle, docs)
-        rows = [
-            [doc.id, label.display_name, *[repr(float(s)) for s in row]]
-            for doc, label, row in zip(docs, preds, scores)
-        ]
+    preds, scores = predict_bundle(bundle, docs)
+    rows = [
+        [doc.id, label.display_name, *[repr(float(s)) for s in row]]
+        for doc, label, row in zip(docs, preds, scores)
+    ]
     header = [
         "public_id",
         "predicted_label",
@@ -356,8 +347,10 @@ def _resolve_train_config(args) -> TrainConfig:
 def _resolve_threads(args) -> int:
     """--threads or config threads= > VERINEWS_THREADS > all cores.
 
-    Only train --model sgd uses the count. prep, eval and predict clean
-    serially and check it all the same, so a bad count exits 2 on each.
+    main checks the count for every subcommand that declares --threads,
+    before the command runs. Only train --model sgd uses it; prep, eval and
+    predict reject a bad count all the same, so a config file or environment
+    shared with train fails the same way on each.
     """
     workers = args.threads
     if workers is None and os.environ.get(THREADS_ENV):

@@ -4,9 +4,9 @@ one-vs-rest logistic / hinge linear models on TF-IDF vectors.
 All training is deterministic. The SGD classifier shuffles with a PCG64
 generator seeded from the training config, so a fixed seed reproduces
 bit-identical weights on any platform. Its four one-vs-rest subproblems
-can run concurrently on a process pool with the same result, and its step
-loop keeps BLAS out of the fit (see _sgd_binary), so the weights do not
-depend on the BLAS thread count either.
+can run concurrently on a process pool that sgd_fit opens, with the same
+result, and its step loop keeps BLAS out of the fit (see _sgd_binary), so
+the weights do not depend on the BLAS thread count either.
 
 The logistic classifier is fitted by LIBLINEAR's trust-region Newton
 method, written here with numpy reductions in place of BLAS calls, so its
@@ -20,7 +20,8 @@ never pay the fifth of a second that importing scipy.sparse takes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -31,6 +32,9 @@ from .errors import DimensionMismatchError, TrainingError
 from .features import CSR, SparseVector, class_sums, row_dots, stack
 
 N_CLASSES = 4
+
+# Below this many training documents a pool costs more than it saves.
+PARALLEL_MIN_DOCS = 32
 
 # A CSR matrix with one row per document, or the documents' vectors, which
 # are stacked once.
@@ -351,9 +355,11 @@ def linear_decision(model: LinearModel, x: SparseVector) -> np.ndarray:
     return decision_scores(model, [x])[0]
 
 
-def sgd_fit(
-    X: FeatureRows, y: list[Label], cfg: TrainConfig, pool: Executor | None = None
-) -> LinearModel:
+def default_workers() -> int:
+    return os.cpu_count() or 1
+
+
+def sgd_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig, workers: int = 1) -> LinearModel:
     """Fit four one-vs-rest hinge classifiers by per-example SGD.
 
     Per example: s = w.x + b; the L2 penalty (sgd_alpha/2)*||w||^2 decays w
@@ -362,20 +368,40 @@ def sgd_fit(
     spawned from cfg.seed. Training stops early once the mean epoch
     objective improves by less than sgd_tol.
 
-    The four subproblems share nothing, so a pool fits them concurrently;
-    results are gathered in class order and equal the serial fit bit for
-    bit. Without a pool they run one after another in this process.
+    The four subproblems share nothing. With workers > 1 and at least
+    PARALLEL_MIN_DOCS documents they run on min(workers, cores, N_CLASSES)
+    processes, as a forked pool starts them all at its first task. The
+    initializer hands each process the problem once (under fork, without a
+    copy), so a task carries only a class index and its seed. Results are
+    gathered in class order and equal the serial fit bit for bit.
     """
     X_csr, labels = _check_training_inputs(X, y)
     seeds = np.random.SeedSequence(cfg.seed).spawn(N_CLASSES)
-    fit = partial(_sgd_binary, X_csr, labels, cfg)
-    results = list((pool.map if pool is not None else map)(fit, range(N_CLASSES), seeds))
+    workers = min(workers, default_workers(), N_CLASSES)
+    if workers <= 1 or X_csr.shape[0] < PARALLEL_MIN_DOCS:
+        results = list(map(partial(_sgd_binary, X_csr, labels, cfg), range(N_CLASSES), seeds))
+    else:
+        problem = (X_csr, labels, cfg)
+        with ProcessPoolExecutor(workers, initializer=_set_sgd_problem, initargs=problem) as pool:
+            results = list(pool.map(_sgd_pooled_class, range(N_CLASSES), seeds))
 
     weights = np.stack([w for w, _, _ in results])
     bias = np.array([b for _, b, _ in results])
     converged = all(stopped for _, _, stopped in results)
     _check_finite(weights, bias)
     return LinearModel(weights=weights, bias=bias, kind=KIND_HINGE, converged=converged)
+
+
+_sgd_problem: tuple = ()  # (X, labels, cfg) in a pool process; see sgd_fit
+
+
+def _set_sgd_problem(*problem):
+    global _sgd_problem
+    _sgd_problem = problem
+
+
+def _sgd_pooled_class(c, seed):
+    return _sgd_binary(*_sgd_problem, c, seed)
 
 
 def _sgd_binary(X, labels, cfg, c, seed):

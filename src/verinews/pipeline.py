@@ -3,17 +3,13 @@
 These functions tie the modules together behind the bundle abstraction so
 the CLI, the demos, and library users share one code path. Cleaning is
 serial: it maps each distinct whitespace run once per call, which beats a
-process pool at every corpus size the benchmark runs. Only the SGD fit
-fans its four classes out over a pool when asked; its results are identical
-to the serial fit because each class's fit is a pure function.
+process pool at every corpus size the benchmark runs. The worker count
+passes through to models.sgd_fit, which alone decides whether to fan its
+four classes out over a pool of its own.
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +22,7 @@ from .models import (
     FeatureRows,
     TrainConfig,
     decision_scores,
+    default_workers,  # noqa: F401 - re-exported as part of pipeline's API
     lr_fit,
     nb_fit,
     predict_labels,
@@ -33,9 +30,6 @@ from .models import (
 )
 from .persistence import FEATURE_COUNT, FEATURE_TFIDF, ModelBundle
 from .textprep import CleanDoc, PipelineConfig, preprocess_corpus
-
-# Below this many training documents a pool costs more than it saves.
-PARALLEL_MIN_DOCS = 32
 
 MODEL_NB = "nb"
 MODEL_LR = "lr"
@@ -51,10 +45,6 @@ class TrainSummary:
     converged: bool | None  # None for models without an iterative fit
 
 
-def default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 def preprocess_many(
     docs: list[Document], cfg: PipelineConfig, workers: int = 1
 ) -> list[CleanDoc]:
@@ -64,18 +54,6 @@ def preprocess_many(
     serial call faster than a pool at the sizes the benchmark runs.
     """
     return preprocess_corpus(docs, cfg)
-
-
-@contextmanager
-def _worker_pool(workers: int, n_docs: int) -> Iterator[ProcessPoolExecutor | None]:
-    """A pool of at most one process per core, since a forked pool starts
-    them all at its first task; None where serial wins."""
-    workers = min(workers, default_workers())
-    if workers <= 1 or n_docs < PARALLEL_MIN_DOCS:
-        yield None
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool
 
 
 def train_bundle(
@@ -93,7 +71,7 @@ def train_bundle(
 ) -> tuple[ModelBundle, TrainSummary]:
     """Full training pass: clean, build vocabulary, featurize, fit.
 
-    workers sizes the pool that the SGD fit runs its four classes on.
+    workers caps the SGD fit's process pool; see models.sgd_fit.
     """
     if model_kind not in DEFAULT_FEATURES:
         raise ValueError(f"unknown model kind {model_kind!r}")
@@ -116,10 +94,7 @@ def train_bundle(
         model = lr_fit(X, labels, train_cfg)
         converged = model.converged
     else:
-        # The only pool of a run. It forks at the first class task, after X
-        # exists, so its processes share the parent's pages copy-on-write.
-        with _worker_pool(workers, len(docs)) as pool:
-            model = sgd_fit(X, labels, train_cfg, pool=pool)
+        model = sgd_fit(X, labels, train_cfg, workers=workers)
         converged = model.converged
 
     bundle = ModelBundle(

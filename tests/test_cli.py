@@ -281,12 +281,18 @@ def test_config_format_json_writes_the_flag_bytes(tmp_path, train_csv, nb_bundle
     json.loads(via_config.read_text())
 
 
-def test_report_checks_config_threads_like_the_flag(tmp_path, capsys):
-    # report declares --threads without using it; its config value is still checked.
+def test_report_ignores_config_threads(tmp_path, capsys):
+    # report starts no pool and takes no --threads, so a config file shared
+    # with train may hold a threads= value that report never reads.
+    report = tmp_path / "r.json"
+    report.write_text('{"confusion": [[3, 1, 0, 0], [0, 2, 0, 0], [1, 0, 2, 0], [0, 0, 0, 1]]}')
     cfgfile = tmp_path / "v.conf"
     cfgfile.write_text("threads=abc\n", encoding="utf-8")
-    assert run("report", "--in", tmp_path / "r.json", "--config", cfgfile) == 2
-    assert "config key 'threads'" in capsys.readouterr().err
+    assert run("report", "--in", report) == 0
+    rendered = capsys.readouterr().out
+    assert "Accuracy=" in rendered and "macro F1" in rendered
+    assert run("report", "--in", report, "--config", cfgfile) == 0
+    assert capsys.readouterr().out == rendered
 
 
 class TestPredict:
@@ -447,15 +453,22 @@ class TestThreads:
             monkeypatch.setenv(cli.THREADS_ENV, value)
         out = tmp_path / "out"
         extra = ["--out", out] if command == "prep" else ["--model", nb_bundle, "--out", out]
-        assert run(command, "--in", train_csv, *extra, *flags) == 2
-        assert "thread" in capsys.readouterr().err.lower()
-        assert not out.exists()
+        # A header-only CSV gives the command no rows to work on; the count
+        # is still checked.
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("public_id,title,text\n", encoding="utf-8")
+        for data in (train_csv, header_only):
+            assert run(command, "--in", data, *extra, *flags) == 2
+            assert "thread" in capsys.readouterr().err.lower()
+            assert not out.exists()
 
     def test_precedence_flag_config_env_cores(self, monkeypatch):
         parser = cli._build_parser()
 
         def threads(flags, config):
-            args = parser.parse_args(["report", "--in", "r.json", *flags])
+            args = parser.parse_args(
+                ["predict", "--in", "x.csv", "--model", "m", "--out", "p.csv", *flags]
+            )
             cli._merge_config(parser, args, config)
             return cli._resolve_threads(args)
 
@@ -616,7 +629,7 @@ def test_any_input_bytes_exit_0_or_2(any_input_dir, data, model):
         run("train", *common, "--model", model, "--out", d / "m.bundle"),
         run("eval", *common, "--model", d / "nb.bundle", "--format", "json", "--out", d / "r.json"),
         run("predict", *common, "--model", d / "nb.bundle", "--out", d / "p.csv"),
-        run("report", *common),
+        run("report", "--in", d / "in.csv"),
     ]
     assert set(codes) <= {0, 2}, codes
 

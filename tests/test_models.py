@@ -1,5 +1,5 @@
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -502,12 +502,16 @@ class TestSgd:
         assert m.bias.tobytes() == bias.tobytes()
         assert m.converged == converged
 
-    def test_pooled_fit_equals_serial_fit(self):
+    def test_pooled_fit_equals_serial_fit(self, monkeypatch):
+        # Two cores on any host, so the fit opens a real pool of two.
+        monkeypatch.setattr(models, "default_workers", lambda: 2)
         X, labels = _random_multiclass_problem(np.random.default_rng(23), n=300, dim=80)
         y = [Label(int(c)) for c in labels]
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = [sgd_fit(X, y, cfg, pool=pool) for cfg in SGD_CONFIGS]
-        for cfg, m in zip(SGD_CONFIGS, pooled):
+        for cfg in SGD_CONFIGS:
+            m = sgd_fit(X, y, cfg, workers=2)
+            # The pool is shut down before the fit returns: no worker is
+            # left running.
+            assert multiprocessing.active_children() == []
             serial = sgd_fit(X, y, cfg)
             assert m.weights.tobytes() == serial.weights.tobytes()
             assert m.bias.tobytes() == serial.bias.tobytes()

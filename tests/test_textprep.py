@@ -1,12 +1,14 @@
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verinews import pipeline
+from verinews import models
 from verinews.corpus import Document, Label
 from verinews.persistence import FEATURE_COUNT, FEATURE_TFIDF
 from verinews.pipeline import evaluate_bundle, predict_bundle, preprocess_many, train_bundle
@@ -332,17 +334,20 @@ def test_pooled_chunks_match_the_uncached_reference():
     assert [c.tokens for c in pooled] == [reference_tokens(d, _lemma_cfg) for d in docs]
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
 def test_pool_is_capped_at_the_core_count(monkeypatch, cores):
     # A forked pool starts all its processes at the first task, so a large
-    # worker count must not become that many processes. The SGD fit is the
-    # only step that uses a pool; cleaning, the other fits and scoring run
-    # serially whatever the worker count.
-    sizes = []
+    # worker count must not become that many processes, nor more than the
+    # four classes can use. The SGD fit is the only step that uses a pool;
+    # cleaning, the other fits and scoring run serially whatever the worker
+    # count.
+    sizes, problems, tasks = [], [], []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            problems.append(initargs)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -351,13 +356,22 @@ def test_pool_is_capped_at_the_core_count(monkeypatch, cores):
             return False
 
         def map(self, fn, *iterables):
+            tasks.extend((fn, *args) for args in zip(*iterables))
             return map(fn, *iterables)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(pipeline, "default_workers", lambda: cores)
+    monkeypatch.setattr(models, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(models, "default_workers", lambda: cores)
+    monkeypatch.setattr(models, "_sgd_problem", ())
     docs = _pool_docs()
     bundle, _ = train_bundle(docs, "sgd", FEATURE_TFIDF, _lemma_cfg, workers=10_000)
-    assert sizes == ([] if cores == 1 else [cores])
+    assert sizes == ([] if cores == 1 else [min(cores, models.N_CLASSES)])
+    # Each task carries a class index and its seed, never the matrix: the
+    # initializer hands the problem to each process once.
+    if cores > 1:
+        assert [c for _, c, _ in tasks] == list(range(models.N_CLASSES))
+        assert all(isinstance(seed, np.random.SeedSequence) for *_, seed in tasks)
+        matrix = problems[0][0].data.tobytes()
+        assert not any(matrix in pickle.dumps(task) for task in tasks)
 
     sizes.clear()
     train_bundle(docs, "nb", FEATURE_COUNT, _lemma_cfg, workers=10_000)
