@@ -5,6 +5,11 @@ order, so two runs over the same corpus (in any document order) produce
 bit-identical feature matrices. IDF uses the smoothed form
 ln((1 + N) / (1 + df)) + 1 and TF-IDF vectors are L2-normalized.
 
+Training takes its vocabulary, IDF and matrix from one count matrix over
+every distinct token (fit_features). A row stores each column at most
+once, so column entry counts are the document frequencies, and df pruning
+drops columns from that matrix and renumbers the rest.
+
 A corpus is one CSR matrix, and the two products the models need, row
 dot products and per-class column sums, are np.bincount kernels over its
 arrays. bincount adds in storage order, so each sum is the sequential sum
@@ -13,7 +18,6 @@ that scipy.sparse computes, bit for bit, without importing scipy.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -154,26 +158,9 @@ def build_vocabulary(
     max_df: int | None = None,
     max_terms: int | None = None,
 ) -> Vocabulary:
-    """Index every distinct corpus token lexicographically.
-
-    Pruning is off by default. min_df/max_df bound the term's document
-    frequency (absolute counts, inclusive); max_terms keeps the highest-df
-    terms, breaking ties lexicographically so the result stays independent
-    of document order. A bound below 1 raises VocabularyError.
-    """
-    for param, value in (("min_df", min_df), ("max_df", max_df), ("max_terms", max_terms)):
-        if value is not None and value < 1:
-            raise VocabularyError(param, value)
-    df: Counter[str] = Counter()
-    for doc in corpus:
-        df.update(set(doc.tokens))
-    kept = [
-        t for t, n in df.items() if n >= min_df and (max_df is None or n <= max_df)
-    ]
-    if max_terms is not None and len(kept) > max_terms:
-        kept.sort(key=lambda t: (-df[t], t))
-        kept = kept[:max_terms]
-    return Vocabulary(term_to_index={t: i for i, t in enumerate(sorted(kept))})
+    """The vocabulary of fit_features."""
+    vocab, _, _ = fit_features(corpus, False, min_df, max_df, max_terms)
+    return vocab
 
 
 def fit_idf(corpus: list[CleanDoc], vocab: Vocabulary) -> IdfWeights:
@@ -182,14 +169,62 @@ def fit_idf(corpus: list[CleanDoc], vocab: Vocabulary) -> IdfWeights:
     df counts documents containing the term at least once; terms in the
     vocabulary but absent from the corpus get df = 0.
     """
-    n_docs = len(corpus)
-    df = np.zeros(vocab.size, dtype=np.float64)
-    lookup = vocab.term_to_index
-    for doc in corpus:
-        seen = {lookup[t] for t in set(doc.tokens) if t in lookup}
-        if seen:
-            df[np.fromiter(seen, dtype=np.int64, count=len(seen))] += 1.0
-    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+    _, indices, _ = _featurize_arrays(corpus, vocab, None)
+    return _idf(np.bincount(indices, minlength=vocab.size), len(corpus))
+
+
+def fit_features(
+    corpus: list[CleanDoc],
+    tfidf: bool,
+    min_df: int = 1,
+    max_df: int | None = None,
+    max_terms: int | None = None,
+) -> tuple[Vocabulary, IdfWeights | None, CSR]:
+    """Vocabulary, IDF (with ``tfidf``, else None) and featurize's matrix
+    of a training corpus.
+
+    The vocabulary indexes every distinct corpus token lexicographically.
+    Pruning is off by default. min_df/max_df bound the term's document
+    frequency (absolute counts, inclusive); max_terms keeps the highest-df
+    terms, breaking ties lexicographically so the result stays independent
+    of document order. A bound below 1 raises VocabularyError.
+    """
+    for param, value in (("min_df", min_df), ("max_df", max_df), ("max_terms", max_terms)):
+        if value is not None and value < 1:
+            raise VocabularyError(param, value)
+    terms = sorted(set(chain.from_iterable(d.tokens for d in corpus)))
+    vocab = Vocabulary(term_to_index={t: i for i, t in enumerate(terms)})
+    indptr, indices, data = _featurize_arrays(corpus, vocab, None)
+    df = np.bincount(indices, minlength=vocab.size)
+
+    keep = df >= min_df
+    if max_df is not None:
+        keep &= df <= max_df
+    if max_terms is not None and np.count_nonzero(keep) > max_terms:
+        # Columns are in term order, so the stable sort breaks df ties on the term.
+        candidates = np.flatnonzero(keep)
+        keep[:] = False
+        keep[candidates[np.argsort(-df[candidates], kind="stable")[:max_terms]]] = True
+    if not keep.all():
+        # Renumbering the kept columns in order keeps each row sorted.
+        kept_entries = keep[indices]
+        indptr = np.concatenate(([0], np.cumsum(kept_entries)))[indptr]
+        indices = (np.cumsum(keep) - 1)[indices[kept_entries]]
+        data = data[kept_entries]
+        terms = [t for t, k in zip(terms, keep.tolist()) if k]
+        vocab = Vocabulary(term_to_index={t: i for i, t in enumerate(terms)})
+        df = df[keep]
+
+    idf = None
+    if tfidf:
+        idf = _idf(df, len(corpus))
+        _scale_rows(indptr, indices, data, idf)
+    X = CSR(data=data, indices=indices, indptr=indptr, shape=(len(corpus), vocab.size))
+    return vocab, idf, X
+
+
+def _idf(df: np.ndarray, n_docs: int) -> IdfWeights:
+    idf = np.log((1.0 + n_docs) / (1.0 + df.astype(np.float64))) + 1.0
     return IdfWeights(idf=idf, n_docs=n_docs)
 
 
@@ -237,14 +272,19 @@ def _featurize_arrays(
     indices = keys % max(dim, 1)
     data = counts.astype(np.float64)
     if idf is not None:
-        data *= idf.idf[indices]
-        # Each norm is summed over its own row, as a one-row sum would be;
-        # a segmented reduction changes the last bits of some norms.
-        squares = data**2
-        bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
-        norms = np.sqrt([np.add.reduce(squares[lo:hi]) for lo, hi in bounds])
-        data /= np.repeat(norms, np.diff(indptr))
+        _scale_rows(indptr, indices, data, idf)
     return indptr, indices, data
+
+
+def _scale_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, idf: IdfWeights):
+    """Scale counts by IDF and L2-normalize each row, in place."""
+    data *= idf.idf[indices]
+    # Each norm is summed over its own row, as a one-row sum would be;
+    # a segmented reduction changes the last bits of some norms.
+    squares = data**2
+    bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    norms = np.sqrt([np.add.reduce(squares[lo:hi]) for lo, hi in bounds])
+    data /= np.repeat(norms, np.diff(indptr))
 
 
 def stack(vectors: list[SparseVector]) -> CSR:

@@ -3,10 +3,14 @@ one-vs-rest logistic / hinge linear models on TF-IDF vectors.
 
 All training is deterministic. The SGD classifier shuffles with a PCG64
 generator seeded from the training config, so a fixed seed reproduces
-bit-identical weights on any platform. Its four one-vs-rest subproblems
-can run concurrently on a process pool that sgd_fit opens, with the same
-result, and its step loop keeps BLAS out of the fit (see _sgd_binary), so
-the weights do not depend on the BLAS thread count either.
+bit-identical weights on a given numpy and BLAS build. Its four
+one-vs-rest subproblems can run concurrently on a process pool that
+sgd_fit opens, with the same result, and its step loop keeps BLAS threads
+out of the fit, so the weights do not depend on the BLAS thread count
+either. Each step's score is still one short BLAS ddot, whose kernel may
+round differently from a sum in storage order; the weights use the score
+only through the margin test, where that has not changed a weight (see
+_sgd_binary).
 
 The logistic classifier is fitted by LIBLINEAR's trust-region Newton
 method, written here with numpy reductions in place of BLAS calls, so its
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -381,6 +384,8 @@ def sgd_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig, workers: int = 1) 
     if workers <= 1 or X_csr.shape[0] < PARALLEL_MIN_DOCS:
         results = list(map(partial(_sgd_binary, X_csr, labels, cfg), range(N_CLASSES), seeds))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled fit pays its import
+
         problem = (X_csr, labels, cfg)
         with ProcessPoolExecutor(workers, initializer=_set_sgd_problem, initargs=problem) as pool:
             results = list(pool.map(_sgd_pooled_class, range(N_CLASSES), seeds))
@@ -408,11 +413,18 @@ def _sgd_binary(X, labels, cfg, c, seed):
     """(w, b, stopped) for class c against the rest, shuffled by seed.
 
     The step loop runs on Python floats and lists. Its one BLAS call is a
-    ddot over one row's terms, far below OpenBLAS's threading threshold;
-    the once-per-epoch ||w||^2 of length V uses a numpy reduction instead
-    of a ddot, which for V above 10 000 would wake a BLAS helper thread
-    that then spins for the rest of the fit. That term only feeds the
-    stopping test.
+    ddot over one row's terms, far below OpenBLAS's threading threshold,
+    so the thread count cannot change it; the once-per-epoch ||w||^2 of
+    length V uses a numpy reduction instead of a ddot, which for V above
+    10 000 would wake a BLAS helper thread that then spins for the rest of
+    the fit. That term only feeds the stopping test.
+
+    The ddot's kernel still matters: under OpenBLAS 0.3.31 (DYNAMIC_ARCH)
+    it differs in the last bit from a storage-order sum for about a fifth
+    of random 3-term rows. The weights read the score s only in the test
+    y*s < 1, and replacing the ddot with a storage-order sum left every
+    weight bit-identical on both benchmark corpora (seeds 7 and 23). A
+    BLAS build whose rounding flips that test would change the weights.
     """
     n, dim = X.shape
     y_pm = np.where(labels == c, 1.0, -1.0)

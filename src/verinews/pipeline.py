@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import ClassCounts, Document, Label, dataset_stats
 from .errors import TrainingError
-from .features import build_vocabulary, featurize, fit_idf
+from .features import featurize, fit_features
 from .metrics import EvalReport, classification_report, confusion_matrix
 from .models import (
     FeatureRows,
@@ -81,11 +81,10 @@ def train_bundle(
     train_cfg = train_cfg or TrainConfig()
 
     clean = preprocess_corpus(docs, pipeline_cfg)
-    vocab = build_vocabulary(clean, min_df=min_df, max_df=max_df, max_terms=max_terms)
+    vocab, idf, X = fit_features(
+        clean, feature_kind == FEATURE_TFIDF, min_df=min_df, max_df=max_df, max_terms=max_terms
+    )
     labels = [d.label for d in clean]
-
-    idf = fit_idf(clean, vocab) if feature_kind == FEATURE_TFIDF else None
-    X = featurize(clean, vocab, idf)
 
     if model_kind == MODEL_NB:
         model = nb_fit(X, labels, alpha=nb_alpha)

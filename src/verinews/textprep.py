@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -68,6 +69,11 @@ class PipelineConfig:
             raise ValueError(f"numeric_placeholder shorter than min_token_len: {p!r}")
         if p in self.stopword_list:
             raise ValueError(f"numeric_placeholder is a stop word: {p!r}")
+
+    @cached_property
+    def longest_exception(self) -> int:
+        """Length of the longest lemma exception surface (0 for none)."""
+        return max(map(len, self.lemma_exceptions), default=0)
 
     @classmethod
     def default(cls) -> "PipelineConfig":
@@ -273,12 +279,36 @@ def _lemmatize_stable(token: str, cfg: PipelineConfig) -> str:
     # ("houses" -> "hous" -> "hou" in one call, not across two passes).
     # Every suffix rule shortens the token; the bound guards exception
     # tables that map between surfaces.
-    for _ in range(len(token) + 1):
+    steps = len(token) + 1
+    if len(token) > cfg.longest_exception:
+        token, steps = _strip_long(token, cfg.longest_exception, steps)
+    for _ in range(steps):
         lemma = lemmatize_token(token, cfg)
         if lemma == token:
             return token
         token = lemma
     return token
+
+
+# The suffix rules read at most a token's last 5 characters (-sses, or -ing
+# after a doubled consonant), and every stem-length test passes on 8.
+_RULE_WINDOW = 8
+_NO_EXCEPTIONS = PipelineConfig()
+
+
+def _strip_long(token: str, longest: int, steps: int) -> tuple[str, int]:
+    """Suffix rules, bar -ies>-y, while the token is longer than ``longest``
+    (so no exception applies); returns it and the steps left. Each rule
+    copies only the last _RULE_WINDOW characters, not the whole token."""
+    end = len(token)
+    while steps and end > longest and not token.endswith("ies", 0, end):
+        window = token[max(0, end - _RULE_WINDOW) : end]
+        cut = len(window) - len(lemmatize_token(window, _NO_EXCEPTIONS))
+        if not cut:
+            break
+        end -= cut
+        steps -= 1
+    return token[:end], steps
 
 
 def preprocess_document(doc: Document, cfg: PipelineConfig) -> CleanDoc:

@@ -638,7 +638,7 @@ _IMPORTS_SNIPPET = """
 import json, sys
 from verinews import cli
 
-watched = ("scipy", "scipy.sparse", "scipy.optimize", "scipy.special")
+watched = ("scipy", "scipy.sparse", "scipy.optimize", "scipy.special", "concurrent.futures.process")
 d, steps = sys.argv[1], json.loads(sys.argv[2])
 loaded = {}
 for step, argv in [["import", None], *steps]:
@@ -661,7 +661,8 @@ def _modules_loaded_by(d, steps, env):
 def test_only_lr_training_loads_the_optimizer(tmp_path, child_env):
     # Importing scipy.sparse costs every CLI process about a fifth of a
     # second and scipy.optimize a third more; only the LR fit uses scipy,
-    # and only its sparse products.
+    # and only its sparse products. Only a pooled SGD fit (not run here:
+    # --threads 1) loads the process-pool module.
     _write_labeled(tmp_path / "train.csv")
     train = ["--in", "train.csv"]
     lr = _modules_loaded_by(

@@ -16,6 +16,7 @@ from verinews.features import (
     class_sums,
     count_transform,
     featurize,
+    fit_features,
     fit_idf,
     row_dots,
     stack,
@@ -303,6 +304,75 @@ def test_featurize_matches_per_document_reference(train, scored, min_df):
             got = count_transform(d, vocab) if weights is None else tfidf_transform(d, vocab, idf)
             assert got.indices.tolist() == want.indices.tolist()
             assert got.values.tobytes() == want.values.tobytes()
+
+
+# The vocabulary and IDF as first written: a Counter over each document's
+# token set, then a set of columns per document.
+def reference_vocabulary(corpus, min_df=1, max_df=None, max_terms=None):
+    df = Counter()
+    for d in corpus:
+        df.update(set(d.tokens))
+    kept = [t for t, n in df.items() if n >= min_df and (max_df is None or n <= max_df)]
+    if max_terms is not None and len(kept) > max_terms:
+        kept.sort(key=lambda t: (-df[t], t))
+        kept = kept[:max_terms]
+    return Vocabulary(term_to_index={t: i for i, t in enumerate(sorted(kept))})
+
+
+def reference_idf(corpus, vocab):
+    df = np.zeros(vocab.size, dtype=np.float64)
+    lookup = vocab.term_to_index
+    for d in corpus:
+        seen = {lookup[t] for t in set(d.tokens) if t in lookup}
+        if seen:
+            df[np.fromiter(seen, dtype=np.int64, count=len(seen))] += 1.0
+    return IdfWeights(idf=np.log((1.0 + len(corpus)) / (1.0 + df)) + 1.0, n_docs=len(corpus))
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_fit_tokens = st.text(alphabet="abcde", min_size=1, max_size=2)
+_fit_docs = st.lists(
+    st.lists(_fit_tokens, max_size=10).map(lambda ts: CleanDoc(id="t", tokens=tuple(ts))),
+    max_size=10,
+)
+_bound = st.one_of(st.none(), st.integers(1, 12))
+
+
+@settings(max_examples=400)
+@given(
+    corpus=_fit_docs, min_df=st.integers(1, 12), max_df=_bound, max_terms=_bound, tfidf=st.booleans()
+)
+def test_fit_features_matches_the_per_document_reference(corpus, min_df, max_df, max_terms, tfidf):
+    # Covers the empty corpus, empty documents, df ties under max_terms and
+    # bounds that prune every term.
+    vocab, idf, X = fit_features(corpus, tfidf, min_df, max_df, max_terms)
+    want_vocab = reference_vocabulary(corpus, min_df, max_df, max_terms)
+    assert list(vocab.term_to_index.items()) == list(want_vocab.term_to_index.items())
+    want_idf = reference_idf(corpus, want_vocab) if tfidf else None
+    if tfidf:
+        assert idf.n_docs == want_idf.n_docs
+        assert_same_array(idf.idf, want_idf.idf)
+    else:
+        assert idf is None
+    want = featurize(corpus, want_vocab, want_idf)
+    assert X.shape == want.shape
+    for field in ("data", "indices", "indptr"):
+        assert_same_array(getattr(X, field), getattr(want, field))
+    assert build_vocabulary(corpus, min_df, max_df, max_terms) == want_vocab
+    assert_same_array(fit_idf(corpus, want_vocab).idf, reference_idf(corpus, want_vocab).idf)
+
+
+def test_fit_features_edge_cases():
+    vocab, idf, X = fit_features([], True)
+    assert vocab.size == 0 and idf.n_docs == 0 and X.shape == (0, 0)
+    vocab, idf, X = fit_features([doc(), doc("cat")], True, min_df=2)
+    assert vocab.size == 0 and idf.idf.size == 0
+    assert X.shape == (2, 0) and X.indptr.tolist() == [0, 0, 0]
+    with pytest.raises(VocabularyError, match="max_terms"):
+        fit_features([doc("cat")], False, max_terms=0)
 
 
 def test_featurize_edge_shapes(small_vocab):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import pickle
 import re
 import subprocess
@@ -218,11 +219,108 @@ def reference_normalize(raw, cfg):
     return _NON_ALNUM_RE.sub(" ", s)
 
 
+def reference_lemmatize_token(token, cfg):
+    """The lemma rules written out one by one, each copying the token."""
+    exception = cfg.lemma_exceptions.get(token)
+    if exception is not None:
+        return exception
+    if token.endswith("ies"):
+        return token[:-3] + "y"
+    if token.endswith("sses"):
+        return token[:-2]
+    if token.endswith("es") and len(token) - 2 >= 3:
+        return token[:-2]
+    if token.endswith("s") and not token.endswith("ss") and len(token) - 1 >= 3:
+        return token[:-1]
+    for suffix in ("ing", "ed"):
+        if token.endswith(suffix) and len(token) - len(suffix) >= 3:
+            stem = token[: -len(suffix)]
+            if stem[-1] == stem[-2] and stem[-1] not in "aeiou":
+                return stem[:-1]
+            return stem
+    return token
+
+
+def reference_lemmatize_stable(token, cfg):
+    """reference_lemmatize_token to a fixed point, or len(token) + 1 steps."""
+    for _ in range(len(token) + 1):
+        lemma = reference_lemmatize_token(token, cfg)
+        if lemma == token:
+            return token
+        token = lemma
+    return token
+
+
 def reference_tokens(doc, cfg):
     """The reference chain, then every token lemmatized afresh, with no cache."""
     tokens = tokenize_and_filter(reference_normalize(doc.title + " " + doc.body, cfg), cfg)
-    lemmas = (_lemmatize_stable(t, cfg) for t in tokens)
+    lemmas = (reference_lemmatize_stable(t, cfg) for t in tokens)
     return tuple(t for t in lemmas if len(t) >= cfg.min_token_len and t not in cfg.stopword_list)
+
+
+# Tokens and exception tables built from suffix pieces, so rules fire in
+# chains and stripping a long token can land on a table key; table values
+# may be keys too, which makes cycles.
+_suffix_tokens = st.lists(
+    st.sampled_from(["s", "es", "ies", "sses", "ing", "ed", "e", "d", "i", "n", "g", "bb", "y"]),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=400)
+@given(
+    keys=st.lists(_suffix_tokens, max_size=6),
+    values=st.lists(_suffix_tokens, max_size=6),
+    tokens=st.lists(_suffix_tokens, max_size=10),
+    tails=st.lists(_suffix_tokens, max_size=4),
+    default=st.booleans(),
+)
+def test_lemmatizer_matches_the_copying_reference(keys, values, tokens, tails, default):
+    table = dict(zip(keys, values + keys[1:] + keys[:1]))
+    cfg = _CFG if default else PipelineConfig(lemma_exceptions=table)
+    candidates = [*tokens, *keys, *values, *(k + t for k in keys for t in tails)]
+    for token in candidates:
+        assert lemmatize_token(token, cfg) == reference_lemmatize_token(token, cfg)
+        assert _lemmatize_stable(token, cfg) == reference_lemmatize_stable(token, cfg)
+
+
+def test_longest_exception_follows_the_table_in_use():
+    assert _CFG.longest_exception == max(map(len, _CFG.lemma_exceptions))
+    # Stripping "-eses" from a 23-letter token lands on a 19-letter key,
+    # which the suffix rules alone would strip further.
+    long_key = PipelineConfig(lemma_exceptions={"abracadabrazzzzzzes": "magic"})
+    assert long_key.longest_exception == 19
+    assert _lemmatize_stable("abracadabrazzzzzzeseses", long_key) == "magic"
+    assert _lemmatize_stable("abracadabrazzzzzzeseses", _CFG) == "abracadabrazzzzzz"
+    assert PipelineConfig().longest_exception == 0
+    # A cycle in the table ends when the step budget runs out, so the
+    # result depends on how many steps the suffix rules used first.
+    cycle = PipelineConfig(lemma_exceptions={"bbb": "ddd", "ddd": "bbb"})
+    for token in ("bbbes", "bbbeses", "bbbs"):
+        assert _lemmatize_stable(token, cycle) == reference_lemmatize_stable(token, cycle)
+
+
+_LONG_TOKEN_SNIPPET = """
+from verinews.corpus import Document
+from verinews.textprep import PipelineConfig, _lemmatize_stable, preprocess_document
+
+cfg = PipelineConfig.default()
+for token in ["es" * 500_000, "ed" * 500_000, "ing" * 333_334, "sses" * 250_000, "s" * 10**6]:
+    _lemmatize_stable(token, cfg)
+    preprocess_document(Document(id="p", title=token, body=""), cfg)
+assert _lemmatize_stable("ab" + "es" * 500_000, cfg) == "abe"
+"""
+
+
+def test_one_megabyte_token_lemmatizes_in_linear_time(child_env):
+    # Each suffix rule once copied the rest of the token, so "es" * n took
+    # time quadratic in n: 0.17 s at n = 20 000, and minutes for a 1 MB
+    # token. Now all five inputs take seconds.
+    result = subprocess.run(
+        [sys.executable, "-c", _LONG_TOKEN_SNIPPET],
+        capture_output=True, text=True, cwd=str(Path(__file__).parent), env=child_env, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # Stems and suffixes that fire every lemma rule, lemmas the filters drop
@@ -359,7 +457,7 @@ def test_pool_is_capped_at_the_core_count(monkeypatch, cores):
             tasks.extend((fn, *args) for args in zip(*iterables))
             return map(fn, *iterables)
 
-    monkeypatch.setattr(models, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(models, "default_workers", lambda: cores)
     monkeypatch.setattr(models, "_sgd_problem", ())
     docs = _pool_docs()
