@@ -6,7 +6,7 @@ SGD hinge), evaluation reports, and a self-contained binary model bundle.
 """
 
 from .corpus import ClassCounts, Document, Label, RawRecord, dataset_stats, parse_csv, parse_label, to_documents
-from .features import IdfWeights, SparseVector, Vocabulary, build_vocabulary, count_transform, featurize, fit_idf, tfidf_transform
+from .features import IdfWeights, Vocabulary, build_vocabulary, featurize, fit_idf
 from .metrics import (
     ClassMetrics,
     Confusion,
@@ -19,8 +19,8 @@ from .metrics import (
     render_confusion,
     render_report,
 )
-from .models import LinearModel, NbModel, TrainConfig, linear_decision, lr_fit, nb_fit, nb_log_posterior, predict, sgd_fit
-from .persistence import ModelBundle, load_bundle, read_bundle, save_bundle, write_bundle
+from .models import LinearModel, NbModel, TrainConfig, decision_scores, lr_fit, nb_fit, predict_labels, sgd_fit
+from .persistence import ModelBundle, load_bundle, read_bundle, save_bundle_bytes, write_bundle
 from .pipeline import evaluate_bundle, predict_bundle, train_bundle
 from .textprep import CleanDoc, PipelineConfig, lemmatize_token, normalize_text, preprocess_document, tokenize_and_filter
 

@@ -44,7 +44,7 @@ class VocabularyError(VerinewsError):
 
 
 class DimensionMismatchError(VerinewsError):
-    """A vector's dimensionality does not match the model/vocabulary."""
+    """A feature matrix's column count does not match the model/vocabulary."""
 
 
 class ReportError(VerinewsError):

@@ -1,4 +1,4 @@
-"""Vocabulary construction and sparse count / TF-IDF document vectors.
+"""Vocabulary construction and sparse count / TF-IDF feature matrices.
 
 The vocabulary indexes every distinct training token in lexicographic
 order, so two runs over the same corpus (in any document order) produce
@@ -92,51 +92,6 @@ def class_sums(X: CSR, labels: np.ndarray, n_classes: int) -> np.ndarray:
     keys = labels[row_ids(X)] * dim + X.indices
     sums = np.bincount(keys, weights=X.data, minlength=n_classes * dim)
     return sums.reshape(n_classes, dim)
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Strictly increasing (index, weight) pairs; no explicit zeros stored."""
-
-    indices: np.ndarray  # int64
-    values: np.ndarray  # float64
-    dim: int
-
-    def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if indices.shape != values.shape or indices.ndim != 1:
-            raise ValueError("indices and values must be 1-d arrays of equal length")
-        if indices.size:
-            if indices[0] < 0 or indices[-1] >= self.dim:
-                raise ValueError("index out of range for dim")
-            if (indices[1:] <= indices[:-1]).any():
-                raise ValueError("indices must be strictly increasing")
-        if (values <= 0.0).any():
-            raise ValueError("weights must be positive (zeros are not stored)")
-        indices.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_counts(cls, counts: dict[int, float], dim: int) -> "SparseVector":
-        items = sorted((i, w) for i, w in counts.items() if w != 0.0)
-        indices = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
-        values = np.fromiter((w for _, w in items), dtype=np.float64, count=len(items))
-        return cls(indices=indices, values=values, dim=dim)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        dense[self.indices] = self.values
-        return dense
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values**2)))
 
 
 @dataclass(frozen=True)
@@ -239,18 +194,6 @@ def featurize(
     return CSR(data=data, indices=indices, indptr=indptr, shape=(len(clean), vocab.size))
 
 
-def count_transform(doc: CleanDoc, vocab: Vocabulary) -> SparseVector:
-    """Raw term counts of one document; see featurize."""
-    _, indices, data = _featurize_arrays([doc], vocab, None)
-    return SparseVector(indices=indices, values=data, dim=vocab.size)
-
-
-def tfidf_transform(doc: CleanDoc, vocab: Vocabulary, idf: IdfWeights) -> SparseVector:
-    """L2-normalized TF-IDF weights of one document; see featurize."""
-    _, indices, data = _featurize_arrays([doc], vocab, idf)
-    return SparseVector(indices=indices, values=data, dim=vocab.size)
-
-
 def _featurize_arrays(
     clean: list[CleanDoc], vocab: Vocabulary, idf: IdfWeights | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,16 +230,34 @@ def _scale_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, idf: 
     data /= np.repeat(norms, np.diff(indptr))
 
 
-def stack(vectors: list[SparseVector]) -> CSR:
-    """Stack per-document vectors into one CSR matrix for batched math."""
-    if not vectors:
-        raise ValueError("cannot stack an empty vector list")
-    dim = vectors[0].dim
-    for v in vectors:
-        if v.dim != dim:
-            raise DimensionMismatchError(f"mixed dims in stack: {v.dim} != {dim}")
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([v.nnz for v in vectors])
-    indices = np.concatenate([v.indices for v in vectors])
-    data = np.concatenate([v.values for v in vectors])
-    return CSR(data=data, indices=indices, indptr=indptr, shape=(len(vectors), dim))
+# One-row matrices and their stack, for callers that featurize document by
+# document; the library itself featurizes a corpus at once.
+
+
+def count_transform(doc: CleanDoc, vocab: Vocabulary) -> CSR:
+    """featurize([doc], vocab)."""
+    return featurize([doc], vocab)
+
+
+def tfidf_transform(doc: CleanDoc, vocab: Vocabulary, idf: IdfWeights) -> CSR:
+    """featurize([doc], vocab, idf)."""
+    return featurize([doc], vocab, idf)
+
+
+def stack(rows: list[CSR]) -> CSR:
+    """The matrices' rows, in order, as one matrix."""
+    if not rows:
+        raise ValueError("cannot stack an empty list of rows")
+    dim = rows[0].shape[1]
+    for X in rows:
+        if X.shape[1] != dim:
+            raise DimensionMismatchError(f"mixed column counts in stack: {X.shape[1]} != {dim}")
+    # Row lengths are the steps along the joined indptr arrays, less the
+    # step from each matrix's last entry to the next matrix's first.
+    n_rows = [X.shape[0] for X in rows]
+    steps = np.diff(np.concatenate([X.indptr for X in rows]))
+    lengths = np.delete(steps, np.cumsum(n_rows[:-1], dtype=np.int64) + np.arange(len(rows) - 1))
+    indptr = np.concatenate((np.zeros(1, np.int64), np.cumsum(lengths)))
+    indices = np.concatenate([X.indices for X in rows])
+    data = np.concatenate([X.data for X in rows])
+    return CSR(data=data, indices=indices, indptr=indptr, shape=(len(lengths), dim))

@@ -32,16 +32,16 @@ import numpy as np
 
 from .corpus import Label
 from .errors import DimensionMismatchError, TrainingError
-from .features import CSR, SparseVector, class_sums, row_dots, stack
+from .features import CSR, class_sums, row_dots, stack
 
 N_CLASSES = 4
 
 # Below this many training documents a pool costs more than it saves.
 PARALLEL_MIN_DOCS = 32
 
-# A CSR matrix with one row per document, or the documents' vectors, which
+# A CSR matrix with one row per document, or a list of matrices whose rows
 # are stacked once.
-FeatureRows = CSR | list[SparseVector]
+FeatureRows = CSR | list[CSR]
 
 # LIBLINEAR's trust-region rules: a step is accepted when the actual
 # reduction exceeds ETA[0] times the predicted one; the ratio picks how the
@@ -147,7 +147,7 @@ def decision_scores(model: NbModel | LinearModel, X: FeatureRows) -> np.ndarray:
     else:
         weights, offsets = model.weights, model.bias
     if X.shape[1] != weights.shape[1]:
-        raise DimensionMismatchError(f"vector dim {X.shape[1]} != model dim {weights.shape[1]}")
+        raise DimensionMismatchError(f"{X.shape[1]} feature columns != model dim {weights.shape[1]}")
     return row_dots(X, weights) + offsets
 
 
@@ -164,16 +164,6 @@ def predict_labels(scores: np.ndarray) -> list[Label]:
     if not np.all(np.any(np.isfinite(scores), axis=1)):
         raise ValueError("all class scores are -inf; no class is predictable")
     return [Label(int(i)) for i in np.argmax(scores, axis=1)]
-
-
-def nb_log_posterior(model: NbModel, x: SparseVector) -> np.ndarray:
-    """Unnormalized log posterior per class for one vector."""
-    return decision_scores(model, [x])[0]
-
-
-def predict(scores: np.ndarray) -> Label:
-    """predict_labels for one row of scores."""
-    return predict_labels(np.asarray(scores, dtype=np.float64)[None, :])[0]
 
 
 def logistic_objective(z, X, y_pm, C):
@@ -353,11 +343,6 @@ def _steihaug_cg(g, hessp, radius):
         return s + tau * d, r - tau * hd
 
 
-def linear_decision(model: LinearModel, x: SparseVector) -> np.ndarray:
-    """Per-class decision scores w_c . x + b_c for one vector."""
-    return decision_scores(model, [x])[0]
-
-
 def default_workers() -> int:
     return os.cpu_count() or 1
 
@@ -469,7 +454,7 @@ def _sgd_binary(X, labels, cfg, c, seed):
 
 
 def _training_data(X: FeatureRows, y: list[Label]) -> tuple[CSR, np.ndarray]:
-    """(matrix, label codes); a vector list is stacked once."""
+    """(matrix, label codes); a list of matrices is stacked once."""
     if isinstance(X, list):
         if not X:
             raise TrainingError("empty training set")
@@ -477,7 +462,7 @@ def _training_data(X: FeatureRows, y: list[Label]) -> tuple[CSR, np.ndarray]:
     if X.shape[0] == 0:
         raise TrainingError("empty training set")
     if X.shape[0] != len(y):
-        raise TrainingError(f"{X.shape[0]} vectors but {len(y)} labels")
+        raise TrainingError(f"{X.shape[0]} feature rows but {len(y)} labels")
     labels = np.fromiter((int(label) for label in y), dtype=np.int64, count=len(y))
     return X, labels
 

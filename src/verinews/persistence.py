@@ -13,10 +13,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class ModelBundle:
         return self.pipeline.digest()
 
 
-def save_bundle(bundle: ModelBundle, sink: IO[bytes]) -> None:
-    sink.write(save_bundle_bytes(bundle))
-
-
 def save_bundle_bytes(bundle: ModelBundle) -> bytes:
     payload = b"".join(
         _section(tag, body)
@@ -96,9 +92,14 @@ def write_bundle(bundle: ModelBundle, path: str | Path) -> None:
     Path(path).write_bytes(save_bundle_bytes(bundle))
 
 
-def load_bundle(source: bytes | IO[bytes]) -> ModelBundle:
-    """Exact inverse of save_bundle; re-validates every invariant."""
-    blob = source if isinstance(source, bytes) else source.read()
+def load_bundle(blob: bytes) -> ModelBundle:
+    """Exact inverse of save_bundle_bytes; re-validates every invariant.
+
+    Fails closed on any bytes that the decoded bundle would not save back
+    to: sections out of order, repeated or unknown, unread bytes in a
+    section, metadata JSON not in its compact sorted form, and fields
+    whose decoded value would save differently.
+    """
     reader = _Reader(blob)
 
     if reader.take(len(MAGIC), "magic") != MAGIC:
@@ -121,6 +122,9 @@ def load_bundle(source: bytes | IO[bytes]) -> ModelBundle:
     vocab = _decode_vocab(sections)
     idf = _decode_idf(sections)
     model = _decode_model(sections, meta["model_kind"])
+    for tag, section in sections.items():
+        if section.remaining():
+            raise BundleIntegrityError(f"{section.remaining()} unread bytes in section {tag}")
 
     if pipeline.digest() != meta["pipeline_digest"]:
         raise BundleValidationError(
@@ -168,6 +172,10 @@ def _encode_meta(bundle: ModelBundle) -> bytes:
         "n_train_docs": bundle.n_train_docs,
         "pipeline_digest": bundle.pipeline_digest,
     }
+    return _meta_json(meta)
+
+
+def _meta_json(meta: dict) -> bytes:
     return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -243,10 +251,17 @@ class _Reader:
 
 
 def _split_sections(payload: bytes) -> dict[int, _Reader]:
+    """Section readers by id; ids must be known and strictly increasing."""
     reader = _Reader(payload)
     sections: dict[int, _Reader] = {}
+    last = 0
     while reader.remaining():
         tag, length = struct.unpack("<IQ", reader.take(12, "section header"))
+        if not last < tag <= _SECTION_MODEL:
+            raise BundleIntegrityError(
+                f"section {tag} after section {last}: unknown, repeated or out of order"
+            )
+        last = tag
         sections[tag] = _Reader(reader.take(length, f"section {tag}"))
     return sections
 
@@ -258,19 +273,28 @@ def _require(sections: dict[int, _Reader], tag: int, name: str) -> _Reader:
 
 
 def _decode_meta(sections) -> dict:
-    raw = _require(sections, _SECTION_META, "metadata").blob
+    r = _require(sections, _SECTION_META, "metadata")
+    raw = r.take(r.remaining(), "metadata")
     try:
         meta = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleIntegrityError(f"unreadable metadata: {exc}") from exc
-    for key in ("created_at", "feature_kind", "model_kind", "n_train_docs", "pipeline_digest"):
-        if key not in meta:
-            raise BundleValidationError(key, "missing from metadata")
-    if meta["model_kind"] not in _MODEL_CODES:
+    keys = ["created_at", "feature_kind", "model_kind", "n_train_docs", "pipeline_digest"]
+    if not isinstance(meta, dict) or sorted(meta) != keys:
+        raise BundleValidationError("metadata", f"must be an object with exactly the keys {keys}")
+    if _meta_json(meta) != raw:
+        raise BundleIntegrityError("metadata is not compact JSON with sorted keys")
+    if not isinstance(meta["model_kind"], str) or meta["model_kind"] not in _MODEL_CODES:
         raise BundleValidationError("model_kind", f"unknown kind {meta['model_kind']!r}")
-    if not isinstance(meta["n_train_docs"], int) or meta["n_train_docs"] < 0:
+    if not _is_int(meta["n_train_docs"]) or meta["n_train_docs"] < 0:
         raise BundleValidationError("n_train_docs", "must be a non-negative integer")
+    if meta["created_at"] is not None and not _is_int(meta["created_at"]):
+        raise BundleValidationError("created_at", "must be an integer or null")
     return meta
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _decode_pipeline(sections) -> PipelineConfig:
@@ -278,16 +302,15 @@ def _decode_pipeline(sections) -> PipelineConfig:
     placeholder = r.take_str("placeholder")
     (min_len,) = struct.unpack("<I", r.take(4, "min_token_len"))
     (n_stop,) = struct.unpack("<I", r.take(4, "stopword count"))
-    stopwords = frozenset(r.take_str("stopword") for _ in range(n_stop))
+    stopwords = [r.take_str("stopword") for _ in range(n_stop)]
     (n_lemma,) = struct.unpack("<I", r.take(4, "lemma count"))
-    lemmas = {}
-    for _ in range(n_lemma):
-        surface = r.take_str("lemma surface")
-        lemmas[surface] = r.take_str("lemma target")
+    lemmas = [(r.take_str("lemma surface"), r.take_str("lemma target")) for _ in range(n_lemma)]
+    _require_increasing("stopwords", stopwords)
+    _require_increasing("lemma_exceptions", [surface for surface, _ in lemmas])
     try:
         return PipelineConfig(
-            stopword_list=stopwords,
-            lemma_exceptions=lemmas,
+            stopword_list=frozenset(stopwords),
+            lemma_exceptions=dict(lemmas),
             numeric_placeholder=placeholder,
             min_token_len=min_len,
         )
@@ -299,10 +322,16 @@ def _decode_vocab(sections) -> Vocabulary:
     r = _require(sections, _SECTION_VOCAB, "vocabulary")
     (count,) = struct.unpack("<Q", r.take(8, "vocabulary size"))
     terms = [r.take_str("vocabulary term") for _ in range(count)]
-    for a, b in zip(terms, terms[1:]):
-        if not a < b:
-            raise BundleValidationError("vocab", f"terms out of order: {a!r} !< {b!r}")
+    _require_increasing("vocab", terms)
     return Vocabulary(term_to_index={t: i for i, t in enumerate(terms)})
+
+
+def _require_increasing(field: str, strings: list[str]) -> None:
+    """Strings saved sorted must load strictly increasing, so that no
+    reordering or repeat re-saves to other bytes."""
+    for a, b in zip(strings, strings[1:]):
+        if not a < b:
+            raise BundleValidationError(field, f"out of order: {a!r} !< {b!r}")
 
 
 def _decode_idf(sections) -> IdfWeights | None:
@@ -335,6 +364,8 @@ def _decode_model(sections, expected_kind: str) -> NbModel | LinearModel:
             vocab_size=int(v),
         )
     v, converged = struct.unpack("<QB", r.take(9, "linear header"))
+    if converged > 1:
+        raise BundleValidationError("converged", f"flag byte {converged} is not 0 or 1")
     weights = np.frombuffer(r.take(8 * N_CLASSES * v, "weights"), dtype="<f8").copy()
     bias = np.frombuffer(r.take(8 * N_CLASSES, "bias"), dtype="<f8").copy()
     return LinearModel(
@@ -360,6 +391,8 @@ def _validate(bundle: ModelBundle) -> None:
 
     model = bundle.model
     if isinstance(model, NbModel):
+        if not 0 < model.alpha < math.inf:
+            raise BundleValidationError("alpha", f"{model.alpha} is not positive and finite")
         if model.vocab_size != vocab_size:
             raise BundleValidationError(
                 "model", f"nb vocab_size {model.vocab_size} != vocabulary size {vocab_size}"

@@ -19,16 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csr_rows import csr_rows
 from test_models import brute_force_nb_optimal
 
 import verinews
 from verinews.corpus import Label, read_csv, to_documents
-from verinews.features import (
-    SparseVector,
-    build_vocabulary,
-    fit_idf,
-    tfidf_transform,
-)
+from verinews.features import build_vocabulary, featurize, fit_idf, row_ids
 from verinews.metrics import (
     Confusion,
     class_metrics,
@@ -38,12 +34,11 @@ from verinews.metrics import (
 )
 from verinews.models import (
     TrainConfig,
-    linear_decision,
+    decision_scores,
     logistic_objective,
     lr_fit,
     nb_fit,
-    nb_log_posterior,
-    predict,
+    predict_labels,
     sgd_fit,
 )
 from verinews.persistence import ModelBundle, load_bundle, save_bundle_bytes
@@ -127,19 +122,13 @@ def test_nb_matches_probability_space_oracle():
             n_classes = int(rng.integers(1, 4))
             counts = rng.integers(0, 4, size=(n_docs, dim)).tolist()
             labels = [int(c) for c in rng.integers(0, n_classes, size=n_docs)]
-            X = [
-                SparseVector.from_counts({i: c for i, c in enumerate(row) if c}, dim)
-                for row in counts
-            ]
+            X = csr_rows([dict(enumerate(row)) for row in counts], dim)
             model = nb_fit(X, [Label(c) for c in labels])
-            for _ in range(10):
-                probe = rng.integers(0, 4, size=dim).tolist()
-                x = SparseVector.from_counts(
-                    {i: c for i, c in enumerate(probe) if c}, dim
-                )
-                got = int(predict(nb_log_posterior(model, x)))
+            probes = [rng.integers(0, 4, size=dim).tolist() for _ in range(10)]
+            scores = decision_scores(model, csr_rows([dict(enumerate(p)) for p in probes], dim))
+            for probe, got in zip(probes, predict_labels(scores)):
                 optimal = brute_force_nb_optimal(counts, labels, probe, model.alpha, 4)
-                mismatches += got not in optimal
+                mismatches += int(got) not in optimal
         assert mismatches == 0
 
 
@@ -151,9 +140,9 @@ def test_tfidf_reference_weights_and_unit_norms():
         ]
         vocab = build_vocabulary(corpus)
         idf = fit_idf(corpus, vocab)
-        v = tfidf_transform(corpus[0], vocab, idf)
-        assert v.values[vocab.term_to_index["cat"]] == pytest.approx(0.81481, abs=1e-5)
-        assert v.values[vocab.term_to_index["dog"]] == pytest.approx(0.57973, abs=1e-5)
+        v = featurize(corpus[:1], vocab, idf).toarray()[0]
+        assert v[vocab.term_to_index["cat"]] == pytest.approx(0.81481, abs=1e-5)
+        assert v[vocab.term_to_index["dog"]] == pytest.approx(0.57973, abs=1e-5)
 
         rng = np.random.default_rng(7)
         terms = [f"t{i:02d}" for i in range(40)]
@@ -166,14 +155,12 @@ def test_tfidf_reference_weights_and_unit_norms():
         ]
         big_vocab = build_vocabulary(pool)
         big_idf = fit_idf(pool, big_vocab)
-        checked = 0
-        for i in range(10_000):
-            doc = pool[i % len(pool)]
-            vec = tfidf_transform(doc, big_vocab, big_idf)
-            if vec.nnz:
-                assert abs(vec.norm() - 1.0) <= 1e-9
-                checked += 1
-        assert checked > 5000
+        X = featurize([pool[i % len(pool)] for i in range(10_000)], big_vocab, big_idf)
+        # Each row's norm summed over that row alone.
+        norms = np.sqrt(np.bincount(row_ids(X), weights=X.data**2, minlength=X.shape[0]))
+        nonempty = np.diff(X.indptr) > 0
+        assert np.all(np.abs(norms[nonempty] - 1.0) <= 1e-9)
+        assert np.count_nonzero(nonempty) > 5000
 
 
 def test_lr_gradient_matches_finite_differences():
@@ -186,14 +173,8 @@ def test_lr_gradient_matches_finite_differences():
             rows = []
             for _ in range(n):
                 cols = rng.choice(dim, size=int(rng.integers(2, 6)), replace=False)
-                rows.append(
-                    SparseVector.from_counts(
-                        {int(c): float(rng.uniform(0.1, 2.0)) for c in cols}, dim
-                    )
-                )
-            from verinews.features import stack
-
-            X = stack(rows)
+                rows.append({int(c): float(rng.uniform(0.1, 2.0)) for c in cols})
+            X = csr_rows(rows, dim)
             y_pm = np.where(rng.integers(0, 2, size=n) == 1, 1.0, -1.0)
             z = rng.normal(size=dim + 1)
             _, grad = logistic_objective(z, X, y_pm, 100.0)
@@ -215,15 +196,16 @@ _SGD_SNIPPET = """
 import hashlib
 import numpy as np
 from verinews.corpus import Label
-from verinews.features import SparseVector
+from verinews.features import CSR, stack
 from verinews.models import TrainConfig, sgd_fit
 
-X = [
-    SparseVector.from_counts({0: 0.9, 2: 0.1}, 3),
-    SparseVector.from_counts({1: 0.8, 2: 0.2}, 3),
-    SparseVector.from_counts({0: 0.7, 1: 0.3}, 3),
-    SparseVector.from_counts({2: 1.0}, 3),
-] * 5
+rows = CSR(
+    data=np.array([0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 1.0]),
+    indices=np.array([0, 2, 1, 2, 0, 1, 2]),
+    indptr=np.array([0, 2, 4, 6, 7]),
+    shape=(4, 3),
+)
+X = stack([rows] * 5)
 y = [Label.FALSE, Label.TRUE, Label.FALSE, Label.PARTIALLY_FALSE] * 5
 m = sgd_fit(X, y, TrainConfig(seed=__SEED__))
 print(hashlib.sha256(m.weights.tobytes() + m.bias.tobytes()).hexdigest())
@@ -267,9 +249,10 @@ def test_sgd_seed_determinism_across_processes():
 
 
 def _random_count_doc(rng, dim):
+    """{column: count} of a random document."""
     k = int(rng.integers(0, min(dim, 6) + 1))
     cols = rng.choice(dim, size=k, replace=False)
-    return SparseVector.from_counts({int(c): float(rng.integers(1, 4)) for c in cols}, dim)
+    return {int(c): float(rng.integers(1, 4)) for c in cols}
 
 
 def test_bundle_round_trip_preserves_scores():
@@ -284,10 +267,8 @@ def test_bundle_round_trip_preserves_scores():
         pipeline = PipelineConfig.default()
         labels = [d.label for d in docs]
 
-        from verinews.features import count_transform
-
-        count_vecs = [count_transform(d, vocab) for d in docs]
-        tfidf_vecs = [tfidf_transform(d, vocab, idf) for d in docs]
+        count_vecs = featurize(docs, vocab)
+        tfidf_vecs = featurize(docs, vocab, idf)
 
         fits = {
             "nb": (nb_fit(count_vecs, labels), "count", None),
@@ -307,15 +288,10 @@ def test_bundle_round_trip_preserves_scores():
             loaded = load_bundle(first)
             assert save_bundle_bytes(loaded) == first, kind
 
-            probes = [_random_count_doc(rng, vocab.size) for _ in range(100)]
-            for x in probes:
-                if kind == "nb":
-                    before = nb_log_posterior(model, x)
-                    after = nb_log_posterior(loaded.model, x)
-                else:
-                    before = linear_decision(model, x)
-                    after = linear_decision(loaded.model, x)
-                assert before.tobytes() == after.tobytes(), kind
+            probes = csr_rows([_random_count_doc(rng, vocab.size) for _ in range(100)], vocab.size)
+            before = decision_scores(model, probes)
+            after = decision_scores(loaded.model, probes)
+            assert before.tobytes() == after.tobytes(), kind
 
 
 def test_full_corpus_reproduction():
@@ -357,7 +333,7 @@ def test_imbalanced_priors_drive_oov_prediction():
                 Label(int(rng.integers(1, 4))) for _ in range(n - majority)
             ]
             dim = int(rng.integers(1, 8))
-            X = [_random_count_doc(rng, dim) for _ in range(n)]
+            X = csr_rows([_random_count_doc(rng, dim) for _ in range(n)], dim)
             model = nb_fit(X, labels)
-            oov = SparseVector.from_counts({}, dim)
-            assert predict(nb_log_posterior(model, oov)) == Label.FALSE
+            oov = csr_rows([{}], dim)
+            assert predict_labels(decision_scores(model, oov)) == [Label.FALSE]

@@ -12,6 +12,8 @@ from verinews.models import TrainConfig
 from verinews.persistence import read_bundle, save_bundle_bytes
 from verinews.pipeline import DEFAULT_FEATURES, train_bundle
 
+from test_persistence import NON_CANONICAL, _edited
+
 LABELED_ROWS = [
     ("a1", "You Can Be Fined 1500 If Your Passenger Is Unbuckled", "Distracted driving causes more deaths officials say", "FALSE"),
     ("a2", "Missouri lawmakers condemn Las Vegas shooting", "Missouri politicians have made statements after the shooting", "partially false"),
@@ -236,6 +238,14 @@ class TestEval:
         broken = tmp_path / "broken.bundle"
         broken.write_bytes(nb_bundle.read_bytes()[:-3])
         assert run("eval", "--in", train_csv, "--model", broken) == 2
+
+    @pytest.mark.parametrize("name", NON_CANONICAL)
+    def test_non_canonical_bundle_is_exit_2(self, tmp_path, train_csv, name):
+        model, edit = NON_CANONICAL[name]
+        bundle = tmp_path / f"{model}.bundle"
+        assert run("train", "--model", model, "--in", train_csv, "--out", bundle, "--threads", 1) == 0
+        bundle.write_bytes(_edited(bundle.read_bytes(), edit))
+        assert run("eval", "--in", train_csv, "--model", bundle) == 2
 
     def test_eval_never_mutates_the_bundle(self, tmp_path, train_csv, nb_bundle):
         # held-out data carries OOV terms; they are dropped, not learned

@@ -6,11 +6,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from csr_rows import csr_rows
 from verinews.errors import DimensionMismatchError, VocabularyError
 from verinews.features import (
     CSR,
     IdfWeights,
-    SparseVector,
     Vocabulary,
     build_vocabulary,
     class_sums,
@@ -85,17 +85,17 @@ class TestVocabulary:
 
 class TestCountTransform:
     def test_direct_count(self, small_vocab):
-        v = count_transform(doc("dog", "dog", "cat"), small_vocab)
-        assert v.dim == 3
+        v = featurize([doc("dog", "dog", "cat")], small_vocab)
+        assert v.shape == (1, 3)
         assert v.indices.tolist() == [0, 1]
-        assert v.values.tolist() == [1.0, 2.0]
+        assert v.data.tolist() == [1.0, 2.0]
 
     def test_oov_dropped(self, small_vocab):
-        v = count_transform(doc("zebra"), small_vocab)
-        assert v.nnz == 0 and v.dim == 3
+        v = featurize([doc("zebra")], small_vocab)
+        assert v.nnz == 0 and v.shape == (1, 3)
 
     def test_empty_doc(self, small_vocab):
-        assert count_transform(doc(), small_vocab).nnz == 0
+        assert featurize([doc()], small_vocab).nnz == 0
 
 
 class TestIdf:
@@ -140,29 +140,29 @@ class TestTfidf:
         corpus = [doc("cat", "dog"), doc("dog")]
         vocab = build_vocabulary(corpus)
         idf = fit_idf(corpus, vocab)
-        v = tfidf_transform(corpus[0], vocab, idf)
+        v = featurize(corpus[:1], vocab, idf)
         # oracle: recompute by hand from the formula
         cat, dog_ = math.log(3 / 2) + 1, 1.0
         norm = math.hypot(cat, dog_)
-        assert v.values[0] == pytest.approx(cat / norm, abs=1e-12)
-        assert v.values[1] == pytest.approx(dog_ / norm, abs=1e-12)
-        assert v.values[0] == pytest.approx(0.81481, abs=1e-5)
-        assert v.values[1] == pytest.approx(0.57973, abs=1e-5)
+        assert v.data[0] == pytest.approx(cat / norm, abs=1e-12)
+        assert v.data[1] == pytest.approx(dog_ / norm, abs=1e-12)
+        assert v.data[0] == pytest.approx(0.81481, abs=1e-5)
+        assert v.data[1] == pytest.approx(0.57973, abs=1e-5)
 
     def test_single_term_doc_normalizes_to_one(self):
         corpus = [doc("solo"), doc("noise")]
         vocab = build_vocabulary(corpus)
         idf = fit_idf(corpus, vocab)
-        v = tfidf_transform(doc("solo", "solo"), vocab, idf)
-        assert v.values.tolist() == [1.0]
+        v = featurize([doc("solo", "solo")], vocab, idf)
+        assert v.data.tolist() == [1.0]
 
     def test_all_oov_stays_zero(self, small_vocab):
         idf = fit_idf([doc("cat"), doc("dog")], small_vocab)
-        assert tfidf_transform(doc("zebra"), small_vocab, idf).nnz == 0
+        assert featurize([doc("zebra")], small_vocab, idf).nnz == 0
 
     def test_idf_length_mismatch_rejected(self, small_vocab):
         with pytest.raises(DimensionMismatchError):
-            tfidf_transform(doc("cat"), small_vocab, IdfWeights(idf=np.ones(1), n_docs=1))
+            featurize([doc("cat")], small_vocab, IdfWeights(idf=np.ones(1), n_docs=1))
 
 
 _token = st.text(alphabet="abcdefg", min_size=3, max_size=6)
@@ -173,26 +173,30 @@ _docs = st.lists(
 )
 
 
+def row_slices(X):
+    """(columns, weights) of each row of X."""
+    bounds = zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist())
+    return [(X.indices[lo:hi], X.data[lo:hi]) for lo, hi in bounds]
+
+
 @settings(max_examples=150)
 @given(_docs)
 def test_nonzero_tfidf_vectors_have_unit_norm(corpus):
     vocab = build_vocabulary(corpus)
-    idf = fit_idf(corpus, vocab)
-    for d in corpus:
-        v = tfidf_transform(d, vocab, idf)
-        if v.nnz:
-            assert abs(v.norm() - 1.0) <= 1e-9
+    X = featurize(corpus, vocab, fit_idf(corpus, vocab))
+    for _, weights in row_slices(X):
+        if weights.size:
+            assert abs(np.sqrt(np.sum(weights**2)) - 1.0) <= 1e-9
 
 
 @settings(max_examples=150)
 @given(_docs)
 def test_count_weights_are_integers_summing_to_kept_tokens(corpus):
     vocab = build_vocabulary(corpus)
-    for d in corpus:
-        v = count_transform(d, vocab)
-        assert np.all(v.values == np.round(v.values))
+    for d, (_, weights) in zip(corpus, row_slices(featurize(corpus, vocab))):
+        assert np.all(weights == np.round(weights))
         kept = sum(1 for t in d.tokens if t in vocab.term_to_index)
-        assert v.values.sum() == kept
+        assert weights.sum() == kept
 
 
 @settings(max_examples=50)
@@ -203,75 +207,58 @@ def test_transforms_bit_identical_across_runs(corpus):
     assert va == vb
     ia, ib = fit_idf(corpus, va), fit_idf(corpus, vb)
     assert ia.idf.tobytes() == ib.idf.tobytes()
-    for d in corpus:
-        ta, tb = tfidf_transform(d, va, ia), tfidf_transform(d, vb, ib)
-        assert ta.indices.tobytes() == tb.indices.tobytes()
-        assert ta.values.tobytes() == tb.values.tobytes()
+    assert_same_csr(featurize(corpus, va, ia), featurize(list(corpus), vb, ib))
 
 
-class TestSparseVector:
-    def test_from_counts_sorts_and_drops_zeros(self):
-        v = SparseVector.from_counts({5: 2.0, 1: 1.0, 3: 0.0}, dim=6)
-        assert v.indices.tolist() == [1, 5]
-        assert v.values.tolist() == [1.0, 2.0]
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ValueError, match="increasing"):
-            SparseVector(indices=np.array([3, 1]), values=np.array([1.0, 1.0]), dim=5)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="range"):
-            SparseVector(indices=np.array([7]), values=np.array([1.0]), dim=5)
-
-    def test_rejects_stored_zeros_and_negatives(self):
-        with pytest.raises(ValueError):
-            SparseVector(indices=np.array([0]), values=np.array([0.0]), dim=2)
-        with pytest.raises(ValueError):
-            SparseVector(indices=np.array([0]), values=np.array([-1.0]), dim=2)
-
-    def test_to_dense(self):
-        v = SparseVector.from_counts({0: 1.0, 2: 3.0}, dim=4)
-        assert v.to_dense().tolist() == [1.0, 0.0, 3.0, 0.0]
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for field in ("data", "indices", "indptr"):
+        assert_same_array(getattr(a, field), getattr(b, field))
 
 
 class TestStack:
     def test_shape_and_contents(self):
-        vs = [SparseVector.from_counts({0: 1.0}, 3), SparseVector.from_counts({2: 2.0}, 3)]
-        m = stack(vs)
-        assert m.shape == (2, 3)
-        assert m.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+        m = stack([csr_rows([{0: 1.0}, {}], 3), csr_rows([{2: 2.0}], 3)])
+        assert m.shape == (3, 3)
+        assert m.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+        assert_same_csr(m, csr_rows([{0: 1.0}, {}, {2: 2.0}], 3))
 
     def test_all_empty_rows(self):
-        vs = [SparseVector.from_counts({}, 3)] * 2
-        assert stack(vs).nnz == 0
+        assert stack([csr_rows([{}], 3)] * 2).nnz == 0
 
     def test_mixed_dims_rejected(self):
-        vs = [SparseVector.from_counts({0: 1.0}, 3), SparseVector.from_counts({0: 1.0}, 4)]
         with pytest.raises(DimensionMismatchError):
-            stack(vs)
+            stack([csr_rows([{0: 1.0}], 3), csr_rows([{0: 1.0}], 4)])
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            stack([])
 
 
 # Reference per-document transforms, written out independently of featurize:
 # a Counter per document, then the L2 norm of each document on its own.
 def reference_count(d, vocab):
     counts = Counter(vocab.term_to_index[t] for t in d.tokens if t in vocab.term_to_index)
-    return SparseVector.from_counts(counts, dim=vocab.size)
+    return csr_rows([counts], vocab.size)
 
 
 def reference_tfidf(d, vocab, idf):
     counts = reference_count(d, vocab)
-    if counts.nnz == 0:
-        return counts
-    weighted = counts.values * idf.idf[counts.indices]
-    weighted = weighted / np.sqrt(np.sum(weighted**2))
-    return SparseVector(indices=counts.indices, values=weighted, dim=vocab.size)
+    weighted = counts.data * idf.idf[counts.indices]
+    if counts.nnz:
+        weighted = weighted / np.sqrt(np.sum(weighted**2))
+    return CSR(data=weighted, indices=counts.indices, indptr=counts.indptr, shape=counts.shape)
 
 
-def assert_same_csr(a, b):
-    assert a.shape == b.shape
-    assert a.indptr.tolist() == b.indptr.tolist()
-    assert a.indices.tolist() == b.indices.tolist()
-    assert a.data.tobytes() == b.data.tobytes()
+def row(X, i):
+    """Row i of X as a one-row matrix."""
+    lo, hi = int(X.indptr[i]), int(X.indptr[i + 1])
+    indptr = np.array([0, hi - lo], dtype=X.indptr.dtype)
+    return CSR(data=X.data[lo:hi], indices=X.indices[lo:hi], indptr=indptr, shape=(1, X.shape[1]))
 
 
 # Tokens from a small alphabet repeat within and across documents; "zzz..."
@@ -294,16 +281,20 @@ def test_featurize_matches_per_document_reference(train, scored, min_df):
     in_vocab = [doc(*(t for t in d.tokens if t[0] != "z")) for d in train]
     vocab = build_vocabulary(in_vocab, min_df=min_df)
     idf = fit_idf(train, vocab)
-    for weights, reference in (
-        (None, lambda d: reference_count(d, vocab)),
-        (idf, lambda d: reference_tfidf(d, vocab, idf)),
+    for weights, reference, transform in (
+        (None, lambda d: reference_count(d, vocab), lambda d: count_transform(d, vocab)),
+        (idf, lambda d: reference_tfidf(d, vocab, idf), lambda d: tfidf_transform(d, vocab, idf)),
     ):
-        expected = [reference(d) for d in scored]
-        assert_same_csr(featurize(scored, vocab, weights), stack(expected))
-        for d, want in zip(scored, expected):
-            got = count_transform(d, vocab) if weights is None else tfidf_transform(d, vocab, idf)
-            assert got.indices.tolist() == want.indices.tolist()
-            assert got.values.tobytes() == want.values.tobytes()
+        X = featurize(scored, vocab, weights)
+        assert_same_csr(X, stack([reference(d) for d in scored]))
+        rows = [transform(d) for d in scored]
+        for i, got in enumerate(rows):
+            assert_same_csr(got, row(X, i))
+        assert_same_csr(stack(rows), X)
+        # Multi-row pieces, the second of them empty when only one document is scored.
+        half = len(scored) // 2 + 1
+        pieces = [featurize(scored[:half], vocab, weights), featurize(scored[half:], vocab, weights)]
+        assert_same_csr(stack(pieces), X)
 
 
 # The vocabulary and IDF as first written: a Counter over each document's
@@ -327,10 +318,6 @@ def reference_idf(corpus, vocab):
         if seen:
             df[np.fromiter(seen, dtype=np.int64, count=len(seen))] += 1.0
     return IdfWeights(idf=np.log((1.0 + len(corpus)) / (1.0 + df)) + 1.0, n_docs=len(corpus))
-
-
-def assert_same_array(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 _fit_tokens = st.text(alphabet="abcde", min_size=1, max_size=2)
@@ -357,10 +344,7 @@ def test_fit_features_matches_the_per_document_reference(corpus, min_df, max_df,
         assert_same_array(idf.idf, want_idf.idf)
     else:
         assert idf is None
-    want = featurize(corpus, want_vocab, want_idf)
-    assert X.shape == want.shape
-    for field in ("data", "indices", "indptr"):
-        assert_same_array(getattr(X, field), getattr(want, field))
+    assert_same_csr(X, featurize(corpus, want_vocab, want_idf))
     assert build_vocabulary(corpus, min_df, max_df, max_terms) == want_vocab
     assert_same_array(fit_idf(corpus, want_vocab).idf, reference_idf(corpus, want_vocab).idf)
 

@@ -10,36 +10,23 @@ from hypothesis import given, settings, strategies as st
 from verinews import models
 from verinews.corpus import Label
 from verinews.errors import DimensionMismatchError, TrainingError
-from verinews.features import (
-    SparseVector,
-    build_vocabulary,
-    count_transform,
-    featurize,
-    fit_idf,
-    stack,
-    tfidf_transform,
-)
+from csr_rows import csr_rows
+from verinews.features import CSR, build_vocabulary, featurize, fit_idf
 from verinews.models import (
     LinearModel,
     NbModel,
     TrainConfig,
     _hessian_weights,
     _minimize_logistic,
-    linear_decision,
+    decision_scores,
     logistic_hessp,
     logistic_objective,
     lr_fit,
     nb_fit,
-    nb_log_posterior,
-    predict,
     predict_labels,
     sgd_fit,
 )
 from verinews.textprep import CleanDoc
-
-
-def vec(counts, dim):
-    return SparseVector.from_counts(counts, dim)
 
 
 def brute_force_nb_optimal(train_counts, train_labels, test_counts, alpha, n_classes):
@@ -72,7 +59,7 @@ def brute_force_nb_optimal(train_counts, train_labels, test_counts, alpha, n_cla
 
 class TestNbFit:
     def test_priors_with_absent_class(self):
-        X = [vec({0: 1}, 1)] * 4
+        X = csr_rows([{0: 1}] * 4, 1)
         y = [Label.FALSE, Label.FALSE, Label.TRUE, Label.PARTIALLY_FALSE]
         m = nb_fit(X, y)
         assert m.class_log_prior[0] == pytest.approx(math.log(0.5))
@@ -82,40 +69,40 @@ class TestNbFit:
 
     def test_smoothing_hand_values(self):
         # class 0 term totals (3, 1) with alpha=1 -> theta (4/6, 2/6)
-        X = [vec({0: 3, 1: 1}, 2), vec({0: 1}, 2)]
+        X = csr_rows([{0: 3, 1: 1}, {0: 1}], 2)
         y = [Label.FALSE, Label.TRUE]
         m = nb_fit(X, y, alpha=1.0)
         np.testing.assert_allclose(np.exp(m.feature_log_prob[0]), [4 / 6, 2 / 6])
 
     def test_symmetric_counts_give_equal_rows(self):
-        X = [vec({0: 2, 1: 2}, 2), vec({0: 2, 1: 2}, 2)]
+        X = csr_rows([{0: 2, 1: 2}, {0: 2, 1: 2}], 2)
         y = [Label.FALSE, Label.TRUE]
         m = nb_fit(X, y)
         np.testing.assert_array_equal(m.feature_log_prob[0], m.feature_log_prob[1])
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
-            nb_fit([], [])
+            nb_fit(csr_rows([], 1), [])
 
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(TrainingError, match="alpha"):
-            nb_fit([vec({0: 1}, 1)], [Label.FALSE], alpha=0.0)
+            nb_fit(csr_rows([{0: 1}], 1), [Label.FALSE], alpha=0.0)
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     @pytest.mark.parametrize("dim", [0, 1])
     def test_nan_or_infinite_alpha_rejected(self, alpha, dim):
         # With an empty vocabulary no log probability shows the bad alpha.
         with pytest.raises(TrainingError, match="alpha"):
-            nb_fit([vec({0: 1} if dim else {}, dim)], [Label.FALSE], alpha=alpha)
+            nb_fit(csr_rows([{0: 1} if dim else {}], dim), [Label.FALSE], alpha=alpha)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(TrainingError):
-            nb_fit([vec({0: 1}, 1)], [Label.FALSE, Label.TRUE])
+            nb_fit(csr_rows([{0: 1}], 1), [Label.FALSE, Label.TRUE])
 
     def test_empty_vocabulary_allowed(self):
-        m = nb_fit([vec({}, 0), vec({}, 0)], [Label.FALSE, Label.TRUE])
+        m = nb_fit(csr_rows([{}, {}], 0), [Label.FALSE, Label.TRUE])
         assert m.vocab_size == 0
-        assert nb_log_posterior(m, vec({}, 0)).tolist() == m.class_log_prior.tolist()
+        assert decision_scores(m, csr_rows([{}], 0))[0].tolist() == m.class_log_prior.tolist()
 
 
 _corpora = st.integers(1, 5).flatmap(
@@ -134,7 +121,7 @@ _corpora = st.integers(1, 5).flatmap(
 @given(_corpora)
 def test_nb_rows_always_sum_to_one(data):
     counts, labels = data
-    X = [vec({i: c for i, c in enumerate(row) if c}, 4) for row in counts]
+    X = csr_rows([dict(enumerate(row)) for row in counts], 4)
     m = nb_fit(X, labels)
     np.testing.assert_allclose(np.exp(m.feature_log_prob).sum(axis=1), 1.0, atol=1e-9)
     assert np.exp(m.class_log_prior).sum() == pytest.approx(1.0, abs=1e-9)
@@ -142,14 +129,15 @@ def test_nb_rows_always_sum_to_one(data):
 
 def reference_nb_fit(X, y, alpha):
     """Per-document accumulation of class term totals, in document order."""
-    dim = X[0].dim
+    dim = X.shape[1]
     term_counts = np.zeros((4, dim))
     doc_counts = np.zeros(4)
-    for x, label in zip(X, y):
-        term_counts[int(label), x.indices] += x.values
+    for i, label in enumerate(y):
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        term_counts[int(label), X.indices[lo:hi]] += X.data[lo:hi]
         doc_counts[int(label)] += 1.0
     with np.errstate(divide="ignore"):
-        prior = np.log(doc_counts / len(X))
+        prior = np.log(doc_counts / len(y))
     if dim == 0:
         return prior, np.zeros((4, 0))
     smoothed = term_counts + alpha
@@ -176,11 +164,10 @@ def test_nb_fit_matches_per_document_reference(data, alpha, tfidf):
     labels = [label for _, label in data]
     vocab = build_vocabulary(docs)
     idf = fit_idf(docs, vocab) if tfidf else None
-    vectors = [
-        tfidf_transform(d, vocab, idf) if tfidf else count_transform(d, vocab) for d in docs
-    ]
-    prior, log_prob = reference_nb_fit(vectors, labels, alpha)
-    for X in (featurize(docs, vocab, idf), vectors):
+    X = featurize(docs, vocab, idf)
+    prior, log_prob = reference_nb_fit(X, labels, alpha)
+    # The fit also takes a list of matrices, whose rows it stacks.
+    for X in (X, [featurize([d], vocab, idf) for d in docs]):
         m = nb_fit(X, labels, alpha=alpha)
         assert m.class_log_prior.tobytes() == prior.tobytes()
         assert m.feature_log_prob.tobytes() == log_prob.tobytes()
@@ -188,8 +175,8 @@ def test_nb_fit_matches_per_document_reference(data, alpha, tfidf):
 
 class TestNbPosterior:
     def test_zero_vector_returns_priors(self):
-        m = nb_fit([vec({0: 1}, 2), vec({1: 1}, 2)], [Label.FALSE, Label.TRUE])
-        np.testing.assert_array_equal(nb_log_posterior(m, vec({}, 2)), m.class_log_prior)
+        m = nb_fit(csr_rows([{0: 1}, {1: 1}], 2), [Label.FALSE, Label.TRUE])
+        np.testing.assert_array_equal(decision_scores(m, csr_rows([{}], 2))[0], m.class_log_prior)
 
     def test_matches_probability_space_oracle(self):
         rng = np.random.default_rng(7)
@@ -197,15 +184,15 @@ class TestNbPosterior:
             n, dim = int(rng.integers(2, 5)), int(rng.integers(1, 6))
             counts = rng.integers(0, 4, size=(n, dim)).tolist()
             labels = [int(c) for c in rng.integers(0, 3, size=n)]
-            X = [vec({i: c for i, c in enumerate(row) if c}, dim) for row in counts]
+            X = csr_rows([dict(enumerate(row)) for row in counts], dim)
             m = nb_fit(X, [Label(c) for c in labels])
             test = rng.integers(0, 3, size=dim).tolist()
-            x = vec({i: c for i, c in enumerate(test) if c}, dim)
-            got = int(predict(nb_log_posterior(m, x)))
+            x = csr_rows([dict(enumerate(test))], dim)
+            got = int(predict_labels(decision_scores(m, x))[0])
             assert got in brute_force_nb_optimal(counts, labels, test, m.alpha, 4)
 
     def test_constant_prior_shift_preserves_argmax(self):
-        X = [vec({0: 2}, 2), vec({1: 3}, 2), vec({0: 1}, 2), vec({1: 1}, 2)]
+        X = csr_rows([{0: 2}, {1: 3}, {0: 1}, {1: 1}], 2)
         m = nb_fit(X, [Label.FALSE, Label.TRUE, Label.PARTIALLY_FALSE, Label.OTHER])
         shifted = NbModel(
             class_log_prior=m.class_log_prior + 5.0,
@@ -213,35 +200,35 @@ class TestNbPosterior:
             alpha=m.alpha,
             vocab_size=m.vocab_size,
         )
-        x = vec({0: 1, 1: 1}, 2)
-        base = nb_log_posterior(m, x)
-        moved = nb_log_posterior(shifted, x)
+        x = csr_rows([{0: 1, 1: 1}], 2)
+        base = decision_scores(m, x)
+        moved = decision_scores(shifted, x)
         np.testing.assert_allclose(moved - base, 5.0)
-        assert predict(base) == predict(moved)
+        assert predict_labels(base) == predict_labels(moved)
 
     def test_dim_mismatch_rejected(self):
-        m = nb_fit([vec({0: 1}, 2), vec({1: 1}, 2)], [Label.FALSE, Label.TRUE])
+        m = nb_fit(csr_rows([{0: 1}, {1: 1}], 2), [Label.FALSE, Label.TRUE])
         with pytest.raises(DimensionMismatchError):
-            nb_log_posterior(m, vec({0: 1}, 3))
+            decision_scores(m, csr_rows([{0: 1}], 3))
 
 
 class TestPredict:
     def test_plain_argmax(self):
-        assert predict(np.array([0.0, -1.0, -2.0, -3.0])) == Label.FALSE
+        assert predict_labels([[0.0, -1.0, -2.0, -3.0]]) == [Label.FALSE]
 
     def test_tie_breaks_to_lowest_code(self):
-        assert predict(np.array([5.0, 5.0, 1.0, 1.0])) == Label.FALSE
+        assert predict_labels([[5.0, 5.0, 1.0, 1.0]]) == [Label.FALSE]
 
     def test_last_class_wins(self):
-        assert predict(np.array([-1.0, -1.0, -1.0, 0.0])) == Label.OTHER
+        assert predict_labels([[-1.0, -1.0, -1.0, 0.0]]) == [Label.OTHER]
 
     def test_all_neg_inf_rejected(self):
         with pytest.raises(ValueError, match="-inf"):
-            predict(np.full(4, -np.inf))
+            predict_labels(np.full((1, 4), -np.inf))
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            predict(np.array([0.0, np.nan, 0.0, 0.0]))
+            predict_labels([[0.0, np.nan, 0.0, 0.0]])
 
     def test_batch_rejects_a_row_of_neg_inf(self):
         scores = np.array([[0.0, 1.0, 0.0, 0.0], [-np.inf] * 4])
@@ -250,16 +237,17 @@ class TestPredict:
 
     def test_batch_matches_per_row(self):
         scores = np.array([[5.0, 5.0, 1.0, 1.0], [-1.0, -1.0, -1.0, 0.0], [-np.inf, 0.0, 2.0, 2.0]])
-        assert predict_labels(scores) == [predict(row) for row in scores]
+        assert predict_labels(scores) == [predict_labels(row[None, :])[0] for row in scores]
+        assert predict_labels(scores) == [Label.FALSE, Label.OTHER, Label.PARTIALLY_FALSE]
 
 
 def _random_problem(rng, n=8, dim=20):
     rows = []
     for _ in range(n):
         cols = rng.choice(dim, size=int(rng.integers(2, 6)), replace=False)
-        rows.append(vec({int(c): float(rng.integers(1, 4)) for c in cols}, dim))
+        rows.append({int(c): float(rng.integers(1, 4)) for c in cols})
     labels = rng.integers(0, 2, size=n)
-    return stack(rows), np.where(labels == 1, 1.0, -1.0)
+    return csr_rows(rows, dim), np.where(labels == 1, 1.0, -1.0)
 
 
 def _random_multiclass_problem(rng, n=200, dim=60):
@@ -284,12 +272,11 @@ def _lbfgs_reference_objective(X, y_pm, C):
 
 class TestLogistic:
     def test_separable_points_rank_correctly(self):
-        X = [vec({0: 1.0}, 2), vec({1: 1.0}, 2)]
+        X = csr_rows([{0: 1.0}, {1: 1.0}], 2)
         y = [Label.FALSE, Label.TRUE]
         m = lr_fit(X, y, TrainConfig())
         assert m.kind == "logistic"
-        assert predict(linear_decision(m, X[0])) == Label.FALSE
-        assert predict(linear_decision(m, X[1])) == Label.TRUE
+        assert predict_labels(decision_scores(m, X)) == y
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -360,14 +347,13 @@ class TestLogistic:
             assert f <= _lbfgs_reference_objective(X, y_pm, cfg.lr_C) * (1 + 1e-9)
 
     def test_larger_c_fits_training_data_tighter(self):
-        X = [vec({0: 1.0}, 2), vec({1: 1.0}, 2)] * 3
+        X = csr_rows([{0: 1.0}, {1: 1.0}] * 3, 2)
         y = [Label.FALSE, Label.TRUE] * 3
         losses = {}
         for C in (1.0, 100.0):
             m = lr_fit(X, y, TrainConfig(lr_C=C))
             data_loss = 0.0
-            for x, label in zip(X, y):
-                s = linear_decision(m, x)
+            for s, label in zip(decision_scores(m, X), y):
                 for c in range(2):
                     ypm = 1.0 if int(label) == c else -1.0
                     data_loss += float(np.logaddexp(0.0, -ypm * s[c]))
@@ -386,7 +372,7 @@ class TestLogistic:
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_single_class_rejected(self):
-        X = [vec({0: 1.0}, 1)] * 3
+        X = csr_rows([{0: 1.0}] * 3, 1)
         with pytest.raises(TrainingError, match="single class"):
             lr_fit(X, [Label.FALSE] * 3, TrainConfig())
 
@@ -394,41 +380,38 @@ class TestLogistic:
 class TestLinearDecision:
     def test_bias_only(self):
         m = LinearModel(weights=np.zeros((4, 2)), bias=np.array([1.0, 0, 0, 0]), kind="logistic")
-        np.testing.assert_array_equal(linear_decision(m, vec({0: 1.0}, 2)), [1.0, 0, 0, 0])
+        np.testing.assert_array_equal(decision_scores(m, csr_rows([{0: 1.0}], 2)), [[1.0, 0, 0, 0]])
 
     def test_zero_vector_gives_bias(self):
         m = LinearModel(weights=np.ones((4, 2)), bias=np.array([1.0, 2, 3, 4]), kind="hinge")
-        np.testing.assert_array_equal(linear_decision(m, vec({}, 2)), [1.0, 2, 3, 4])
+        np.testing.assert_array_equal(decision_scores(m, csr_rows([{}], 2)), [[1.0, 2, 3, 4]])
 
     def test_hand_dot_products(self):
         w = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 0.0], [-2.0, 1.0]])
         m = LinearModel(weights=w, bias=np.array([0.1, 0.2, 0.3, 0.4]), kind="hinge")
-        x = vec({0: 2.0, 1: 3.0}, 2)
+        x = csr_rows([{0: 2.0, 1: 3.0}], 2)
         np.testing.assert_allclose(
-            linear_decision(m, x), [2 + 6 + 0.1, 1 - 3 + 0.2, 0.3, -4 + 3 + 0.4]
+            decision_scores(m, x), [[2 + 6 + 0.1, 1 - 3 + 0.2, 0.3, -4 + 3 + 0.4]]
         )
 
     def test_dim_mismatch_rejected(self):
         m = LinearModel(weights=np.zeros((4, 2)), bias=np.zeros(4), kind="hinge")
         with pytest.raises(DimensionMismatchError):
-            linear_decision(m, vec({0: 1.0}, 3))
+            decision_scores(m, csr_rows([{0: 1.0}], 3))
 
     def test_invariant_to_entry_insertion_order(self):
+        # The same row with its entries stored in the other order; the
+        # integer-valued sums are exact in either order.
         m = LinearModel(
             weights=np.arange(8.0).reshape(4, 2), bias=np.zeros(4), kind="hinge"
         )
-        a = vec({0: 1.0, 1: 2.0}, 2)
-        b = SparseVector.from_counts({1: 2.0, 0: 1.0}, 2)
-        np.testing.assert_array_equal(linear_decision(m, a), linear_decision(m, b))
+        a = csr_rows([{0: 1.0, 1: 2.0}], 2)
+        b = CSR(data=a.data[::-1].copy(), indices=a.indices[::-1].copy(), indptr=a.indptr, shape=(1, 2))
+        np.testing.assert_array_equal(decision_scores(m, a), decision_scores(m, b))
 
 
 def _toy_tfidf_set():
-    X = [
-        vec({0: 0.9, 2: 0.1}, 3),
-        vec({1: 0.8, 2: 0.2}, 3),
-        vec({0: 0.7, 1: 0.3}, 3),
-        vec({2: 1.0}, 3),
-    ] * 5
+    X = csr_rows([{0: 0.9, 2: 0.1}, {1: 0.8, 2: 0.2}, {0: 0.7, 1: 0.3}, {2: 1.0}] * 5, 3)
     y = [Label.FALSE, Label.TRUE, Label.FALSE, Label.PARTIALLY_FALSE] * 5
     return X, y
 
@@ -531,15 +514,15 @@ class TestSgd:
         assert a.weights.tobytes() != b.weights.tobytes()
 
     def test_separable_set_fits_exactly(self):
-        X = [vec({0: 1.0}, 2), vec({1: 1.0}, 2)] * 10
+        X = csr_rows([{0: 1.0}, {1: 1.0}] * 10, 2)
         y = [Label.FALSE, Label.TRUE] * 10
         m = sgd_fit(X, y, TrainConfig())
         assert m.kind == "hinge"
-        assert all(predict(linear_decision(m, x)) == t for x, t in zip(X, y))
+        assert predict_labels(decision_scores(m, X)) == y
         assert m.converged
 
     def test_single_class_rejected(self):
-        X = [vec({0: 1.0}, 1)] * 3
+        X = csr_rows([{0: 1.0}] * 3, 1)
         with pytest.raises(TrainingError, match="single class"):
             sgd_fit(X, [Label.OTHER] * 3, TrainConfig())
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -13,8 +14,8 @@ from verinews.errors import (
     BundleValidationError,
     BundleVersionError,
 )
-from verinews.features import IdfWeights, SparseVector, Vocabulary, build_vocabulary, fit_idf, tfidf_transform, count_transform
-from verinews.models import TrainConfig, linear_decision, lr_fit, nb_fit, nb_log_posterior, sgd_fit
+from verinews.features import IdfWeights, Vocabulary, build_vocabulary, featurize, fit_idf
+from verinews.models import TrainConfig, decision_scores, lr_fit, nb_fit, sgd_fit
 from verinews.persistence import (
     FORMAT_VERSION,
     MAGIC,
@@ -45,7 +46,7 @@ def _pipeline():
 def _nb_bundle():
     docs = _corpus()
     vocab = build_vocabulary(docs)
-    X = [count_transform(d, vocab) for d in docs]
+    X = featurize(docs, vocab)
     model = nb_fit(X, [d.label for d in docs])
     return ModelBundle(
         pipeline=_pipeline(),
@@ -61,7 +62,7 @@ def _linear_bundle(fit):
     docs = _corpus()
     vocab = build_vocabulary(docs)
     idf = fit_idf(docs, vocab)
-    X = [tfidf_transform(d, vocab, idf) for d in docs]
+    X = featurize(docs, vocab, idf)
     model = fit(X, [d.label for d in docs], TrainConfig())
     return ModelBundle(
         pipeline=_pipeline(),
@@ -87,7 +88,7 @@ class TestDeterminism:
 
 class TestRoundTrip:
     def test_empty_vocabulary_nb_bundle(self):
-        X = [SparseVector.from_counts({}, 0)] * 2
+        X = featurize([CleanDoc(id="a", tokens=()), CleanDoc(id="b", tokens=())], Vocabulary({}))
         model = nb_fit(X, [Label.FALSE, Label.TRUE])
         bundle = ModelBundle(
             pipeline=_pipeline(),
@@ -104,17 +105,13 @@ class TestRoundTrip:
     def test_nb_scores_bit_identical(self):
         bundle, X = _nb_bundle()
         again = load_bundle(save_bundle_bytes(bundle))
-        for x in X:
-            a = nb_log_posterior(bundle.model, x)
-            b = nb_log_posterior(again.model, x)
-            assert a.tobytes() == b.tobytes()
+        assert decision_scores(bundle.model, X).tobytes() == decision_scores(again.model, X).tobytes()
 
     @pytest.mark.parametrize("fit", [lr_fit, sgd_fit])
     def test_linear_scores_bit_identical(self, fit):
         bundle, X = _linear_bundle(fit)
         again = load_bundle(save_bundle_bytes(bundle))
-        for x in X:
-            assert linear_decision(bundle.model, x).tobytes() == linear_decision(again.model, x).tobytes()
+        assert decision_scores(bundle.model, X).tobytes() == decision_scores(again.model, X).tobytes()
 
     def test_pipeline_tables_embedded(self):
         bundle, _ = _nb_bundle()
@@ -308,7 +305,72 @@ def test_corrupt_sections_under_a_valid_checksum_raise_only_bundle_errors(saved,
             at = offset % max(1, len(body) - struct.calcsize(fmt) + 1)
             body[at : at + struct.calcsize(fmt)] = struct.pack(fmt, value % 2 ** (8 * struct.calcsize(fmt)))
             lengths[i] = len(body)
+    blob = _sealed(sections, lengths)
     try:
-        load_bundle(_sealed(sections, lengths))
+        bundle = load_bundle(blob)
     except BundleError:
-        pass
+        return
+    # Whatever loads is canonical: it saves back to the bytes it came from.
+    assert save_bundle_bytes(bundle) == blob
+
+
+def _edited(raw, edit):
+    """raw re-sealed after edit(sections) changed its [tag, body] list in place."""
+    sections = _sections(raw)
+    edit(sections)
+    return _sealed(sections, [len(body) for _, body in sections])
+
+
+def _meta(loose=False, **changes):
+    """An edit that rewrites the metadata with changed fields, as compact
+    sorted JSON or, with ``loose``, indented."""
+    def edit(sections):
+        meta = dict(json.loads(bytes(sections[0][1])), **changes)
+        layout = {"indent": 1} if loose else {"separators": (",", ":")}
+        sections[0][1] = bytearray(json.dumps(meta, sort_keys=True, **layout).encode())
+    return edit
+
+
+def _swap_first_two_stopwords(sections):
+    body = sections[1][1]
+    (n,) = struct.unpack_from("<I", body)
+    pos = 4 + n + 8  # after the placeholder, min_token_len and the stopword count
+    (a,) = struct.unpack_from("<I", body, pos)
+    (b,) = struct.unpack_from("<I", body, pos + 4 + a)
+    end = pos + 8 + a + b
+    body[pos:end] = body[pos + 4 + a : end] + body[pos : pos + 4 + a]
+
+
+def _set_model_bytes(at, value):
+    def edit(sections):
+        sections[-1][1][at : at + len(value)] = value
+    return edit
+
+
+# Bundles that a checksum does not catch: each is sealed with a valid digest,
+# and each would save back to other bytes if it loaded. name -> (model, edit)
+NON_CANONICAL = {
+    "bytes-after-model-body": ("nb", lambda s: s[-1][1].extend(b"\0" * 4)),
+    "bytes-after-pipeline-body": ("nb", lambda s: s[1][1].extend(b"\0" * 2)),
+    "extra-section-99": ("nb", lambda s: s.append([99, bytearray(b"{}")])),
+    "repeated-vocabulary": ("nb", lambda s: s.insert(3, [s[2][0], bytearray(s[2][1])])),
+    "sections-out-of-order": ("nb", lambda s: s.insert(1, s.pop(2))),
+    "loose-metadata-json": ("nb", _meta(loose=True)),
+    "string-created-at": ("nb", _meta(created_at="yesterday")),
+    "bool-created-at": ("nb", _meta(created_at=True)),
+    "bool-n-train-docs": ("nb", _meta(n_train_docs=True)),
+    "extra-metadata-key": ("nb", _meta(note="x")),
+    "stopwords-out-of-order": ("nb", _swap_first_two_stopwords),
+    "zero-nb-alpha": ("nb", _set_model_bytes(1, struct.pack("<d", 0.0))),
+    "nan-nb-alpha": ("nb", _set_model_bytes(1, struct.pack("<d", float("nan")))),
+    "converged-flag-2": ("sgd", _set_model_bytes(9, b"\x02")),
+}
+
+
+@pytest.mark.parametrize("name", NON_CANONICAL)
+def test_non_canonical_bundle_is_rejected(name):
+    model, edit = NON_CANONICAL[name]
+    raw = _SAVED[{"nb": 0, "sgd": 2}[model]]
+    assert _edited(raw, lambda sections: None) == raw  # only the edit differs
+    with pytest.raises((BundleIntegrityError, BundleValidationError)):
+        load_bundle(_edited(raw, edit))
