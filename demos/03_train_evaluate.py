@@ -51,10 +51,10 @@ train_docs = make_docs(200)
 test_docs = make_docs(60, start=200)
 
 for kind, features in (("nb", "count"), ("lr", "tfidf"), ("sgd", "tfidf")):
-    bundle, summary = train_bundle(train_docs, kind, features)
+    bundle = train_bundle(train_docs, kind, features)
     report = evaluate_bundle(bundle, test_docs)
     print(f"=== {kind} on {features} features ===")
-    print(f"vocabulary: {summary.vocab_size} terms")
+    print(f"vocabulary: {bundle.vocab.size} terms")
     print(render_report(report))
     print(render_confusion(report.confusion, f"{kind} confusion"))
     print()

@@ -24,7 +24,7 @@ train_docs = [
     Document(id="t4", title="blender review roundup", body="product opinion and recipe notes", label=Label.OTHER),
 ] * 3
 
-bundle, _ = train_bundle(train_docs, "nb", "count")
+bundle = train_bundle(train_docs, "nb", "count")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.bundle"

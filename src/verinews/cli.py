@@ -16,10 +16,10 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import RawRecord, decode_utf8, parse_csv, to_documents
+from .corpus import Label, RawRecord, dataset_stats, decode_utf8, parse_csv, to_documents
 from .errors import VerinewsError, VocabularyError
 from .metrics import render_confusion, render_report, report_from_json, report_to_json
-from .models import TrainConfig, default_workers
+from .models import LinearModel, TrainConfig, default_workers
 from .persistence import FEATURE_COUNT, FEATURE_TFIDF, read_bundle, write_bundle
 from .pipeline import DEFAULT_FEATURES, evaluate_bundle, predict_bundle, train_bundle
 from .textprep import PipelineConfig, load_lemma_exceptions, load_stopwords, preprocess_corpus
@@ -189,7 +189,7 @@ def _cmd_train(args) -> int:
     docs = to_documents(records, labeled=True)
 
     try:
-        bundle, summary = train_bundle(
+        bundle = train_bundle(
             docs,
             model_kind,
             feature_kind,
@@ -203,14 +203,13 @@ def _cmd_train(args) -> int:
         raise UsageError(f"--{exc.param.replace('_', '-')}: {exc}") from exc
     write_bundle(bundle, args.out)
 
-    counts = " ".join(
-        f"{label.display_name}={n}" for label, n in summary.class_counts.counts.items()
-    )
-    print(f"trained {model_kind} on {summary.class_counts.total} documents ({feature_kind})")
+    stats = dataset_stats(docs)
+    counts = " ".join(f"{label.display_name}={n}" for label, n in stats.counts.items())
+    print(f"trained {model_kind} on {stats.total} documents ({feature_kind})")
     print(f"class counts: {counts}")
-    print(f"vocabulary size: {summary.vocab_size}")
-    if summary.converged is not None:
-        print(f"converged: {'yes' if summary.converged else 'NO (hit iteration limit)'}")
+    print(f"vocabulary size: {bundle.vocab.size}")
+    if isinstance(bundle.model, LinearModel):
+        print(f"converged: {'yes' if bundle.model.converged else 'NO (hit iteration limit)'}")
     print(f"wrote {args.out}")
     return 0
 
@@ -246,14 +245,7 @@ def _cmd_predict(args) -> int:
         [doc.id, label.display_name, *[repr(float(s)) for s in row]]
         for doc, label, row in zip(docs, preds, scores)
     ]
-    header = [
-        "public_id",
-        "predicted_label",
-        "score_false",
-        "score_true",
-        "score_partially_false",
-        "score_other",
-    ]
+    header = ["public_id", "predicted_label", *(f"score_{label.display_name}" for label in Label)]
     Path(args.out).write_text(_format_csv([header, *rows]), encoding="utf-8")
     print(f"wrote {len(rows)} predictions to {args.out}")
     return 0

@@ -33,24 +33,13 @@ class Label(IntEnum):
 
     @property
     def display_name(self) -> str:
-        return _DISPLAY_NAMES[self]
+        return self.name.lower()
 
-
-_DISPLAY_NAMES = {
-    Label.FALSE: "false",
-    Label.TRUE: "true",
-    Label.PARTIALLY_FALSE: "partially_false",
-    Label.OTHER: "other",
-}
 
 # Rating strings are matched after trimming, case-folding and collapsing
-# internal whitespace runs to a single space.
-_LABEL_ALIASES = {
-    "false": Label.FALSE,
-    "true": Label.TRUE,
-    "partially false": Label.PARTIALLY_FALSE,
-    "other": Label.OTHER,
-}
+# internal whitespace runs to a single space. A lookup by Label[raw.upper()]
+# would also accept "falſe": str.upper folds "ſ" to "S" and "ı" to "I".
+_RATINGS = {label.display_name.replace("_", " "): label for label in Label}
 
 
 @dataclass(frozen=True)
@@ -98,7 +87,7 @@ def parse_label(raw: str) -> Label:
     """
     normalized = " ".join(raw.replace("_", " ").split()).lower()
     try:
-        return _LABEL_ALIASES[normalized]
+        return _RATINGS[normalized]
     except KeyError:
         raise LabelError(f"unrecognized rating value: {raw!r}") from None
 
@@ -134,16 +123,16 @@ def parse_csv(stream: bytes | str | IO) -> list[RawRecord]:
         for row in reader:
             if not row:
                 continue  # blank line
-            cell = _cell_getter(row)
-            public_id = cell(columns["public_id"]).strip()
+            row += [""] * (len(header) - len(row))  # missing cells
+            public_id = row[columns["public_id"]].strip()
             if not public_id:
                 raise CsvParseError("empty public_id", row=len(records) + 1)
             records.append(
                 RawRecord(
                     public_id=public_id,
-                    title=cell(columns["title"]),
-                    text=cell(columns["text"]),
-                    rating=cell(rating_col) if rating_col is not None else None,
+                    title=row[columns["title"]],
+                    text=row[columns["text"]],
+                    rating=row[rating_col] if rating_col is not None else None,
                 )
             )
     except csv.Error as exc:
@@ -218,10 +207,3 @@ def _as_text(stream: bytes | str | IO) -> str:
     data = stream if isinstance(stream, (bytes, str)) else stream.read()
     text = decode_utf8(data) if isinstance(data, bytes) else data
     return text.removeprefix("\ufeff")  # a UTF-8 byte-order mark
-
-
-def _cell_getter(row: list[str]):
-    def cell(i: int) -> str:
-        return row[i] if i < len(row) else ""
-
-    return cell

@@ -60,7 +60,7 @@ class BundleIntegrityError(BundleError):
 
 
 class BundleVersionError(BundleError):
-    """Bundle format version newer than this build supports."""
+    """Bundle format version other than the one this build reads."""
 
 
 class BundleValidationError(BundleError):

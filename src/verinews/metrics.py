@@ -19,18 +19,16 @@ import numpy as np
 from .corpus import Label
 from .errors import ReportError
 
-LABEL_ORDER = (Label.FALSE, Label.TRUE, Label.PARTIALLY_FALSE, Label.OTHER)
-
 
 @dataclass(frozen=True)
 class Confusion:
     """cells[i][j] = documents with true label i predicted as label j."""
 
-    cells: np.ndarray  # (4, 4) int64
+    cells: np.ndarray  # (len(Label), len(Label)) int64
 
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=np.int64)
-        if cells.shape != (4, 4):
+        if cells.shape != (len(Label),) * 2:
             raise ValueError(f"confusion cells must be 4x4, got {cells.shape}")
         if np.any(cells < 0):
             raise ValueError("confusion cells must be non-negative")
@@ -58,7 +56,7 @@ class ClassMetrics:
 @dataclass(frozen=True)
 class EvalReport:
     confusion: Confusion
-    per_class: tuple[ClassMetrics, ClassMetrics, ClassMetrics, ClassMetrics]
+    per_class: tuple[ClassMetrics, ...]  # in Label order
     accuracy: float
     macro_f1: float
 
@@ -69,7 +67,7 @@ def confusion_matrix(y_true: list[Label], y_pred: list[Label]) -> Confusion:
         raise ValueError(f"length mismatch: {len(y_true)} true vs {len(y_pred)} predicted")
     if not y_true:
         raise ValueError("cannot build a confusion matrix from empty inputs")
-    cells = np.zeros((4, 4), dtype=np.int64)
+    cells = np.zeros((len(Label),) * 2, dtype=np.int64)
     for t, p in zip(y_true, y_pred):
         cells[int(t), int(p)] += 1
     return Confusion(cells=cells)
@@ -99,14 +97,14 @@ def macro_average(values) -> float:
 
 
 def macro_f1(conf: Confusion) -> float:
-    """Mean of the four per-class F1 values; zero-support classes count."""
+    """Mean of the per-class F1 values; zero-support classes count."""
     if conf.total == 0:
         raise ValueError("macro F1 undefined on an empty confusion matrix")
-    return macro_average(class_metrics(conf, c).f1 for c in LABEL_ORDER)
+    return classification_report(conf).macro_f1
 
 
 def classification_report(conf: Confusion) -> EvalReport:
-    per_class = tuple(class_metrics(conf, c) for c in LABEL_ORDER)
+    per_class = tuple(class_metrics(conf, c) for c in Label)
     return EvalReport(
         confusion=conf,
         per_class=per_class,
@@ -128,25 +126,17 @@ def render_confusion(conf: Confusion, title: str = "") -> str:
     """
     if conf.total == 0:
         raise ValueError("cannot render an empty confusion matrix")
-    names = [label.display_name for label in LABEL_ORDER]
-    cells = [
-        [_cell_text(int(conf.cells[i, j]), conf.total) for j in range(4)] for i in range(4)
-    ]
-    widths = [
-        max(len(names[j]), max(len(cells[i][j]) for i in range(4))) for j in range(4)
-    ]
+    names = [label.display_name for label in Label]
+    cells = [[_cell_text(int(count), conf.total) for count in row] for row in conf.cells]
+    widths = [max(len(name), *map(len, column)) for name, column in zip(names, zip(*cells))]
     left = max(len(n) for n in names)
 
     lines = []
     if title:
         lines.append(title)
-    lines.append(_pad("", left) + "  " + "  ".join(_pad(n, w) for n, w in zip(names, widths)))
-    for i in range(4):
-        lines.append(
-            _pad(names[i], left)
-            + "  "
-            + "  ".join(_pad(cells[i][j], widths[j]) for j in range(4))
-        )
+    lines.append(" " * left + "  " + "  ".join(n.ljust(w) for n, w in zip(names, widths)))
+    for name, row in zip(names, cells):
+        lines.append(name.ljust(left) + "  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)))
     lines.append(f"Accuracy={100.0 * accuracy(conf):.3f}")
     return "\n".join(lines) + "\n"
 
@@ -155,7 +145,7 @@ def render_report(report: EvalReport) -> str:
     """Per-class table in whole percents plus the aggregate lines."""
     header = f"{'class':<16}{'precision':>10}{'recall':>8}{'f1':>6}"
     lines = [header]
-    for label, m in zip(LABEL_ORDER, report.per_class):
+    for label, m in zip(Label, report.per_class):
         lines.append(
             f"{label.display_name:<16}"
             f"{pct_int(m.precision):>9}%{pct_int(m.recall):>7}%{pct_int(m.f1):>5}%"
@@ -169,7 +159,7 @@ def render_report(report: EvalReport) -> str:
 def report_to_json(report: EvalReport) -> str:
     """Machine-readable report: confusion cells, full-precision metrics."""
     payload = {
-        "labels": [label.display_name for label in LABEL_ORDER],
+        "labels": [label.display_name for label in Label],
         "confusion": report.confusion.cells.tolist(),
         "total": report.confusion.total,
         "per_class": {
@@ -178,7 +168,7 @@ def report_to_json(report: EvalReport) -> str:
                 "recall": m.recall,
                 "f1": m.f1,
             }
-            for label, m in zip(LABEL_ORDER, report.per_class)
+            for label, m in zip(Label, report.per_class)
         },
         "accuracy": report.accuracy,
         "macro_f1": report.macro_f1,
@@ -198,7 +188,8 @@ def report_from_json(text: str) -> EvalReport:
     except (ValueError, RecursionError) as exc:
         raise ReportError(f"not a JSON report: {exc}") from exc
     grid = payload.get("confusion") if isinstance(payload, dict) else None
-    if not (_is_list_of(grid, 4) and all(_is_list_of(row, 4) for row in grid)):
+    n = len(Label)
+    if not (_is_list_of(grid, n) and all(_is_list_of(row, n) for row in grid)):
         raise ReportError("a report needs a 'confusion' key holding a 4x4 grid")
     cells = [cell for row in grid for cell in row]
     # type() rather than isinstance(), which would let booleans through.
@@ -216,7 +207,3 @@ def _is_list_of(value, length: int) -> bool:
 
 def _cell_text(count: int, total: int) -> str:
     return f"{count} {100.0 * count / total:.2f}%"
-
-
-def _pad(text: str, width: int) -> str:
-    return text.ljust(width)

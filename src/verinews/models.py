@@ -27,6 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .corpus import Label
 from .errors import DimensionMismatchError, TrainingError
 from .features import CSR, class_sums, row_dots, stack
 
-N_CLASSES = 4
+N_CLASSES = len(Label)
 
 # Below this many training documents a pool costs more than it saves.
 PARALLEL_MIN_DOCS = 32
@@ -49,6 +50,7 @@ FeatureRows = CSR | list[CSR]
 ETA = (1e-4, 0.25, 0.75)
 SIGMA = (0.25, 0.5, 4.0)
 
+KIND_NB = "nb"
 KIND_LOGISTIC = "logistic"
 KIND_HINGE = "hinge"
 
@@ -89,7 +91,7 @@ class NbModel:
     class_log_prior: np.ndarray  # (4,)
     feature_log_prob: np.ndarray  # (4, V)
     alpha: float
-    vocab_size: int
+    kind: ClassVar[str] = KIND_NB
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,6 @@ def nb_fit(X: FeatureRows, y: list[Label], alpha: float = 1.0) -> NbModel:
         class_log_prior=class_log_prior,
         feature_log_prob=feature_log_prob,
         alpha=float(alpha),
-        vocab_size=dim,
     )
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BundleIntegrityError, BundleValidationError, BundleVersionError
 from .features import IdfWeights, Vocabulary
-from .models import KIND_HINGE, KIND_LOGISTIC, N_CLASSES, LinearModel, NbModel
+from .models import KIND_HINGE, KIND_LOGISTIC, KIND_NB, N_CLASSES, LinearModel, NbModel
 from .textprep import PipelineConfig
 
 MAGIC = b"VNEWSBDL"
@@ -38,7 +38,7 @@ _SECTION_VOCAB = 3
 _SECTION_IDF = 4
 _SECTION_MODEL = 5
 
-_MODEL_CODES = {"nb": 0, KIND_LOGISTIC: 1, KIND_HINGE: 2}
+_MODEL_CODES = {KIND_NB: 0, KIND_LOGISTIC: 1, KIND_HINGE: 2}
 _MODEL_NAMES = {code: name for name, code in _MODEL_CODES.items()}
 
 
@@ -53,7 +53,6 @@ class ModelBundle:
     feature_kind: str
     n_train_docs: int
     created_at: int | None = None  # epoch seconds; None = not recorded
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.feature_kind not in (FEATURE_COUNT, FEATURE_TFIDF):
@@ -65,7 +64,7 @@ class ModelBundle:
 
     @property
     def model_kind(self) -> str:
-        return "nb" if isinstance(self.model, NbModel) else self.model.kind
+        return self.model.kind
 
     @property
     def pipeline_digest(self) -> str:
@@ -84,7 +83,7 @@ def save_bundle_bytes(bundle: ModelBundle) -> bytes:
         )
         if body is not None
     )
-    head = MAGIC + struct.pack("<IQ", bundle.format_version, len(payload)) + payload
+    head = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + payload
     return head + hashlib.sha256(head).digest()
 
 
@@ -105,9 +104,9 @@ def load_bundle(blob: bytes) -> ModelBundle:
     if reader.take(len(MAGIC), "magic") != MAGIC:
         raise BundleIntegrityError("not a model bundle (bad magic)")
     version, payload_len = struct.unpack("<IQ", reader.take(12, "header"))
-    if version > FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise BundleVersionError(
-            f"bundle format version {version} is newer than supported ({FORMAT_VERSION})"
+            f"bundle format version {version} is not supported (only {FORMAT_VERSION})"
         )
     payload = reader.take(payload_len, "payload")
     digest = reader.take(CHECKSUM_LEN, "checksum")
@@ -138,7 +137,6 @@ def load_bundle(blob: bytes) -> ModelBundle:
         feature_kind=meta["feature_kind"],
         n_train_docs=meta["n_train_docs"],
         created_at=meta["created_at"],
-        format_version=version,
     )
     _validate(bundle)
     return bundle
@@ -211,13 +209,12 @@ def _encode_idf(idf: IdfWeights | None) -> bytes | None:
 
 def _encode_model(model: NbModel | LinearModel) -> bytes:
     out = io.BytesIO()
+    out.write(struct.pack("<B", _MODEL_CODES[model.kind]))
     if isinstance(model, NbModel):
-        out.write(struct.pack("<B", _MODEL_CODES["nb"]))
-        out.write(struct.pack("<dQ", model.alpha, model.vocab_size))
+        out.write(struct.pack("<dQ", model.alpha, model.feature_log_prob.shape[1]))
         out.write(_encode_f64(model.class_log_prior))
         out.write(_encode_f64(model.feature_log_prob))
     else:
-        out.write(struct.pack("<B", _MODEL_CODES[model.kind]))
         out.write(struct.pack("<QB", model.weights.shape[1], int(model.converged)))
         out.write(_encode_f64(model.weights))
         out.write(_encode_f64(model.bias))
@@ -353,7 +350,7 @@ def _decode_model(sections, expected_kind: str) -> NbModel | LinearModel:
         raise BundleValidationError(
             "model_kind", f"metadata says {expected_kind!r} but payload is {kind!r}"
         )
-    if kind == "nb":
+    if kind == KIND_NB:
         alpha, v = struct.unpack("<dQ", r.take(16, "nb header"))
         prior = np.frombuffer(r.take(8 * N_CLASSES, "nb priors"), dtype="<f8").copy()
         flp = np.frombuffer(r.take(8 * N_CLASSES * v, "nb log probs"), dtype="<f8").copy()
@@ -361,7 +358,6 @@ def _decode_model(sections, expected_kind: str) -> NbModel | LinearModel:
             class_log_prior=prior,
             feature_log_prob=flp.reshape(N_CLASSES, v),
             alpha=alpha,
-            vocab_size=int(v),
         )
     v, converged = struct.unpack("<QB", r.take(9, "linear header"))
     if converged > 1:
@@ -393,9 +389,10 @@ def _validate(bundle: ModelBundle) -> None:
     if isinstance(model, NbModel):
         if not 0 < model.alpha < math.inf:
             raise BundleValidationError("alpha", f"{model.alpha} is not positive and finite")
-        if model.vocab_size != vocab_size:
+        columns = model.feature_log_prob.shape[1]
+        if columns != vocab_size:
             raise BundleValidationError(
-                "model", f"nb vocab_size {model.vocab_size} != vocabulary size {vocab_size}"
+                "model", f"nb has {columns} term columns != vocabulary size {vocab_size}"
             )
         # Written as `not <=` so that a NaN fails each test.
         prior_mass = float(np.sum(np.exp(model.class_log_prior)))

@@ -10,11 +10,9 @@ four classes out over a pool of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .corpus import ClassCounts, Document, Label, dataset_stats
+from .corpus import Document, Label
 from .errors import TrainingError
 from .features import featurize, fit_features
 from .metrics import EvalReport, classification_report, confusion_matrix
@@ -36,13 +34,6 @@ MODEL_LR = "lr"
 MODEL_SGD = "sgd"
 
 DEFAULT_FEATURES = {MODEL_NB: FEATURE_COUNT, MODEL_LR: FEATURE_TFIDF, MODEL_SGD: FEATURE_TFIDF}
-
-
-@dataclass(frozen=True)
-class TrainSummary:
-    class_counts: ClassCounts
-    vocab_size: int
-    converged: bool | None  # None for models without an iterative fit
 
 
 def preprocess_many(
@@ -68,7 +59,7 @@ def train_bundle(
     min_df: int = 1,
     max_df: int | None = None,
     max_terms: int | None = None,
-) -> tuple[ModelBundle, TrainSummary]:
+) -> ModelBundle:
     """Full training pass: clean, build vocabulary, featurize, fit.
 
     workers caps the SGD fit's process pool; see models.sgd_fit.
@@ -88,15 +79,12 @@ def train_bundle(
 
     if model_kind == MODEL_NB:
         model = nb_fit(X, labels, alpha=nb_alpha)
-        converged = None
     elif model_kind == MODEL_LR:
         model = lr_fit(X, labels, train_cfg)
-        converged = model.converged
     else:
         model = sgd_fit(X, labels, train_cfg, workers=workers)
-        converged = model.converged
 
-    bundle = ModelBundle(
+    return ModelBundle(
         pipeline=pipeline_cfg,
         vocab=vocab,
         idf=idf,
@@ -105,10 +93,6 @@ def train_bundle(
         n_train_docs=len(docs),
         created_at=created_at,
     )
-    summary = TrainSummary(
-        class_counts=dataset_stats(docs), vocab_size=vocab.size, converged=converged
-    )
-    return bundle, summary
 
 
 def score_matrix(bundle: ModelBundle, X: FeatureRows) -> np.ndarray:

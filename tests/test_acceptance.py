@@ -311,7 +311,7 @@ def test_full_corpus_reproduction():
         test_docs = to_documents(read_csv(test_path), labeled=True)
         reports = {}
         for kind in ("nb", "lr", "sgd"):
-            bundle, _ = train_bundle(
+            bundle = train_bundle(
                 train_docs,
                 kind,
                 "count" if kind == "nb" else "tfidf",

@@ -1,5 +1,6 @@
 import json
 import random
+import struct
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from verinews.models import TrainConfig
 from verinews.persistence import read_bundle, save_bundle_bytes
 from verinews.pipeline import DEFAULT_FEATURES, train_bundle
 
-from test_persistence import NON_CANONICAL, _edited
+from test_persistence import NON_CANONICAL, _edited, resealed
 
 LABELED_ROWS = [
     ("a1", "You Can Be Fined 1500 If Your Passenger Is Unbuckled", "Distracted driving causes more deaths officials say", "FALSE"),
@@ -64,6 +65,17 @@ class TestTrain:
         assert out.is_file()
         stdout = capsys.readouterr().out
         assert "vocabulary size" in stdout and "class counts" in stdout
+        lines = stdout.splitlines()
+        assert lines[:3] == [
+            f"trained {model} on 10 documents ({DEFAULT_FEATURES[model]})",
+            "class counts: false=3 true=3 partially_false=3 other=1",
+            f"vocabulary size: {read_bundle(out).vocab.size}",
+        ]
+        assert lines[-1] == f"wrote {out}"
+        # Only the iterative fits report convergence.
+        converged = lines[3:-1]
+        assert len(converged) == (0 if model == "nb" else 1)
+        assert all(line.startswith("converged: ") for line in converged)
 
     def test_pairing_guard(self, tmp_path, train_csv, capsys):
         out = tmp_path / "m.bundle"
@@ -134,7 +146,7 @@ class TestTrain:
         out = tmp_path / "m.bundle"
         assert run("train", "--model", model, "--in", train_csv, "--out", out, "--threads", 1) == 0
         docs = to_documents(parse_csv(train_csv.read_bytes()), labeled=True)
-        bundle, _ = train_bundle(docs, model, DEFAULT_FEATURES[model], train_cfg=TrainConfig())
+        bundle = train_bundle(docs, model, DEFAULT_FEATURES[model], train_cfg=TrainConfig())
         assert out.read_bytes() == save_bundle_bytes(bundle)
 
     @pytest.mark.parametrize(
@@ -246,6 +258,14 @@ class TestEval:
         assert run("train", "--model", model, "--in", train_csv, "--out", bundle, "--threads", 1) == 0
         bundle.write_bytes(_edited(bundle.read_bytes(), edit))
         assert run("eval", "--in", train_csv, "--model", bundle) == 2
+
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_unsupported_bundle_version_is_exit_2(self, tmp_path, train_csv, nb_bundle, version, capsys):
+        raw = bytearray(nb_bundle.read_bytes())
+        raw[8:12] = struct.pack("<I", version)
+        nb_bundle.write_bytes(resealed(bytes(raw)))
+        assert run("eval", "--in", train_csv, "--model", nb_bundle) == 2
+        assert f"version {version} is not supported" in capsys.readouterr().err
 
     def test_eval_never_mutates_the_bundle(self, tmp_path, train_csv, nb_bundle):
         # held-out data carries OOV terms; they are dropped, not learned

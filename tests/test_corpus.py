@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from verinews.corpus import (
     ClassCounts,
@@ -34,12 +34,68 @@ def test_parse_label_rejects_unknown():
 
 def test_parse_label_inverts_display_names():
     for label in Label:
-        assert parse_label(label.display_name) == label
+        name = label.display_name
+        for spelling in (name, name.upper(), name.replace("_", " "), f" {name.title()}\t"):
+            assert parse_label(spelling) is label
 
 
 def test_label_codes_and_names_fixed():
     assert [int(l) for l in Label] == [0, 1, 2, 3]
     assert [l.display_name for l in Label] == ["false", "true", "partially_false", "other"]
+
+
+# The accepted ratings, written out as a literal table: parse_label must
+# accept exactly these after trimming, case-folding and collapsing
+# whitespace and underscore runs, and reject everything else.
+REFERENCE_RATINGS = {
+    "false": Label.FALSE,
+    "true": Label.TRUE,
+    "partially false": Label.PARTIALLY_FALSE,
+    "other": Label.OTHER,
+}
+
+
+def _reference_label(raw):
+    return REFERENCE_RATINGS.get(" ".join(raw.replace("_", " ").split()).lower())
+
+
+# Letters of the ratings in both cases, characters that case mapping folds
+# onto them ("ſ" uppercases to "S", "ı" to "I", the Kelvin sign lowercases
+# to "k"), underscores and whitespace.
+_RATING_CHARS = "falsetruepartiyohFALSETRUEPARTIYOH" + "ſıİ\u212a" + "_ \t\n\u00a0\u2003"
+_LOOKALIKES = {"s": "ſ", "i": "ıİ"}
+
+
+@st.composite
+def _rating_like(draw):
+    """A rating with random case, separators, lookalikes and a few swapped
+    characters."""
+    name = draw(st.sampled_from([*REFERENCE_RATINGS, "partially_false"]))
+    chars = []
+    for ch in name:
+        if ch in " _":
+            ch = draw(st.text(alphabet=" _\t\u00a0", min_size=0, max_size=3))
+        else:
+            ch = draw(st.sampled_from([ch, ch.upper(), *_LOOKALIKES.get(ch, "")]))
+        if draw(st.integers(0, 19)) == 0:
+            ch = draw(st.sampled_from(_RATING_CHARS))
+        chars.append(ch)
+    pad = st.text(alphabet=" \t\n_", max_size=2)
+    return draw(pad) + "".join(chars) + draw(pad)
+
+
+@settings(max_examples=300)
+@given(raw=st.one_of(_rating_like(), st.text(alphabet=_RATING_CHARS, max_size=20)))
+@example(raw="falſe")
+@example(raw="partıally false")
+@example(raw="Partİally_false")
+def test_parse_label_accepts_exactly_the_reference_table(raw):
+    expected = _reference_label(raw)
+    if expected is None:
+        with pytest.raises(LabelError):
+            parse_label(raw)
+    else:
+        assert parse_label(raw) is expected
 
 
 def test_parse_csv_header_only():
@@ -61,6 +117,12 @@ def test_parse_csv_doubled_quotes_and_newlines():
 def test_parse_csv_missing_cells_become_empty():
     (record,) = parse_csv(HEADER + "x1\n")
     assert record == RawRecord(public_id="x1", title="", text="", rating="")
+
+
+def test_parse_csv_short_row_under_a_repeated_header_name():
+    # The last "title" column wins, and it lies past the row's end.
+    (record,) = parse_csv("public_id,title,text,title\nx1,a,b\n")
+    assert record == RawRecord(public_id="x1", title="", text="b")
 
 
 def test_parse_csv_1264_rows():

@@ -101,7 +101,7 @@ class TestNbFit:
 
     def test_empty_vocabulary_allowed(self):
         m = nb_fit(csr_rows([{}, {}], 0), [Label.FALSE, Label.TRUE])
-        assert m.vocab_size == 0
+        assert m.feature_log_prob.shape == (4, 0)
         assert decision_scores(m, csr_rows([{}], 0))[0].tolist() == m.class_log_prior.tolist()
 
 
@@ -198,7 +198,6 @@ class TestNbPosterior:
             class_log_prior=m.class_log_prior + 5.0,
             feature_log_prob=m.feature_log_prob,
             alpha=m.alpha,
-            vocab_size=m.vocab_size,
         )
         x = csr_rows([{0: 1, 1: 1}], 2)
         base = decision_scores(m, x)

@@ -168,11 +168,14 @@ class TestCorruption:
         with pytest.raises(BundleIntegrityError, match="trailing"):
             load_bundle(raw + b"x")
 
-    def test_newer_version_rejected_before_checksum(self):
+    @pytest.mark.parametrize("version", [0, FORMAT_VERSION + 1, 2**32 - 1])
+    def test_unsupported_version_rejected_before_checksum(self, version):
         raw = bytearray(save_bundle_bytes(_nb_bundle()[0]))
-        raw[8:12] = struct.pack("<I", FORMAT_VERSION + 1)
-        with pytest.raises(BundleVersionError, match="newer"):
+        raw[8:12] = struct.pack("<I", version)  # the old checksum no longer matches
+        with pytest.raises(BundleVersionError, match=f"version {version} is not supported"):
             load_bundle(bytes(raw))
+        with pytest.raises(BundleVersionError):
+            load_bundle(resealed(bytes(raw)))
 
     def test_magic_constant_is_eight_bytes(self):
         assert len(MAGIC) == 8
@@ -243,6 +246,11 @@ class TestValidation:
                 feature_kind="hashing",
                 n_train_docs=1,
             )
+
+
+def resealed(raw):
+    """raw with its checksum recomputed over the bytes before it."""
+    return raw[:-32] + hashlib.sha256(raw[:-32]).digest()
 
 
 def _sections(raw):
