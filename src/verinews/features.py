@@ -5,8 +5,11 @@ order, so two runs over the same corpus (in any document order) produce
 bit-identical feature matrices. IDF uses the smoothed form
 ln((1 + N) / (1 + df)) + 1 and TF-IDF vectors are L2-normalized.
 
+Every function here reads a corpus as a textprep.IdCorpus, token ids
+over the distinct lemmas; a list of CleanDoc is converted to one in one
+place (_as_ids). A matrix maps each lemma, not each token, to its column.
 Training takes its vocabulary, IDF and matrix from one count matrix over
-every distinct token (fit_features). A row stores each column at most
+every distinct lemma (fit_features). A row stores each column at most
 once, so column entry counts are the document frequencies, and df pruning
 drops columns from that matrix and renumbers the rest.
 
@@ -18,13 +21,16 @@ that scipy.sparse computes, bit for bit, without importing scipy.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, count, repeat
 
 import numpy as np
 
 from .errors import DimensionMismatchError, VocabularyError
-from .textprep import CleanDoc
+from .textprep import CleanDoc, IdCorpus
+
+Corpus = IdCorpus | list[CleanDoc]
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,20 @@ class IdfWeights:
         object.__setattr__(self, "idf", idf)
 
 
+def _as_ids(corpus: Corpus) -> IdCorpus:
+    """The corpus as token ids; a list of CleanDoc is converted here."""
+    if isinstance(corpus, IdCorpus):
+        return corpus
+    lemma_ids = defaultdict(count().__next__)
+    lengths = [len(d.tokens) for d in corpus]
+    tokens = chain.from_iterable(d.tokens for d in corpus)
+    ids = np.fromiter(map(lemma_ids.__getitem__, tokens), np.int64, sum(lengths))
+    doc_ptr = np.fromiter(accumulate(lengths, initial=0), np.int64, len(lengths) + 1)
+    return IdCorpus(lemmas=list(lemma_ids), ids=ids, doc_ptr=doc_ptr)
+
+
 def build_vocabulary(
-    corpus: list[CleanDoc],
+    corpus: Corpus,
     min_df: int = 1,
     max_df: int | None = None,
     max_terms: int | None = None,
@@ -118,18 +136,19 @@ def build_vocabulary(
     return vocab
 
 
-def fit_idf(corpus: list[CleanDoc], vocab: Vocabulary) -> IdfWeights:
+def fit_idf(corpus: Corpus, vocab: Vocabulary) -> IdfWeights:
     """idf(t) = ln((1 + N) / (1 + df(t))) + 1, so idf >= 1 always.
 
     df counts documents containing the term at least once; terms in the
     vocabulary but absent from the corpus get df = 0.
     """
+    corpus = _as_ids(corpus)
     _, indices, _ = _featurize_arrays(corpus, vocab, None)
     return _idf(np.bincount(indices, minlength=vocab.size), len(corpus))
 
 
 def fit_features(
-    corpus: list[CleanDoc],
+    corpus: Corpus,
     tfidf: bool,
     min_df: int = 1,
     max_df: int | None = None,
@@ -147,7 +166,9 @@ def fit_features(
     for param, value in (("min_df", min_df), ("max_df", max_df), ("max_terms", max_terms)):
         if value is not None and value < 1:
             raise VocabularyError(param, value)
-    terms = sorted(set(chain.from_iterable(d.tokens for d in corpus)))
+    corpus = _as_ids(corpus)
+    # A lemma no document keeps has df 0, so min_df drops it below.
+    terms = sorted(corpus.lemmas)
     vocab = Vocabulary(term_to_index={t: i for i, t in enumerate(terms)})
     indptr, indices, data = _featurize_arrays(corpus, vocab, None)
     df = np.bincount(indices, minlength=vocab.size)
@@ -183,34 +204,33 @@ def _idf(df: np.ndarray, n_docs: int) -> IdfWeights:
     return IdfWeights(idf=idf, n_docs=n_docs)
 
 
-def featurize(
-    clean: list[CleanDoc], vocab: Vocabulary, idf: IdfWeights | None = None
-) -> CSR:
+def featurize(corpus: Corpus, vocab: Vocabulary, idf: IdfWeights | None = None) -> CSR:
     """One row per document: raw term counts, or with ``idf`` the counts
     scaled by IDF and L2-normalized. Out-of-vocabulary tokens are dropped
     and a row with no vocabulary term stays empty.
     """
-    indptr, indices, data = _featurize_arrays(clean, vocab, idf)
-    return CSR(data=data, indices=indices, indptr=indptr, shape=(len(clean), vocab.size))
+    corpus = _as_ids(corpus)
+    indptr, indices, data = _featurize_arrays(corpus, vocab, idf)
+    return CSR(data=data, indices=indices, indptr=indptr, shape=(len(corpus), vocab.size))
 
 
 def _featurize_arrays(
-    clean: list[CleanDoc], vocab: Vocabulary, idf: IdfWeights | None
+    corpus: IdCorpus, vocab: Vocabulary, idf: IdfWeights | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR (indptr, indices, data) arrays for featurize."""
     if idf is not None and idf.idf.shape[0] != vocab.size:
         raise DimensionMismatchError(
             f"idf length {idf.idf.shape[0]} != vocabulary size {vocab.size}"
         )
-    n_docs, dim = len(clean), vocab.size
-    lengths = [len(d.tokens) for d in clean]
-    tokens = chain.from_iterable(d.tokens for d in clean)
-    ids = np.fromiter(
-        map(vocab.term_to_index.get, tokens, repeat(-1)), dtype=np.int64, count=sum(lengths)
-    )
-    rows = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-    # Sorted row * dim + id keys order the entries by row, then by column.
-    keys, counts = np.unique((rows * dim + ids)[ids >= 0], return_counts=True)
+    n_docs, dim = len(corpus), vocab.size
+    # Each lemma's column, or -1 out of vocabulary, then each token's.
+    lemmas = corpus.lemmas
+    column = np.fromiter(map(vocab.term_to_index.get, lemmas, repeat(-1)), np.int64, len(lemmas))
+    cols = column[corpus.ids]
+    doc_ptr = corpus.doc_ptr
+    rows = np.repeat(np.arange(n_docs, dtype=np.int64), doc_ptr[1:] - doc_ptr[:-1])
+    # Sorted row * dim + column keys order the entries by row, then by column.
+    keys, counts = np.unique((rows * dim + cols)[cols >= 0], return_counts=True)
     indptr = np.searchsorted(keys, np.arange(n_docs + 1, dtype=np.int64) * dim)
     indices = keys % max(dim, 1)
     data = counts.astype(np.float64)
@@ -222,12 +242,16 @@ def _featurize_arrays(
 def _scale_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, idf: IdfWeights):
     """Scale counts by IDF and L2-normalize each row, in place."""
     data *= idf.idf[indices]
-    # Each norm is summed over its own row, as a one-row sum would be;
-    # a segmented reduction changes the last bits of some norms.
+    # Each norm is summed over its own row, as a one-row sum would be (a
+    # segmented reduction changes the last bits of some norms). The rows
+    # of one length are summed together, as the rows of a 2-D array.
     squares = data**2
-    bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
-    norms = np.sqrt([np.add.reduce(squares[lo:hi]) for lo, hi in bounds])
-    data /= np.repeat(norms, np.diff(indptr))
+    lengths = indptr[1:] - indptr[:-1]
+    norms = np.empty(len(lengths))
+    for length in set(lengths.tolist()):
+        rows = (lengths == length).nonzero()[0]
+        norms[rows] = np.add.reduce(squares[indptr[rows, None] + np.arange(length)], axis=1)
+    data /= np.repeat(np.sqrt(norms), lengths)
 
 
 # One-row matrices and their stack, for callers that featurize document by

@@ -38,6 +38,8 @@ _SECTION_VOCAB = 3
 _SECTION_IDF = 4
 _SECTION_MODEL = 5
 
+_U32 = struct.Struct("<I")
+
 _MODEL_CODES = {KIND_NB: 0, KIND_LOGISTIC: 1, KIND_HINGE: 2}
 _MODEL_NAMES = {code: name for name, code in _MODEL_CODES.items()}
 
@@ -318,7 +320,22 @@ def _decode_pipeline(sections) -> PipelineConfig:
 def _decode_vocab(sections) -> Vocabulary:
     r = _require(sections, _SECTION_VOCAB, "vocabulary")
     (count,) = struct.unpack("<Q", r.take(8, "vocabulary size"))
-    terms = [r.take_str("vocabulary term") for _ in range(count)]
+    # take_str per term, read straight from the section bytes.
+    blob, pos, end = r.blob, r.pos, len(r.blob)
+    terms: list[str] = []
+    unpack, append = _U32.unpack_from, terms.append
+    try:
+        for _ in range(count):
+            if pos + 4 > end:
+                raise BundleIntegrityError("truncated bundle while reading vocabulary term")
+            (n,) = unpack(blob, pos)
+            pos += 4 + n
+            if pos > end:
+                raise BundleIntegrityError("truncated bundle while reading vocabulary term")
+            append(blob[pos - n : pos].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise BundleIntegrityError(f"vocabulary term is not valid UTF-8: {exc}") from exc
+    r.pos = pos
     _require_increasing("vocab", terms)
     return Vocabulary(term_to_index={t: i for i, t in enumerate(terms)})
 
@@ -394,16 +411,17 @@ def _validate(bundle: ModelBundle) -> None:
             raise BundleValidationError(
                 "model", f"nb has {columns} term columns != vocabulary size {vocab_size}"
             )
-        # Written as `not <=` so that a NaN fails each test.
-        prior_mass = float(np.sum(np.exp(model.class_log_prior)))
+        # Written as `not <=` so that a NaN fails each test. A crafted
+        # log-probability may overflow exp; the inf it gives fails too.
+        with np.errstate(over="ignore"):
+            prior_mass = float(np.sum(np.exp(model.class_log_prior)))
+            row_mass = np.sum(np.exp(model.feature_log_prob), axis=1)
         if not abs(prior_mass - 1.0) <= 1e-9:
             raise BundleValidationError("class_log_prior", f"mass {prior_mass} != 1")
         if not np.all(np.isfinite(model.feature_log_prob)):
             raise BundleValidationError("feature_log_prob", "non-finite values")
-        if vocab_size > 0:
-            row_mass = np.sum(np.exp(model.feature_log_prob), axis=1)
-            if not np.all(np.abs(row_mass - 1.0) <= 1e-9):
-                raise BundleValidationError("feature_log_prob", "row mass != 1")
+        if vocab_size > 0 and not np.all(np.abs(row_mass - 1.0) <= 1e-9):
+            raise BundleValidationError("feature_log_prob", "row mass != 1")
     else:
         if model.weights.shape != (N_CLASSES, vocab_size):
             raise BundleValidationError(

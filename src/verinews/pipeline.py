@@ -1,9 +1,11 @@
 """End-to-end glue: preprocess, featurize, train, score, evaluate.
 
 These functions tie the modules together behind the bundle abstraction so
-the CLI, the demos, and library users share one code path. Cleaning is
-serial: it maps each distinct whitespace run once per call, which beats a
-process pool at every corpus size the benchmark runs. The worker count
+the CLI, the demos, and library users share one code path. Cleaning hands
+features an IdCorpus, token ids over the distinct lemmas, so no per-token
+string list is built between the two. Cleaning is serial: it cleans each
+distinct whitespace run once per call, which beats a process pool at
+every corpus size the benchmark runs. The worker count
 passes through to models.sgd_fit, which alone decides whether to fan its
 four classes out over a pool of its own.
 """
@@ -27,7 +29,7 @@ from .models import (
     sgd_fit,
 )
 from .persistence import FEATURE_COUNT, FEATURE_TFIDF, ModelBundle
-from .textprep import CleanDoc, PipelineConfig, preprocess_corpus
+from .textprep import CleanDoc, PipelineConfig, preprocess_corpus, preprocess_ids
 
 MODEL_NB = "nb"
 MODEL_LR = "lr"
@@ -71,11 +73,14 @@ def train_bundle(
     pipeline_cfg = pipeline_cfg or PipelineConfig.default()
     train_cfg = train_cfg or TrainConfig()
 
-    clean = preprocess_corpus(docs, pipeline_cfg)
     vocab, idf, X = fit_features(
-        clean, feature_kind == FEATURE_TFIDF, min_df=min_df, max_df=max_df, max_terms=max_terms
+        preprocess_ids(docs, pipeline_cfg),
+        feature_kind == FEATURE_TFIDF,
+        min_df=min_df,
+        max_df=max_df,
+        max_terms=max_terms,
     )
-    labels = [d.label for d in clean]
+    labels = [d.label for d in docs]
 
     if model_kind == MODEL_NB:
         model = nb_fit(X, labels, alpha=nb_alpha)
@@ -101,8 +106,8 @@ def score_matrix(bundle: ModelBundle, X: FeatureRows) -> np.ndarray:
 
 
 def predict_bundle(bundle: ModelBundle, docs: list[Document]) -> tuple[list[Label], np.ndarray]:
-    clean = preprocess_corpus(docs, bundle.pipeline)
-    scores = score_matrix(bundle, featurize(clean, bundle.vocab, bundle.idf))
+    X = featurize(preprocess_ids(docs, bundle.pipeline), bundle.vocab, bundle.idf)
+    scores = score_matrix(bundle, X)
     return predict_labels(scores), scores
 
 

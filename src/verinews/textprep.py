@@ -9,8 +9,15 @@ survivors are lemmatized with an exceptions table plus suffix rules.
 URLs and emails never span whitespace, so they are removed one whitespace
 run at a time, in time linear in the text. Tag removal and the ASCII fold
 can span or join runs, so they and lowercasing act on the whole text; every
-later step stays inside one run. A corpus call therefore maps each distinct
-run to its kept lemmas once and reuses the result for the rest of the call.
+later step stays inside one run.
+
+A corpus is cleaned into an IdCorpus, one int64 array of token ids over
+the distinct kept lemmas. Each document's folded runs are looked up in a
+table of distinct runs as the document is folded; a run is cleaned, and a
+token lemmatized, only the first time it is seen, and the table holds the
+ids of each run's kept lemmas, so no per-token string is built. features
+builds its matrices from the ids; preprocess_corpus and preprocess_document
+read the same ids back as CleanDoc token tuples.
 
 Everything here is a pure function of (input, config): same bytes in, same
 tokens out, on any machine.
@@ -20,10 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from itertools import chain, count
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import Document, Label
 
@@ -112,6 +123,29 @@ class CleanDoc:
     label: Label | None = None
 
 
+@dataclass(frozen=True)
+class IdCorpus:
+    """A cleaned corpus as token ids.
+
+    Document i keeps lemmas[k] for each k in ids[doc_ptr[i]:doc_ptr[i + 1]],
+    in order. lemmas holds each distinct lemma once, in order of first
+    occurrence; no matrix built from the ids depends on that order.
+    """
+
+    lemmas: list[str]
+    ids: np.ndarray  # int64, one per kept token
+    doc_ptr: np.ndarray  # int64, length n_docs + 1
+
+    def __len__(self) -> int:
+        return len(self.doc_ptr) - 1
+
+    def token_tuples(self) -> list[tuple[str, ...]]:
+        """Each document's lemmas, in order."""
+        words = list(map(self.lemmas.__getitem__, self.ids.tolist()))
+        bounds = self.doc_ptr.tolist()
+        return [tuple(words[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def parse_stopwords(text: str) -> frozenset[str]:
     """Stop-word list format: one token per line, '#' starts a comment."""
     words = set()
@@ -155,7 +189,9 @@ def normalize_text(raw: str, cfg: PipelineConfig) -> str:
 
 def _strip_and_fold(raw: str) -> str:
     # The rules that may act across whitespace runs; the result is ASCII.
-    s = _TAG_RE.sub("", _strip_links(raw))
+    s = _strip_links(raw)
+    if "<" in s:
+        s = _TAG_RE.sub("", s)
     return s.encode("ascii", "ignore").decode("ascii").lower()
 
 
@@ -175,6 +211,8 @@ def _strip_links(s: str) -> str:
     needle. The next position of each needle is kept until the scan passes
     it, so no stretch of s is searched twice.
     """
+    if "://" not in s and "www." not in s and "@" not in s:
+        return s
     found = [s.find(needle) for needle in _LINK_NEEDLES]
     parts = []
     done = 0  # s[:done] is final, and s[done] is whitespace unless done == 0
@@ -190,8 +228,6 @@ def _strip_links(s: str) -> str:
         for k, i in enumerate(found):
             if 0 <= i < end:
                 found[k] = s.find(_LINK_NEEDLES[k], end)
-    if not parts:
-        return s
     parts.append(s[done:])
     return "".join(parts)
 
@@ -236,11 +272,7 @@ def _placeholder_sub(placeholder: str):
 
 def tokenize_and_filter(normalized: str, cfg: PipelineConfig) -> list[str]:
     """Split on whitespace runs, dropping short tokens and stop words."""
-    return [
-        t
-        for t in normalized.split()
-        if len(t) >= cfg.min_token_len and t not in cfg.stopword_list
-    ]
+    return [t for t in normalized.split() if _passes(t, cfg)]
 
 
 def lemmatize_token(token: str, cfg: PipelineConfig) -> str:
@@ -278,7 +310,10 @@ def _lemmatize_stable(token: str, cfg: PipelineConfig) -> str:
     # Iterate to a fixed point so preprocessing its own output is a no-op
     # ("houses" -> "hous" -> "hou" in one call, not across two passes).
     # Every suffix rule shortens the token; the bound guards exception
-    # tables that map between surfaces.
+    # tables that map between surfaces. A suffix rule needs a final s, d
+    # or g.
+    if token not in cfg.lemma_exceptions and not token.endswith(_RULE_ENDINGS):
+        return token
     steps = len(token) + 1
     if len(token) > cfg.longest_exception:
         token, steps = _strip_long(token, cfg.longest_exception, steps)
@@ -293,6 +328,7 @@ def _lemmatize_stable(token: str, cfg: PipelineConfig) -> str:
 # The suffix rules read at most a token's last 5 characters (-sses, or -ing
 # after a doubled consonant), and every stem-length test passes on 8.
 _RULE_WINDOW = 8
+_RULE_ENDINGS = ("s", "d", "g")
 _NO_EXCEPTIONS = PipelineConfig()
 
 
@@ -317,34 +353,62 @@ def preprocess_document(doc: Document, cfg: PipelineConfig) -> CleanDoc:
     Lemmas are re-checked against the length and stop-word filters since
     lemmatization can shorten a token or surface a stop word.
     """
-    return _preprocess(doc, cfg, {})
+    return preprocess_corpus([doc], cfg)[0]
 
 
 def preprocess_corpus(docs: list[Document], cfg: PipelineConfig) -> list[CleanDoc]:
-    """preprocess_document over a list, cleaning each distinct whitespace
-    run once."""
-    runs: dict[str, tuple[str, ...]] = {}
-    return [_preprocess(d, cfg, runs) for d in docs]
+    """preprocess_document over a list: preprocess_ids, read back as tokens."""
+    tokens = preprocess_ids(docs, cfg).token_tuples()
+    return [CleanDoc(id=d.id, tokens=t, label=d.label) for d, t in zip(docs, tokens)]
 
 
-def _preprocess(
-    doc: Document, cfg: PipelineConfig, runs: dict[str, tuple[str, ...]]
-) -> CleanDoc:
-    # runs caches each folded whitespace run -> the lemmas it keeps.
-    kept: list[str] = []
-    for run in _strip_and_fold(doc.title + " " + doc.body).split():
-        lemmas = runs.get(run)
-        if lemmas is None:
-            lemmas = runs[run] = _run_lemmas(run, cfg)
-        kept += lemmas
-    return CleanDoc(id=doc.id, tokens=tuple(kept), label=doc.label)
+def preprocess_ids(docs: list[Document], cfg: PipelineConfig) -> IdCorpus:
+    """The cleaned corpus as token ids, document i's tokens being those of
+    preprocess_document(docs[i], cfg).
+
+    Each document is folded and split into whitespace runs, and each run
+    looked up in a table of the distinct runs seen so far. Only a run
+    missing from it is cleaned, and only a token not seen before is
+    lemmatized; the table keeps each run's lemma ids, not its lemmas.
+    """
+    runs = _RunTable(cfg)
+    ids: list[int] = []
+    doc_ptr = [0]
+    for doc in docs:
+        folded = _strip_and_fold(doc.title + " " + doc.body)
+        ids += chain.from_iterable(map(runs.__getitem__, folded.split()))
+        doc_ptr.append(len(ids))
+    return IdCorpus(
+        lemmas=list(runs.lemma_ids),
+        ids=np.fromiter(ids, np.int64, len(ids)),
+        doc_ptr=np.array(doc_ptr, dtype=np.int64),
+    )
 
 
-def _run_lemmas(run: str, cfg: PipelineConfig) -> tuple[str, ...]:
-    # The substitutions leave a run of ASCII letters as it is.
-    kept = []
-    for token in tokenize_and_filter(run if run.isalpha() else _substitute(run, cfg), cfg):
-        lemma = _lemmatize_stable(token, cfg)
-        if len(lemma) >= cfg.min_token_len and lemma not in cfg.stopword_list:
-            kept.append(lemma)
-    return tuple(kept)
+class _RunTable(dict):
+    """Folded whitespace run -> the ids of the lemmas it keeps, in order.
+
+    A run is cleaned on its first lookup. A run of ASCII letters is one
+    token, and the substitutions split any other run into such runs, which
+    are looked up here in turn; so each distinct token is lemmatized once.
+    """
+
+    def __init__(self, cfg: PipelineConfig):
+        super().__init__()
+        self.cfg = cfg
+        self.lemma_ids = defaultdict(count().__next__)  # a new lemma takes the next id
+
+    def __missing__(self, run: str) -> tuple[int, ...]:
+        cfg = self.cfg
+        if not run.isalpha():
+            kept = tuple(chain.from_iterable(map(self.__getitem__, _substitute(run, cfg).split())))
+        elif _passes(run, cfg) and _passes(lemma := _lemmatize_stable(run, cfg), cfg):
+            kept = (self.lemma_ids[lemma],)
+        else:
+            kept = ()
+        self[run] = kept
+        return kept
+
+
+def _passes(word: str, cfg: PipelineConfig) -> bool:
+    return len(word) >= cfg.min_token_len and word not in cfg.stopword_list

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import struct
@@ -266,6 +267,23 @@ class TestEval:
         nb_bundle.write_bytes(resealed(bytes(raw)))
         assert run("eval", "--in", train_csv, "--model", nb_bundle) == 2
         assert f"version {version} is not supported" in capsys.readouterr().err
+
+    def test_overflowing_nb_bundle_is_exit_2_with_no_warning(self, tmp_path, train_csv, nb_bundle, child_env):
+        # exp(1000) overflows in the row-mass check. The bundle is bad
+        # input, so even with warnings as errors it must exit 2, not 1.
+        bundle = read_bundle(nb_bundle)
+        log_prob = bundle.model.feature_log_prob.copy()
+        log_prob[0, 0] = 1000.0
+        model = dataclasses.replace(bundle.model, feature_log_prob=log_prob)
+        nb_bundle.write_bytes(save_bundle_bytes(dataclasses.replace(bundle, model=model)))
+        result = subprocess.run(
+            [sys.executable, "-m", "verinews.cli", "eval", "--in", str(train_csv), "--model", str(nb_bundle)],
+            capture_output=True, text=True, cwd=tmp_path, env={**child_env, "PYTHONWARNINGS": "error"},
+            timeout=300,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert "row mass" in result.stderr
 
     def test_eval_never_mutates_the_bundle(self, tmp_path, train_csv, nb_bundle):
         # held-out data carries OOV terms; they are dropped, not learned

@@ -10,6 +10,7 @@ from csr_rows import csr_rows
 from verinews.errors import DimensionMismatchError, VocabularyError
 from verinews.features import (
     CSR,
+    _scale_rows,
     IdfWeights,
     Vocabulary,
     build_vocabulary,
@@ -383,3 +384,22 @@ def test_kernels_equal_scipy_products_bit_for_bit():
         assert row_dots(rows, W).tobytes() == (M @ W.T).tobytes()
         assert row_dots(rows, W[1]).tobytes() == (M @ W[1]).tobytes()
         assert class_sums(rows, labels, 4).tobytes() == (one_hot @ M).toarray().tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_norms_by_length_equal_one_row_sums(seed):
+    # Rows of 0-600 entries, past numpy's 128-element pairwise blocks,
+    # several of each length: each norm must be the one-row sum, bit for bit.
+    rng = np.random.default_rng(seed)
+    lengths = np.concatenate((rng.integers(0, 601, size=40), [0, 1, 127, 128, 129, 600] * 2))
+    rng.shuffle(lengths)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    indices = rng.integers(0, 50, size=indptr[-1])
+    data = rng.integers(1, 6, size=indptr[-1]).astype(np.float64)
+    idf = IdfWeights(idf=1.0 + rng.random(50) * 5, n_docs=100)
+    scaled = data * idf.idf[indices]
+    squares = scaled**2
+    norms = [np.add.reduce(squares[lo:hi]) for lo, hi in zip(indptr[:-1], indptr[1:])]
+    want = scaled / np.repeat(np.sqrt(norms), lengths)
+    _scale_rows(indptr, indices, data, idf)
+    assert_same_array(data, want)

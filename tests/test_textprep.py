@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_features import assert_same_array, assert_same_csr
 from verinews import models
 from verinews.corpus import Document, Label
+from verinews.features import featurize, fit_features
 from verinews.persistence import FEATURE_COUNT, FEATURE_TFIDF
 from verinews.pipeline import evaluate_bundle, predict_bundle, preprocess_many, train_bundle
 from verinews.textprep import (
     CleanDoc,
+    IdCorpus,
     PipelineConfig,
     _lemmatize_stable,
     _strip_links,
@@ -26,6 +29,7 @@ from verinews.textprep import (
     parse_stopwords,
     preprocess_corpus,
     preprocess_document,
+    preprocess_ids,
     tokenize_and_filter,
 )
 
@@ -387,6 +391,67 @@ def test_cleaning_matches_the_regex_chain(docs):
         expected = [reference_tokens(d, cfg) for d in docs]
         assert [c.tokens for c in preprocess_corpus(docs, cfg)] == expected
         assert [preprocess_document(d, cfg).tokens for d in docs] == expected
+
+
+# Documents for the id corpus: every rule's pieces, NUL, whole tags, an
+# unclosed "<" whose ">" may come in a later document, and documents that
+# are empty or hold only stop words and short tokens. _cycle_cfg's table
+# maps "houses" and "passes" to each other.
+_ID_PIECES = _RUN_PIECES + _WHITESPACE + ["\x00", "<b>", "</p>", "<a href=x>", "the was"]
+_id_texts = st.lists(st.sampled_from(_ID_PIECES), max_size=40).map("".join)
+_id_docs = st.lists(
+    st.one_of(
+        st.builds(lambda t, b: Document(id="x", title=t, body=b), _id_texts, _id_texts),
+        st.lists(st.sampled_from(["the", "was", "of", "a"]), max_size=5).map(
+            lambda ws: Document(id="s", title=" ".join(ws), body="")
+        ),
+    ),
+    max_size=8,
+)
+_cycle_cfg = PipelineConfig(
+    stopword_list=frozenset({"the", "was", "ran"}),
+    lemma_exceptions={"went": "go", "running": "ran", "houses": "passes", "passes": "houses"},
+)
+_df_bound = st.one_of(st.none(), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    docs=_id_docs, scored=_id_docs, min_df=st.integers(1, 3), max_df=_df_bound, max_terms=_df_bound
+)
+def test_id_corpus_equals_the_clean_doc_path(docs, scored, min_df, max_df, max_terms):
+    for cfg in (_CFG, _cycle_cfg):
+        ids = preprocess_ids(docs, cfg)
+        clean = [preprocess_document(d, cfg) for d in docs]
+        assert ids.token_tuples() == [c.tokens for c in clean]
+        assert [c.tokens for c in clean] == [reference_tokens(d, cfg) for d in docs]
+        assert ids.ids.dtype == ids.doc_ptr.dtype == np.int64
+        assert len(ids) == len(docs) and len(set(ids.lemmas)) == len(ids.lemmas)
+        assert sorted(set(ids.ids.tolist())) == list(range(len(ids.lemmas)))
+        # No matrix may depend on the order of the lemma ids, so the same
+        # corpus with its lemmas numbered backwards gives the same results.
+        n = len(ids.lemmas)
+        backwards = IdCorpus(lemmas=ids.lemmas[::-1], ids=n - 1 - ids.ids, doc_ptr=ids.doc_ptr)
+        scored_ids = preprocess_ids(scored, cfg)
+        scored_clean = preprocess_corpus(scored, cfg)
+        for tfidf in (False, True):
+            want_vocab, want_idf, want_X = fit_features(clean, tfidf, min_df, max_df, max_terms)
+            for corpus in (ids, backwards):
+                vocab, idf, X = fit_features(corpus, tfidf, min_df, max_df, max_terms)
+                assert list(vocab.term_to_index.items()) == list(want_vocab.term_to_index.items())
+                if tfidf:
+                    assert idf.n_docs == want_idf.n_docs
+                    assert_same_array(idf.idf, want_idf.idf)
+                assert_same_csr(X, want_X)
+            want_scored = featurize(scored_clean, want_vocab, want_idf)
+            assert_same_csr(featurize(scored_ids, want_vocab, want_idf), want_scored)
+
+
+def test_lemmatizer_returns_the_empty_token():
+    # No suffix rule applies to "", and it has no last letter to test.
+    assert _lemmatize_stable("", _CFG) == ""
+    mapped = PipelineConfig(lemma_exceptions={"": "abc"})
+    assert _lemmatize_stable("", mapped) == reference_lemmatize_stable("", mapped) == "abc"
 
 
 _PATHOLOGICAL_SNIPPET = """
