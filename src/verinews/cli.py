@@ -16,6 +16,15 @@ import os
 import sys
 from pathlib import Path
 
+# Importing numpy starts OpenBLAS's worker pool, one thread per core, and a
+# worker then spins on its core for a while. verinews makes no BLAS call
+# that OpenBLAS would split across threads, so the pool only costs start-up
+# and CPU time. This runs before the first import that loads numpy; a count
+# the caller set wins, and a program that loaded numpy first is left alone.
+# SGD pool workers inherit the setting.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .corpus import Label, RawRecord, dataset_stats, decode_utf8, parse_csv, to_documents
 from .errors import VerinewsError, VocabularyError
 from .metrics import render_confusion, render_report, report_from_json, report_to_json

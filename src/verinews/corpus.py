@@ -103,8 +103,16 @@ def parse_csv(stream: bytes | str | IO) -> list[RawRecord]:
     CsvParseError (with the offending data row number) on malformed input.
     """
     text = _as_text(stream)
-    reader = csv.reader(io.StringIO(text), strict=True)
+    # The csv module rejects fields over 131072 characters by default; no
+    # field is longer than the whole text.
+    previous_limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
+    try:
+        return _read_records(csv.reader(io.StringIO(text), strict=True))
+    finally:
+        csv.field_size_limit(previous_limit)
 
+
+def _read_records(reader) -> list[RawRecord]:
     try:
         header = next(reader, None)
     except csv.Error as exc:

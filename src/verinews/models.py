@@ -19,6 +19,10 @@ scipy: its hundreds of sparse products per class run faster in
 scipy.sparse, which it imports when called. Every other path works on the
 features module's CSR kernels, so NB and SGD training, eval and predict
 never pay the fifth of a second that importing scipy.sparse takes.
+
+So no fit gains from BLAS threads, and the CLI starts OpenBLAS with one
+thread unless OPENBLAS_NUM_THREADS is set (see cli); pool workers inherit
+that setting. A preset count leaves the weights unchanged.
 """
 
 from __future__ import annotations

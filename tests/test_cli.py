@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import os
 import random
 import struct
 import subprocess
@@ -571,10 +573,12 @@ def test_any_source_date_epoch_exits_0_or_2(tmp_path, child_env, value, train_co
         assert read_bundle(tmp_path / "new.b").created_at == int(value)
 
 
-def test_lr_bundle_does_not_depend_on_the_blas_thread_count(tmp_path, child_env):
+@pytest.mark.parametrize("model", ["lr", "sgd"])
+def test_bundle_does_not_depend_on_the_blas_thread_count(tmp_path, child_env, model):
     # Over 10 000 terms, so a BLAS dot product over the weights would be
     # split across OpenBLAS threads, and its rounding would follow the
-    # thread count.
+    # thread count. The CLI keeps a count the caller set, so "2" runs with
+    # two BLAS threads.
     rng = random.Random(5)
     syllables = [c + v for c in "bcdfghjklmnprtvz" for v in "aeiou"]
     words = ["".join(rng.choice(syllables) for _ in range(4)) for _ in range(15_000)]
@@ -587,18 +591,56 @@ def test_lr_bundle_does_not_depend_on_the_blas_thread_count(tmp_path, child_env)
 
     bundles = []
     for threads in ("1", "2"):
-        out = tmp_path / f"lr-{threads}.b"
+        out = tmp_path / f"{model}-{threads}.b"
         env = {**child_env, "OPENBLAS_NUM_THREADS": threads}
         env.pop("SOURCE_DATE_EPOCH", None)
         result = subprocess.run(
-            [sys.executable, "-m", "verinews.cli", "train", "--model", "lr", "--in", "train.csv",
+            [sys.executable, "-m", "verinews.cli", "train", "--model", model, "--in", "train.csv",
              "--out", out.name, "--threads", "1"],
             capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
         )
         assert result.returncode == 0, result.stderr
         bundles.append(out.read_bytes())
-    assert read_bundle(tmp_path / "lr-1.b").vocab.size > 10_000
+    assert read_bundle(tmp_path / f"{model}-1.b").vocab.size > 10_000
     assert bundles[0] == bundles[1]
+
+
+_BLAS_SNIPPET = """
+import json, os, sys
+if sys.argv[1] == "numpy first":
+    import numpy
+import verinews.cli
+threads = next(line.split()[1] for line in open("/proc/self/status") if line.startswith("Threads:"))
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), int(threads)]))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status") or (os.cpu_count() or 1) < 2,
+    reason="needs /proc/self/status and at least two cores for OpenBLAS to start a worker",
+)
+@pytest.mark.parametrize(
+    "preset, order, variable, threads",
+    [
+        pytest.param(None, "cli first", "1", 1, id="unset"),
+        pytest.param("2", "cli first", "2", None, id="preset"),
+        pytest.param(None, "numpy first", None, None, id="numpy-first"),
+    ],
+)
+def test_the_cli_starts_one_blas_thread_unless_told_otherwise(tmp_path, child_env, preset, order, variable, threads):
+    # child_env copies os.environ, so the variable is removed explicitly.
+    env = {k: v for k, v in child_env.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run(
+        [sys.executable, "-c", _BLAS_SNIPPET, order], capture_output=True, text=True, cwd=tmp_path, env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    seen_variable, seen_threads = json.loads(result.stdout)
+    assert seen_variable == variable
+    if threads is not None:
+        assert seen_threads == threads
 
 
 class TestInputBytes:
@@ -608,6 +650,21 @@ class TestInputBytes:
         assert run("prep", "--in", bad, "--threads", 1) == 2
         err = capsys.readouterr().err
         assert "UTF-8" in err and "0xff" in err and "offset 26" in err
+
+    def test_cell_over_the_csv_module_default_limit(self, tmp_path):
+        # The csv module rejects a field over 131 072 characters unless its
+        # limit is raised; a long article is well-formed input.
+        words = ["alpha", "beta", "gamma", "delta"]
+        rows = [(f"a{i}", f"Headline {i}", " ".join(words[(i + j) % 4] for j in range(40)), "true")
+                for i in range(8)]
+        rows[0] = ("a0", "Long", "longword " * 26_000, "false")
+        path = _write_labeled(tmp_path / "long.csv", rows)
+        assert len(rows[0][2]) > 131_072
+        limit = csv.field_size_limit()
+        assert run("train", "--model", "nb", "--in", path, "--out", tmp_path / "nb.b", "--threads", 1) == 0
+        assert run("prep", "--in", path, "--out", tmp_path / "prep.csv", "--threads", 1) == 0
+        assert csv.field_size_limit() == limit
+        assert read_bundle(tmp_path / "nb.b").vocab.size > 0
 
     def test_byte_order_mark_before_header(self, tmp_path, nb_bundle):
         text = _write_unlabeled(tmp_path / "plain.csv").read_bytes()
