@@ -11,10 +11,10 @@ documented byte-by-byte in docs/bundle-format.md.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,36 +96,39 @@ def write_bundle(bundle: ModelBundle, path: str | Path) -> None:
 def load_bundle(blob: bytes) -> ModelBundle:
     """Exact inverse of save_bundle_bytes; re-validates every invariant.
 
-    Fails closed on any bytes that the decoded bundle would not save back
-    to: sections out of order, repeated or unknown, unread bytes in a
-    section, metadata JSON not in its compact sorted form, and fields
-    whose decoded value would save differently.
+    Reads the sections in the order they are saved, each to its end, and
+    fails closed on any bytes that the decoded bundle would not save back
+    to: a section unknown, repeated, missing or out of order, unread bytes
+    in a section or after the model section, metadata JSON not in its
+    compact sorted form, and fields whose decoded value would save
+    differently. Metadata that json cannot parse within Python's recursion
+    and integer-digit limits is an integrity error. A blob with several
+    faults reports the first one met, as a BundleIntegrityError or a
+    BundleValidationError.
     """
     reader = _Reader(blob)
 
     if reader.take(len(MAGIC), "magic") != MAGIC:
         raise BundleIntegrityError("not a model bundle (bad magic)")
-    version, payload_len = struct.unpack("<IQ", reader.take(12, "header"))
+    version, payload_len = reader.unpack("<IQ", "header")
     if version != FORMAT_VERSION:
         raise BundleVersionError(
             f"bundle format version {version} is not supported (only {FORMAT_VERSION})"
         )
-    payload = reader.take(payload_len, "payload")
+    payload = _Reader(reader.take(payload_len, "payload"))
     digest = reader.take(CHECKSUM_LEN, "checksum")
     if reader.remaining():
         raise BundleIntegrityError("trailing bytes after checksum")
     if hashlib.sha256(blob[: len(blob) - CHECKSUM_LEN]).digest() != digest:
         raise BundleIntegrityError("checksum mismatch (corrupted bundle)")
 
-    sections = _split_sections(payload)
-    meta = _decode_meta(sections)
-    pipeline = _decode_pipeline(sections)
-    vocab = _decode_vocab(sections)
-    idf = _decode_idf(sections)
-    model = _decode_model(sections, meta["model_kind"])
-    for tag, section in sections.items():
-        if section.remaining():
-            raise BundleIntegrityError(f"{section.remaining()} unread bytes in section {tag}")
+    meta = payload.section(_SECTION_META, _decode_meta)
+    pipeline = payload.section(_SECTION_PIPELINE, _decode_pipeline)
+    vocab = payload.section(_SECTION_VOCAB, _decode_vocab)
+    idf = payload.section(_SECTION_IDF, _decode_idf, optional=True)
+    model = payload.section(_SECTION_MODEL, lambda r: _decode_model(r, meta["model_kind"]))
+    if payload.remaining():
+        raise BundleIntegrityError(f"{payload.remaining()} bytes after the model section")
 
     if pipeline.digest() != meta["pipeline_digest"]:
         raise BundleValidationError(
@@ -155,9 +158,13 @@ def _section(tag: int, body: bytes) -> bytes:
     return struct.pack("<IQ", tag, len(body)) + body
 
 
-def _encode_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
+def _encode_strs(strings: Iterable[str]) -> bytes:
+    """Each string as its u32 UTF-8 byte length and its UTF-8 bytes."""
+    parts = []
+    for s in strings:
+        raw = s.encode("utf-8")
+        parts += (_U32.pack(len(raw)), raw)
+    return b"".join(parts)
 
 
 def _encode_f64(arr: np.ndarray) -> bytes:
@@ -180,27 +187,19 @@ def _meta_json(meta: dict) -> bytes:
 
 
 def _encode_pipeline(cfg: PipelineConfig) -> bytes:
-    out = io.BytesIO()
-    out.write(_encode_str(cfg.numeric_placeholder))
-    out.write(struct.pack("<I", cfg.min_token_len))
     stopwords = sorted(cfg.stopword_list)
-    out.write(struct.pack("<I", len(stopwords)))
-    for word in stopwords:
-        out.write(_encode_str(word))
     lemmas = sorted(cfg.lemma_exceptions.items())
-    out.write(struct.pack("<I", len(lemmas)))
-    for surface, lemma in lemmas:
-        out.write(_encode_str(surface))
-        out.write(_encode_str(lemma))
-    return out.getvalue()
+    return b"".join((
+        _encode_strs([cfg.numeric_placeholder]),
+        struct.pack("<II", cfg.min_token_len, len(stopwords)),
+        _encode_strs(stopwords),
+        _U32.pack(len(lemmas)),
+        _encode_strs(s for pair in lemmas for s in pair),
+    ))
 
 
 def _encode_vocab(vocab: Vocabulary) -> bytes:
-    out = io.BytesIO()
-    out.write(struct.pack("<Q", vocab.size))
-    for term in vocab.terms():
-        out.write(_encode_str(term))
-    return out.getvalue()
+    return struct.pack("<Q", vocab.size) + _encode_strs(vocab.terms())
 
 
 def _encode_idf(idf: IdfWeights | None) -> bytes | None:
@@ -210,23 +209,20 @@ def _encode_idf(idf: IdfWeights | None) -> bytes | None:
 
 
 def _encode_model(model: NbModel | LinearModel) -> bytes:
-    out = io.BytesIO()
-    out.write(struct.pack("<B", _MODEL_CODES[model.kind]))
+    code = _MODEL_CODES[model.kind]
     if isinstance(model, NbModel):
-        out.write(struct.pack("<dQ", model.alpha, model.feature_log_prob.shape[1]))
-        out.write(_encode_f64(model.class_log_prior))
-        out.write(_encode_f64(model.feature_log_prob))
-    else:
-        out.write(struct.pack("<QB", model.weights.shape[1], int(model.converged)))
-        out.write(_encode_f64(model.weights))
-        out.write(_encode_f64(model.bias))
-    return out.getvalue()
+        head = struct.pack("<BdQ", code, model.alpha, model.feature_log_prob.shape[1])
+        return head + _encode_f64(model.class_log_prior) + _encode_f64(model.feature_log_prob)
+    head = struct.pack("<BQB", code, model.weights.shape[1], int(model.converged))
+    return head + _encode_f64(model.weights) + _encode_f64(model.bias)
 
 
 # --- decoding -----------------------------------------------------------
 
 
 class _Reader:
+    """A cursor over bytes; every read past the end is an integrity error."""
+
     def __init__(self, blob: bytes):
         self.blob = blob
         self.pos = 0
@@ -238,50 +234,66 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def take_str(self, what: str) -> str:
-        (n,) = struct.unpack("<I", self.take(4, what))
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def f64(self, count: int, what: str) -> np.ndarray:
+        return np.frombuffer(self.take(8 * count, what), dtype="<f8").copy()
+
+    def strings(self, count: int, what: str) -> list[str]:
+        """count strings saved by _encode_strs; the loop is the load hot
+        path, as the vocabulary holds most of a bundle's strings."""
+        blob, pos, end = self.blob, self.pos, len(self.blob)
+        out: list[str] = []
+        unpack, append = _U32.unpack_from, out.append
         try:
-            return self.take(n, what).decode("utf-8")
+            for _ in range(count):
+                if pos + 4 > end:
+                    raise BundleIntegrityError(f"truncated bundle while reading {what}")
+                (n,) = unpack(blob, pos)
+                pos += 4 + n
+                if pos > end:
+                    raise BundleIntegrityError(f"truncated bundle while reading {what}")
+                append(blob[pos - n : pos].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise BundleIntegrityError(f"{what} is not valid UTF-8: {exc}") from exc
+        self.pos = pos
+        return out
+
+    def section(self, tag: int, decode, optional: bool = False):
+        """decode(body) of the next section, which must have id tag and
+        be read to its end. An optional section that is not next is None."""
+        if optional and self.blob[self.pos : self.pos + 4] != _U32.pack(tag):
+            return None
+        found, length = self.unpack("<IQ", "section header")
+        if found != tag:
+            raise BundleIntegrityError(
+                f"section {found} where {tag} belongs: unknown, repeated, missing or out of order"
+            )
+        body = _Reader(self.take(length, f"section {tag}"))
+        value = decode(body)
+        if body.remaining():
+            raise BundleIntegrityError(f"{body.remaining()} unread bytes in section {tag}")
+        return value
 
     def remaining(self) -> int:
         return len(self.blob) - self.pos
 
 
-def _split_sections(payload: bytes) -> dict[int, _Reader]:
-    """Section readers by id; ids must be known and strictly increasing."""
-    reader = _Reader(payload)
-    sections: dict[int, _Reader] = {}
-    last = 0
-    while reader.remaining():
-        tag, length = struct.unpack("<IQ", reader.take(12, "section header"))
-        if not last < tag <= _SECTION_MODEL:
-            raise BundleIntegrityError(
-                f"section {tag} after section {last}: unknown, repeated or out of order"
-            )
-        last = tag
-        sections[tag] = _Reader(reader.take(length, f"section {tag}"))
-    return sections
-
-
-def _require(sections: dict[int, _Reader], tag: int, name: str) -> _Reader:
-    if tag not in sections:
-        raise BundleIntegrityError(f"missing {name} section")
-    return sections[tag]
-
-
-def _decode_meta(sections) -> dict:
-    r = _require(sections, _SECTION_META, "metadata")
+def _decode_meta(r: _Reader) -> dict:
     raw = r.take(r.remaining(), "metadata")
+    # json raises ValueError on bad UTF-8, bad JSON and integers longer
+    # than the int-to-str digit limit, and RecursionError on deep nesting,
+    # in loads and in the canonical re-encoding alike.
     try:
         meta = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        canonical = _meta_json(meta) == raw
+    except (ValueError, RecursionError) as exc:
         raise BundleIntegrityError(f"unreadable metadata: {exc}") from exc
     keys = ["created_at", "feature_kind", "model_kind", "n_train_docs", "pipeline_digest"]
     if not isinstance(meta, dict) or sorted(meta) != keys:
         raise BundleValidationError("metadata", f"must be an object with exactly the keys {keys}")
-    if _meta_json(meta) != raw:
+    if not canonical:
         raise BundleIntegrityError("metadata is not compact JSON with sorted keys")
     if not isinstance(meta["model_kind"], str) or meta["model_kind"] not in _MODEL_CODES:
         raise BundleValidationError("model_kind", f"unknown kind {meta['model_kind']!r}")
@@ -296,20 +308,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _decode_pipeline(sections) -> PipelineConfig:
-    r = _require(sections, _SECTION_PIPELINE, "pipeline")
-    placeholder = r.take_str("placeholder")
-    (min_len,) = struct.unpack("<I", r.take(4, "min_token_len"))
-    (n_stop,) = struct.unpack("<I", r.take(4, "stopword count"))
-    stopwords = [r.take_str("stopword") for _ in range(n_stop)]
-    (n_lemma,) = struct.unpack("<I", r.take(4, "lemma count"))
-    lemmas = [(r.take_str("lemma surface"), r.take_str("lemma target")) for _ in range(n_lemma)]
+def _decode_pipeline(r: _Reader) -> PipelineConfig:
+    (placeholder,) = r.strings(1, "placeholder")
+    min_len, n_stop = r.unpack("<II", "min_token_len and stopword count")
+    stopwords = r.strings(n_stop, "stopword")
+    (n_lemma,) = r.unpack("<I", "lemma count")
+    pairs = r.strings(2 * n_lemma, "lemma pair")
+    surfaces = pairs[::2]
     _require_increasing("stopwords", stopwords)
-    _require_increasing("lemma_exceptions", [surface for surface, _ in lemmas])
+    _require_increasing("lemma_exceptions", surfaces)
     try:
         return PipelineConfig(
             stopword_list=frozenset(stopwords),
-            lemma_exceptions=dict(lemmas),
+            lemma_exceptions=dict(zip(surfaces, pairs[1::2])),
             numeric_placeholder=placeholder,
             min_token_len=min_len,
         )
@@ -317,25 +328,9 @@ def _decode_pipeline(sections) -> PipelineConfig:
         raise BundleValidationError("pipeline", str(exc)) from exc
 
 
-def _decode_vocab(sections) -> Vocabulary:
-    r = _require(sections, _SECTION_VOCAB, "vocabulary")
-    (count,) = struct.unpack("<Q", r.take(8, "vocabulary size"))
-    # take_str per term, read straight from the section bytes.
-    blob, pos, end = r.blob, r.pos, len(r.blob)
-    terms: list[str] = []
-    unpack, append = _U32.unpack_from, terms.append
-    try:
-        for _ in range(count):
-            if pos + 4 > end:
-                raise BundleIntegrityError("truncated bundle while reading vocabulary term")
-            (n,) = unpack(blob, pos)
-            pos += 4 + n
-            if pos > end:
-                raise BundleIntegrityError("truncated bundle while reading vocabulary term")
-            append(blob[pos - n : pos].decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise BundleIntegrityError(f"vocabulary term is not valid UTF-8: {exc}") from exc
-    r.pos = pos
+def _decode_vocab(r: _Reader) -> Vocabulary:
+    (count,) = r.unpack("<Q", "vocabulary size")
+    terms = r.strings(count, "vocabulary term")
     _require_increasing("vocab", terms)
     return Vocabulary(term_to_index={t: i for i, t in enumerate(terms)})
 
@@ -348,18 +343,13 @@ def _require_increasing(field: str, strings: list[str]) -> None:
             raise BundleValidationError(field, f"out of order: {a!r} !< {b!r}")
 
 
-def _decode_idf(sections) -> IdfWeights | None:
-    if _SECTION_IDF not in sections:
-        return None
-    r = sections[_SECTION_IDF]
-    n_docs, size = struct.unpack("<QQ", r.take(16, "idf header"))
-    idf = np.frombuffer(r.take(8 * size, "idf values"), dtype="<f8").copy()
-    return IdfWeights(idf=idf, n_docs=n_docs)
+def _decode_idf(r: _Reader) -> IdfWeights:
+    n_docs, size = r.unpack("<QQ", "idf header")
+    return IdfWeights(idf=r.f64(size, "idf values"), n_docs=n_docs)
 
 
-def _decode_model(sections, expected_kind: str) -> NbModel | LinearModel:
-    r = _require(sections, _SECTION_MODEL, "model")
-    (code,) = struct.unpack("<B", r.take(1, "model kind"))
+def _decode_model(r: _Reader, expected_kind: str) -> NbModel | LinearModel:
+    (code,) = r.unpack("<B", "model kind")
     kind = _MODEL_NAMES.get(code)
     if kind is None:
         raise BundleValidationError("model", f"unknown model code {code}")
@@ -368,22 +358,18 @@ def _decode_model(sections, expected_kind: str) -> NbModel | LinearModel:
             "model_kind", f"metadata says {expected_kind!r} but payload is {kind!r}"
         )
     if kind == KIND_NB:
-        alpha, v = struct.unpack("<dQ", r.take(16, "nb header"))
-        prior = np.frombuffer(r.take(8 * N_CLASSES, "nb priors"), dtype="<f8").copy()
-        flp = np.frombuffer(r.take(8 * N_CLASSES * v, "nb log probs"), dtype="<f8").copy()
+        alpha, v = r.unpack("<dQ", "nb header")
         return NbModel(
-            class_log_prior=prior,
-            feature_log_prob=flp.reshape(N_CLASSES, v),
+            class_log_prior=r.f64(N_CLASSES, "nb priors"),
+            feature_log_prob=r.f64(N_CLASSES * v, "nb log probs").reshape(N_CLASSES, v),
             alpha=alpha,
         )
-    v, converged = struct.unpack("<QB", r.take(9, "linear header"))
+    v, converged = r.unpack("<QB", "linear header")
     if converged > 1:
         raise BundleValidationError("converged", f"flag byte {converged} is not 0 or 1")
-    weights = np.frombuffer(r.take(8 * N_CLASSES * v, "weights"), dtype="<f8").copy()
-    bias = np.frombuffer(r.take(8 * N_CLASSES, "bias"), dtype="<f8").copy()
     return LinearModel(
-        weights=weights.reshape(N_CLASSES, v),
-        bias=bias,
+        weights=r.f64(N_CLASSES * v, "weights").reshape(N_CLASSES, v),
+        bias=r.f64(N_CLASSES, "bias"),
         kind=kind,
         converged=bool(converged),
     )

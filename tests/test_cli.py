@@ -16,7 +16,7 @@ from verinews.models import TrainConfig
 from verinews.persistence import read_bundle, save_bundle_bytes
 from verinews.pipeline import DEFAULT_FEATURES, train_bundle
 
-from test_persistence import NON_CANONICAL, _edited, resealed
+from test_persistence import NON_CANONICAL, UNPARSABLE_METADATA, _edited, _metadata, resealed
 
 LABELED_ROWS = [
     ("a1", "You Can Be Fined 1500 If Your Passenger Is Unbuckled", "Distracted driving causes more deaths officials say", "FALSE"),
@@ -261,6 +261,12 @@ class TestEval:
         assert run("train", "--model", model, "--in", train_csv, "--out", bundle, "--threads", 1) == 0
         bundle.write_bytes(_edited(bundle.read_bytes(), edit))
         assert run("eval", "--in", train_csv, "--model", bundle) == 2
+
+    @pytest.mark.parametrize("raw", UNPARSABLE_METADATA)
+    def test_unparsable_bundle_metadata_is_exit_2(self, train_csv, nb_bundle, raw, capsys):
+        nb_bundle.write_bytes(_edited(nb_bundle.read_bytes(), _metadata(raw)))
+        assert run("eval", "--in", train_csv, "--model", nb_bundle) == 2
+        assert "unreadable metadata" in capsys.readouterr().err
 
     @pytest.mark.parametrize("version", [0, 2])
     def test_unsupported_bundle_version_is_exit_2(self, tmp_path, train_csv, nb_bundle, version, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,16 @@ from verinews.errors import (
     BundleVersionError,
 )
 from verinews.features import IdfWeights, Vocabulary, build_vocabulary, featurize, fit_idf
-from verinews.models import TrainConfig, decision_scores, lr_fit, nb_fit, sgd_fit
+from verinews.models import (
+    KIND_HINGE,
+    LinearModel,
+    NbModel,
+    TrainConfig,
+    decision_scores,
+    lr_fit,
+    nb_fit,
+    sgd_fit,
+)
 from verinews.persistence import (
     FORMAT_VERSION,
     MAGIC,
@@ -382,3 +392,158 @@ def test_non_canonical_bundle_is_rejected(name):
     assert _edited(raw, lambda sections: None) == raw  # only the edit differs
     with pytest.raises((BundleIntegrityError, BundleValidationError)):
         load_bundle(_edited(raw, edit))
+
+
+def _metadata(raw):
+    """An edit that replaces the metadata section body with raw."""
+    def edit(sections):
+        sections[0][1] = bytearray(raw)
+    return edit
+
+
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+# Metadata that json cannot parse within Python's limits; json raises
+# RecursionError or ValueError rather than a decode error on these.
+UNPARSABLE_METADATA = [
+    pytest.param(b"[" * 200000, id="nested-deeper-than-the-recursion-limit"),
+    pytest.param(
+        b'{"n_train_docs":' + b"1" * (_INT_DIGITS + 1) + b"}",
+        id="integer-over-the-digit-limit",
+        marks=pytest.mark.skipif(not _INT_DIGITS, reason="no int-to-str digit limit"),
+    ),
+]
+
+
+@pytest.mark.parametrize("raw", UNPARSABLE_METADATA)
+def test_unparsable_metadata_is_an_integrity_error(raw):
+    with pytest.raises(BundleIntegrityError, match="unreadable metadata"):
+        load_bundle(_edited(_SAVED[0], _metadata(raw)))
+
+
+@pytest.mark.parametrize("saved", _SAVED, ids=["nb", "lr", "sgd"])
+def test_every_truncated_section_body_is_an_integrity_error(saved):
+    # Every field of every section is read, so a body cut short at any
+    # offset runs out of bytes, whatever field the cut lands in.
+    sections = _sections(saved)
+    for i, (_, body) in enumerate(sections):
+        for cut in range(len(body)):
+            short = [[tag, b[:cut] if j == i else b] for j, (tag, b) in enumerate(sections)]
+            with pytest.raises(BundleIntegrityError):
+                load_bundle(_sealed(short, [len(b) for _, b in short]))
+
+
+# --- the byte layout of docs/bundle-format.md, built field by field -------
+
+
+def _u32(n):
+    return struct.pack("<I", n)
+
+
+def _u64(n):
+    return struct.pack("<Q", n)
+
+
+def _doubles(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _string(s):
+    raw = s.encode("utf-8")
+    return _u32(len(raw)) + raw
+
+
+def _spec_bundle(sections):
+    """Magic, version, payload length, the (id, body) sections, digest."""
+    payload = b"".join(_u32(tag) + _u64(len(body)) + body for tag, body in sections)
+    head = b"VNEWSBDL" + _u32(1) + _u64(len(payload)) + payload
+    return head + hashlib.sha256(head).digest()
+
+
+_LAYOUT_PIPELINE = PipelineConfig(
+    stopword_list=frozenset({"the", "and"}),
+    lemma_exceptions={"went": "go", "mice": "mouse"},
+)
+# Stop words and lemma surfaces sorted; "café" is 5 UTF-8 bytes.
+_LAYOUT_PIPELINE_BODY = (
+    _string("somenuber") + _u32(3)
+    + _u32(2) + _string("and") + _string("the")
+    + _u32(2) + _string("mice") + _string("mouse") + _string("went") + _string("go")
+)
+_LAYOUT_VOCAB = Vocabulary(term_to_index={"café": 0, "zebra": 1})
+_LAYOUT_VOCAB_BODY = _u64(2) + _string("café") + _string("zebra")
+
+
+def _layout_meta(created_at, feature_kind, model_kind, n_train_docs):
+    """The metadata JSON as the spec shows it: compact, keys sorted."""
+    return (
+        f'{{"created_at":{created_at},"feature_kind":"{feature_kind}","model_kind":"{model_kind}",'
+        f'"n_train_docs":{n_train_docs},"pipeline_digest":"{_LAYOUT_PIPELINE.digest()}"}}'
+    ).encode()
+
+
+def _layout_nb():
+    bundle = ModelBundle(
+        pipeline=_LAYOUT_PIPELINE,
+        vocab=_LAYOUT_VOCAB,
+        idf=None,
+        model=NbModel(
+            class_log_prior=np.log(np.full(4, 0.25)),
+            feature_log_prob=np.log(np.full((4, 2), 0.5)),
+            alpha=1.0,
+        ),
+        feature_kind="count",
+        n_train_docs=4,
+    )
+    # code 0, alpha, V, 4 log priors, 4 x V log probabilities
+    model_body = (
+        b"\x00" + _doubles(1.0) + _u64(2)
+        + _doubles(*[np.log(0.25)] * 4) + _doubles(*[np.log(0.5)] * 8)
+    )
+    meta = _layout_meta("null", "count", "nb", 4)
+    return bundle, _spec_bundle(
+        [(1, meta), (2, _LAYOUT_PIPELINE_BODY), (3, _LAYOUT_VOCAB_BODY), (5, model_body)]
+    )
+
+
+def _layout_hinge():
+    weights = [[0.5, -0.25], [0.0, 1.0], [-2.0, 0.125], [4.0, -0.5]]
+    bias = [0.0, 1.0, -1.0, 0.375]
+    bundle = ModelBundle(
+        pipeline=_LAYOUT_PIPELINE,
+        vocab=_LAYOUT_VOCAB,
+        idf=IdfWeights(idf=np.array([1.0, 1.5]), n_docs=3),
+        model=LinearModel(
+            weights=np.array(weights), bias=np.array(bias), kind=KIND_HINGE, converged=False
+        ),
+        feature_kind="tfidf",
+        n_train_docs=3,
+        created_at=1700000000,
+    )
+    idf_body = _u64(3) + _u64(2) + _doubles(1.0, 1.5)
+    # code 2, V, converged flag 0, 4 x V weights row-major, 4 biases
+    model_body = (
+        b"\x02" + _u64(2) + b"\x00"
+        + _doubles(*(w for row in weights for w in row)) + _doubles(*bias)
+    )
+    meta = _layout_meta(1700000000, "tfidf", "hinge", 3)
+    return bundle, _spec_bundle(
+        [(1, meta), (2, _LAYOUT_PIPELINE_BODY), (3, _LAYOUT_VOCAB_BODY), (4, idf_body), (5, model_body)]
+    )
+
+
+def _fields(bundle):
+    """Every field of a bundle, with arrays as (shape, bytes)."""
+    def plain(value):
+        return (value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+    model = {f.name: plain(getattr(bundle.model, f.name)) for f in dataclasses.fields(bundle.model)}
+    idf = None if bundle.idf is None else (plain(bundle.idf.idf), bundle.idf.n_docs)
+    return (bundle.pipeline, bundle.vocab, idf, bundle.model.kind, model,
+            bundle.feature_kind, bundle.n_train_docs, bundle.created_at)
+
+
+@pytest.mark.parametrize("build", [_layout_nb, _layout_hinge], ids=["nb-count", "hinge-tfidf"])
+def test_saved_bytes_follow_the_spec_field_by_field(build):
+    bundle, expected = build()
+    assert save_bundle_bytes(bundle) == expected
+    assert _fields(load_bundle(expected)) == _fields(bundle)
