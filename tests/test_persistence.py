@@ -394,6 +394,77 @@ def test_non_canonical_bundle_is_rejected(name):
         load_bundle(_edited(raw, edit))
 
 
+def _replace_model_header(fmt, *fields, drop):
+    """An edit that rewrites the model header after its code byte as
+    struct fmt of fields, and deletes the drop doubles that follow it."""
+    def edit(sections):
+        body, size = sections[-1][1], 1 + struct.calcsize(fmt)
+        body[1 : size + 8 * drop] = struct.pack(fmt, *fields)
+    return edit
+
+
+def _shorten_idf(sections):
+    body = sections[3][1]
+    n_docs, size = struct.unpack_from("<QQ", body)
+    sections[3][1] = bytearray(struct.pack("<QQ", n_docs, size - 1)) + body[16:-8]
+
+
+def _idf_section(values):
+    return [4, bytearray(struct.pack(f"<QQ{len(values)}d", 3, len(values), *values))]
+
+
+def _vocab_term_byte(value):
+    def edit(sections):
+        sections[2][1][12:13] = value  # the first term's first byte
+    return edit
+
+
+_V = _nb_bundle()[0].vocab.size
+_NAN = struct.pack("<d", float("nan"))
+
+# Rejections of a bundle sealed with a valid digest, one fault each:
+# name -> (model, edit, error class, field or None for an integrity error).
+REJECTED = {
+    "pipeline-digest-mismatch": ("nb", _meta(pipeline_digest="0" * 64), BundleValidationError, "pipeline_digest"),
+    "unknown-metadata-model-kind": ("nb", _meta(model_kind="svm"), BundleValidationError, "model_kind"),
+    "unknown-model-code": ("nb", _set_model_bytes(0, b"\x07"), BundleValidationError, "model"),
+    "metadata-kind-differs-from-payload": ("nb", _meta(model_kind="logistic"), BundleValidationError, "model_kind"),
+    "idf-length-differs-from-vocabulary": ("lr", _shorten_idf, BundleValidationError, "idf"),
+    "nb-width-differs-from-vocabulary": (
+        "nb", _replace_model_header("<dQ", 1.0, _V - 1, drop=4), BundleValidationError, "model"
+    ),
+    "linear-width-differs-from-vocabulary": (
+        "sgd", _replace_model_header("<QB", _V - 1, 1, drop=4), BundleValidationError, "weights"
+    ),
+    "nan-linear-weight": ("sgd", _set_model_bytes(10, _NAN), BundleValidationError, "weights"),
+    "non-utf8-vocabulary-term": ("nb", _vocab_term_byte(b"\xff"), BundleIntegrityError, None),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_sealed_fault_is_rejected_with_its_class_and_field(name):
+    model, edit, error, field = REJECTED[name]
+    raw = _SAVED[["nb", "lr", "sgd"].index(model)]
+    with pytest.raises(error) as caught:
+        load_bundle(_edited(raw, edit))
+    assert type(caught.value) is error
+    assert getattr(caught.value, "field", None) == field
+
+
+@pytest.mark.parametrize(
+    "model, edit",
+    [
+        ("nb", lambda s: s.insert(3, _idf_section([1.0] * _V))),
+        ("lr", lambda s: s.pop(3)),
+    ],
+    ids=["count-bundle-with-idf-section", "tfidf-bundle-without-idf-section"],
+)
+def test_idf_section_must_match_the_feature_kind(model, edit):
+    raw = _SAVED[["nb", "lr", "sgd"].index(model)]
+    with pytest.raises((BundleIntegrityError, BundleValidationError)):
+        load_bundle(_edited(raw, edit))
+
+
 def _metadata(raw):
     """An edit that replaces the metadata section body with raw."""
     def edit(sections):
