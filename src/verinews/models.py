@@ -271,6 +271,7 @@ def lr_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
     return LinearModel(weights=weights, bias=bias, kind=KIND_LOGISTIC, converged=converged)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
     """(z, converged): logistic_objective minimized from z = 0 by TRON.
 
@@ -280,6 +281,10 @@ def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
     and rescales the radius by how well the quadratic model predicted.
     Stops once max|grad| <= lr_tol, or after lr_max_iter iterations;
     callback(z) runs after each iteration.
+
+    Raises TrainingError once the objective, the gradient or the radius is
+    not finite, or the radius is 0: an lr_C or lr_tol far from the data's
+    scale. That check, not numpy's overflow warnings, reports such a fit.
     """
     X = _scipy_rows(X)
     C = cfg.lr_C
@@ -288,8 +293,13 @@ def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
     grad, d = _logistic_gradient(z, X, y_pm, C, margins)
     radius = math.sqrt(_dot(grad, grad))
     for k in range(cfg.lr_max_iter):
-        if np.max(np.abs(grad)) <= cfg.lr_tol:
+        grad_max = np.max(np.abs(grad))
+        if grad_max <= cfg.lr_tol:
             return z, True
+        if not (math.isfinite(f) and math.isfinite(grad_max) and 0 < radius < math.inf):
+            raise TrainingError(
+                f"lr_C {C} with lr_tol {cfg.lr_tol} takes the LR fit outside the floating-point range"
+            )
         s, r = _steihaug_cg(grad, lambda p: _weighted_hessp(d, p, X), radius)
         f_new, margins = _logistic_loss(z + s, X, y_pm, C)
         gs = _dot(grad, s)
@@ -320,7 +330,8 @@ def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
 def _steihaug_cg(g, hessp, radius):
     """(s, r): CG on H s = -g from s = 0, stopped when the residual
     r = -g - H s has norm <= 0.1*||g||, or on the trust-region boundary
-    when a step would leave it or meets non-positive curvature."""
+    when a step would leave it or meets curvature that is not positive and
+    finite. Where the boundary step underflows, (s, r) is returned as is."""
     s = np.zeros_like(g)
     r = -g
     d = r.copy()
@@ -329,7 +340,7 @@ def _steihaug_cg(g, hessp, radius):
     while True:
         hd = hessp(d)
         dhd = _dot(d, hd)
-        if dhd > 0:
+        if 0 < dhd < math.inf:
             alpha = rr / dhd
             s_next = s + alpha * d
             if math.sqrt(_dot(s_next, s_next)) <= radius:
@@ -344,6 +355,8 @@ def _steihaug_cg(g, hessp, radius):
         sd, ss, dd = _dot(s, d), _dot(s, s), _dot(d, d)
         gap = radius * radius - ss
         root = math.sqrt(sd * sd + dd * gap)
+        if not (dd > 0 and root > 0):
+            return s, r
         tau = gap / (sd + root) if sd >= 0 else (root - sd) / dd
         return s + tau * d, r - tau * hd
 

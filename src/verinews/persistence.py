@@ -94,17 +94,20 @@ def write_bundle(bundle: ModelBundle, path: str | Path) -> None:
 
 
 def load_bundle(blob: bytes) -> ModelBundle:
-    """Exact inverse of save_bundle_bytes; re-validates every invariant.
+    """Exact inverse of save_bundle_bytes.
 
     Reads the sections in the order they are saved, each to its end, and
-    fails closed on any bytes that the decoded bundle would not save back
-    to: a section unknown, repeated, missing or out of order, unread bytes
-    in a section or after the model section, metadata JSON not in its
-    compact sorted form, and fields whose decoded value would save
-    differently. Metadata that json cannot parse within Python's recursion
-    and integer-digit limits is an integrity error. A blob with several
-    faults reports the first one met, as a BundleIntegrityError or a
-    BundleValidationError.
+    checks each field while its section is read; the IDF section is read
+    only when the metadata's feature kind is tfidf. Fails closed on any
+    bytes that the decoded bundle would not save back to: a section
+    unknown, repeated, missing or out of order, unread bytes in a section
+    or after the model section, metadata JSON not in its compact sorted
+    form, and fields whose decoded value would save differently. Metadata
+    that json cannot parse within Python's recursion and integer-digit
+    limits is an integrity error. A blob with several faults reports the
+    first one in byte order, as a BundleIntegrityError or a
+    BundleValidationError; only an unknown feature kind is reported last,
+    by ModelBundle.
     """
     reader = _Reader(blob)
 
@@ -123,18 +126,15 @@ def load_bundle(blob: bytes) -> ModelBundle:
         raise BundleIntegrityError("checksum mismatch (corrupted bundle)")
 
     meta = payload.section(_SECTION_META, _decode_meta)
-    pipeline = payload.section(_SECTION_PIPELINE, _decode_pipeline)
+    pipeline = payload.section(_SECTION_PIPELINE, lambda r: _decode_pipeline(r, meta["pipeline_digest"]))
     vocab = payload.section(_SECTION_VOCAB, _decode_vocab)
-    idf = payload.section(_SECTION_IDF, _decode_idf, optional=True)
-    model = payload.section(_SECTION_MODEL, lambda r: _decode_model(r, meta["model_kind"]))
+    idf = None
+    if meta["feature_kind"] == FEATURE_TFIDF:
+        idf = payload.section(_SECTION_IDF, lambda r: _decode_idf(r, vocab.size))
+    model = payload.section(_SECTION_MODEL, lambda r: _decode_model(r, meta["model_kind"], vocab.size))
     if payload.remaining():
         raise BundleIntegrityError(f"{payload.remaining()} bytes after the model section")
-
-    if pipeline.digest() != meta["pipeline_digest"]:
-        raise BundleValidationError(
-            "pipeline_digest", "embedded tables do not match the recorded digest"
-        )
-    bundle = ModelBundle(
+    return ModelBundle(
         pipeline=pipeline,
         vocab=vocab,
         idf=idf,
@@ -143,8 +143,6 @@ def load_bundle(blob: bytes) -> ModelBundle:
         n_train_docs=meta["n_train_docs"],
         created_at=meta["created_at"],
     )
-    _validate(bundle)
-    return bundle
 
 
 def read_bundle(path: str | Path) -> ModelBundle:
@@ -260,11 +258,9 @@ class _Reader:
         self.pos = pos
         return out
 
-    def section(self, tag: int, decode, optional: bool = False):
+    def section(self, tag: int, decode):
         """decode(body) of the next section, which must have id tag and
-        be read to its end. An optional section that is not next is None."""
-        if optional and self.blob[self.pos : self.pos + 4] != _U32.pack(tag):
-            return None
+        be read to its end."""
         found, length = self.unpack("<IQ", "section header")
         if found != tag:
             raise BundleIntegrityError(
@@ -308,7 +304,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _decode_pipeline(r: _Reader) -> PipelineConfig:
+def _decode_pipeline(r: _Reader, digest: str) -> PipelineConfig:
     (placeholder,) = r.strings(1, "placeholder")
     min_len, n_stop = r.unpack("<II", "min_token_len and stopword count")
     stopwords = r.strings(n_stop, "stopword")
@@ -318,7 +314,7 @@ def _decode_pipeline(r: _Reader) -> PipelineConfig:
     _require_increasing("stopwords", stopwords)
     _require_increasing("lemma_exceptions", surfaces)
     try:
-        return PipelineConfig(
+        cfg = PipelineConfig(
             stopword_list=frozenset(stopwords),
             lemma_exceptions=dict(zip(surfaces, pairs[1::2])),
             numeric_placeholder=placeholder,
@@ -326,6 +322,9 @@ def _decode_pipeline(r: _Reader) -> PipelineConfig:
         )
     except ValueError as exc:
         raise BundleValidationError("pipeline", str(exc)) from exc
+    if cfg.digest() != digest:
+        raise BundleValidationError("pipeline_digest", "embedded tables do not match the recorded digest")
+    return cfg
 
 
 def _decode_vocab(r: _Reader) -> Vocabulary:
@@ -343,12 +342,17 @@ def _require_increasing(field: str, strings: list[str]) -> None:
             raise BundleValidationError(field, f"out of order: {a!r} !< {b!r}")
 
 
-def _decode_idf(r: _Reader) -> IdfWeights:
+def _decode_idf(r: _Reader, vocab_size: int) -> IdfWeights:
     n_docs, size = r.unpack("<QQ", "idf header")
-    return IdfWeights(idf=r.f64(size, "idf values"), n_docs=n_docs)
+    if size != vocab_size:
+        raise BundleValidationError("idf", f"length {size} != vocabulary size {vocab_size}")
+    idf = r.f64(size, "idf values")
+    if not np.all(idf >= 1.0):
+        raise BundleValidationError("idf", "values below 1.0")
+    return IdfWeights(idf=idf, n_docs=n_docs)
 
 
-def _decode_model(r: _Reader, expected_kind: str) -> NbModel | LinearModel:
+def _decode_model(r: _Reader, expected_kind: str, vocab_size: int) -> NbModel | LinearModel:
     (code,) = r.unpack("<B", "model kind")
     kind = _MODEL_NAMES.get(code)
     if kind is None:
@@ -359,59 +363,39 @@ def _decode_model(r: _Reader, expected_kind: str) -> NbModel | LinearModel:
         )
     if kind == KIND_NB:
         alpha, v = r.unpack("<dQ", "nb header")
-        return NbModel(
-            class_log_prior=r.f64(N_CLASSES, "nb priors"),
-            feature_log_prob=r.f64(N_CLASSES * v, "nb log probs").reshape(N_CLASSES, v),
-            alpha=alpha,
-        )
+        if not 0 < alpha < math.inf:
+            raise BundleValidationError("alpha", f"{alpha} is not positive and finite")
+        if v != vocab_size:
+            raise BundleValidationError("model", f"nb has {v} term columns != vocabulary size {vocab_size}")
+        prior = r.f64(N_CLASSES, "nb priors")
+        _require_unit_mass("class_log_prior", prior)
+        log_prob = r.f64(N_CLASSES * v, "nb log probs").reshape(N_CLASSES, v)
+        _require_finite("feature_log_prob", log_prob)
+        if v > 0:
+            _require_unit_mass("feature_log_prob", log_prob)
+        return NbModel(class_log_prior=prior, feature_log_prob=log_prob, alpha=alpha)
     v, converged = r.unpack("<QB", "linear header")
     if converged > 1:
         raise BundleValidationError("converged", f"flag byte {converged} is not 0 or 1")
-    return LinearModel(
-        weights=r.f64(N_CLASSES * v, "weights").reshape(N_CLASSES, v),
-        bias=r.f64(N_CLASSES, "bias"),
-        kind=kind,
-        converged=bool(converged),
-    )
+    if v != vocab_size:
+        raise BundleValidationError("weights", f"shape (4, {v}) != (4, {vocab_size})")
+    weights = r.f64(N_CLASSES * v, "weights").reshape(N_CLASSES, v)
+    _require_finite("weights", weights)
+    bias = r.f64(N_CLASSES, "bias")
+    _require_finite("bias", bias)
+    return LinearModel(weights=weights, bias=bias, kind=kind, converged=bool(converged))
 
 
-# --- invariant validation ------------------------------------------------
+def _require_finite(field: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise BundleValidationError(field, "non-finite values")
 
 
-def _validate(bundle: ModelBundle) -> None:
-    vocab_size = bundle.vocab.size
-    if bundle.idf is not None:
-        if bundle.idf.idf.shape[0] != vocab_size:
-            raise BundleValidationError(
-                "idf", f"length {bundle.idf.idf.shape[0]} != vocabulary size {vocab_size}"
-            )
-        if bundle.idf.idf.size and not np.all(bundle.idf.idf >= 1.0):
-            raise BundleValidationError("idf", "values below 1.0")
-
-    model = bundle.model
-    if isinstance(model, NbModel):
-        if not 0 < model.alpha < math.inf:
-            raise BundleValidationError("alpha", f"{model.alpha} is not positive and finite")
-        columns = model.feature_log_prob.shape[1]
-        if columns != vocab_size:
-            raise BundleValidationError(
-                "model", f"nb has {columns} term columns != vocabulary size {vocab_size}"
-            )
-        # Written as `not <=` so that a NaN fails each test. A crafted
-        # log-probability may overflow exp; the inf it gives fails too.
-        with np.errstate(over="ignore"):
-            prior_mass = float(np.sum(np.exp(model.class_log_prior)))
-            row_mass = np.sum(np.exp(model.feature_log_prob), axis=1)
-        if not abs(prior_mass - 1.0) <= 1e-9:
-            raise BundleValidationError("class_log_prior", f"mass {prior_mass} != 1")
-        if not np.all(np.isfinite(model.feature_log_prob)):
-            raise BundleValidationError("feature_log_prob", "non-finite values")
-        if vocab_size > 0 and not np.all(np.abs(row_mass - 1.0) <= 1e-9):
-            raise BundleValidationError("feature_log_prob", "row mass != 1")
-    else:
-        if model.weights.shape != (N_CLASSES, vocab_size):
-            raise BundleValidationError(
-                "weights", f"shape {model.weights.shape} != (4, {vocab_size})"
-            )
-        if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):
-            raise BundleValidationError("weights", "non-finite parameters")
+def _require_unit_mass(field: str, log_p: np.ndarray) -> None:
+    """Each row of exp(log_p) must sum to 1 within 1e-9. Written as `not
+    <=` so that a NaN fails; a log-probability that overflows exp gives an
+    inf, which fails too."""
+    with np.errstate(over="ignore"):
+        mass = np.sum(np.exp(log_p), axis=-1)
+    if not np.all(np.abs(mass - 1.0) <= 1e-9):
+        raise BundleValidationError(field, f"row mass {mass} != 1")

@@ -188,7 +188,14 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "model, flag, value",
-        [("sgd", "--seed", "-1"), ("nb", "--nb-alpha", "nan"), ("nb", "--nb-alpha", "inf"), ("nb", "--nb-alpha", "1e308")],
+        [
+            ("sgd", "--seed", "-1"),
+            ("nb", "--nb-alpha", "nan"),
+            ("nb", "--nb-alpha", "inf"),
+            ("nb", "--nb-alpha", "1e308"),
+            ("lr", "--lr-c", "1e140"),
+            ("lr", "--lr-c", "1e300"),
+        ],
     )
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_bad_seed_or_nb_alpha_is_exit_2_with_no_bundle(self, tmp_path, train_csv, model, flag, value, via, capsys):
@@ -743,6 +750,32 @@ def test_any_input_bytes_exit_0_or_2(any_input_dir, data, model):
         run("report", "--in", d / "in.csv"),
     ]
     assert set(codes) <= {0, 2}, codes
+
+
+# Positive finite floats across the double range, spread over every decade.
+_positive_floats = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.integers(-300, 300).map(lambda e: float(f"1e{e}")),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    model=st.sampled_from(["nb", "lr", "sgd"]),
+    values=st.fixed_dictionaries(
+        {flag: _positive_floats for flag in ("--lr-c", "--lr-tol", "--sgd-alpha", "--sgd-tol", "--nb-alpha")}
+    ),
+)
+def test_any_numeric_train_flags_exit_0_or_2(any_input_dir, model, values):
+    # Warnings are errors under pytest, so a leaked numpy overflow warning
+    # surfaces here as an internal error, exit 1.
+    d = any_input_dir
+    out = d / "flags.bundle"
+    out.unlink(missing_ok=True)
+    flags = [s for flag, value in values.items() for s in (flag, repr(value))]
+    code = run("train", "--model", model, "--in", d / "train.csv", "--out", out, "--threads", 1, *flags)
+    assert code in (0, 2), flags
+    assert code == 0 or not out.exists()
 
 
 _IMPORTS_SNIPPET = """

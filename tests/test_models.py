@@ -375,6 +375,70 @@ class TestLogistic:
         with pytest.raises(TrainingError, match="single class"):
             lr_fit(X, [Label.FALSE] * 3, TrainConfig())
 
+    def test_overshooting_steps_are_rejected_and_shrink_the_radius(self, monkeypatch):
+        # A large C on separable rows: far from the origin the rows saturate,
+        # the quadratic model sees little curvature and some Newton steps
+        # overshoot. Each step's actual/predicted reduction picks the radius
+        # rule (0 to 3 of the ETA thresholds met); below ETA[0] the step is
+        # rejected.
+        steps = []
+        cg = models._steihaug_cg
+
+        def spy(g, hessp, radius):
+            s, r = cg(g, hessp, radius)
+            steps.append((g, s, r, radius))
+            return s, r
+
+        monkeypatch.setattr(models, "_steihaug_cg", spy)
+        rules = set()
+        for seed, C in [(12, 1e3), (4, 1e4), (105, 1e4)]:
+            rng = np.random.default_rng(seed)
+            dense = rng.uniform(-50, 50, size=(12, 3))
+            y_pm = np.where(dense @ rng.normal(size=3) > 0, 1.0, -1.0)
+            X = sp.csr_matrix(dense)
+            steps.clear()
+            iterates = []
+            _, converged = _minimize_logistic(X, y_pm, TrainConfig(lr_C=C), callback=iterates.append)
+            assert converged
+
+            z = np.zeros(4)
+            for k, ((g, s, r, radius), z_next) in enumerate(zip(steps, iterates)):
+                predicted = -0.5 * (models._dot(g, s) - models._dot(s, r))
+                actual = logistic_objective(z, X, y_pm, C)[0] - logistic_objective(z + s, X, y_pm, C)[0]
+                rule = sum(actual >= eta * predicted for eta in models.ETA)
+                rules.add(rule)
+                if rule == 0:
+                    assert k > 0 and z_next is iterates[k - 1]  # rejected: the iterate stays
+                    assert steps[k + 1][3] < radius  # and the radius shrinks
+                z = z_next
+            objectives = [logistic_objective(z, X, y_pm, C)[0] for z in iterates]
+            assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+        assert rules == {0, 1, 2, 3}
+
+    def test_iteration_limit_returns_not_converged(self):
+        X, y_pm = _random_problem(np.random.default_rng(3), n=12)
+        calls = []
+        z, converged = _minimize_logistic(X, y_pm, TrainConfig(lr_max_iter=1), callback=calls.append)
+        assert not converged and len(calls) == 1
+        _, grad = logistic_objective(z, X, y_pm, TrainConfig().lr_C)
+        assert np.max(np.abs(grad)) > TrainConfig().lr_tol
+        labels = [Label.FALSE if y < 0 else Label.TRUE for y in y_pm]
+        assert not lr_fit(X, labels, TrainConfig(lr_max_iter=1)).converged
+
+    @pytest.mark.parametrize("C, tol", [(1e120, 1e-4), (1e300, 1e-4), (1e-100, 1e-200)])
+    def test_objective_outside_the_float_range_is_a_training_error(self, C, tol):
+        X = csr_rows([{0: 1.0}, {1: 1.0}] * 3, 2)
+        with pytest.raises(TrainingError, match="floating-point range"):
+            lr_fit(X, [Label.FALSE, Label.TRUE] * 3, TrainConfig(lr_C=C, lr_tol=tol))
+
+    def test_infinite_curvature_ends_the_cg_step(self):
+        # Each term of d.Hd overflows to +inf here, so d.Hd is +inf, not NaN.
+        # Taken as positive curvature, it gave CG steps of length 0 while the
+        # direction grew by r on each pass, without end.
+        X = csr_rows([{0: 3.0}, {0: 2.0}], 1)
+        with pytest.raises(TrainingError, match="floating-point range"):
+            _minimize_logistic(X, np.array([-1.0, -1.0]), TrainConfig(lr_C=1e120))
+
 
 class TestLinearDecision:
     def test_bias_only(self):
