@@ -5,6 +5,11 @@ or input error. Option precedence is flags > config file > defaults; the
 config file is flat key=value text, and each value goes through the type
 and choices of the flag that spells it. VERINEWS_THREADS sets the worker
 count when neither --threads nor a config threads= line does.
+
+Every input path (the CSV, --config, --stopwords, --lemmas, a bundle, and
+the JSON report) is read by _read_bytes, which exits 2 with "no such file"
+when the path names no file; text goes through corpus.decode_utf8, so each
+text input is strict UTF-8 with one leading byte-order mark skipped.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from .corpus import Label, RawRecord, dataset_stats, decode_utf8, parse_csv, to_
 from .errors import VerinewsError, VocabularyError
 from .metrics import render_confusion, render_report, report_from_json, report_to_json
 from .models import LinearModel, TrainConfig, default_workers
-from .persistence import FEATURE_COUNT, FEATURE_TFIDF, read_bundle, write_bundle
+from .persistence import FEATURE_COUNT, FEATURE_TFIDF, load_bundle, write_bundle
 from .pipeline import DEFAULT_FEATURES, evaluate_bundle, predict_bundle, train_bundle
-from .textprep import PipelineConfig, load_lemma_exceptions, load_stopwords, preprocess_corpus
+from .textprep import PipelineConfig, parse_lemma_exceptions, parse_stopwords, preprocess_corpus
 
 THREADS_ENV = "VERINEWS_THREADS"
 
@@ -224,7 +229,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    bundle = read_bundle(args.model)
+    bundle = load_bundle(_read_bytes(args.model))
     records = _read_records(args.input)
     if not records:
         raise UsageError(f"{args.input}: no data rows to evaluate")
@@ -246,7 +251,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    bundle = read_bundle(args.model)
+    bundle = load_bundle(_read_bytes(args.model))
     docs = to_documents(_read_records(args.input), labeled=False)
     _warn_duplicate_ids([doc.id for doc in docs])
     preds, scores = predict_bundle(bundle, docs)
@@ -372,9 +377,9 @@ def _resolve_pipeline(args) -> PipelineConfig:
         changes["numeric_placeholder"] = args.placeholder
     try:
         if args.stopwords:
-            changes["stopword_list"] = load_stopwords(args.stopwords)
+            changes["stopword_list"] = parse_stopwords(_read_text(args.stopwords))
         if args.lemmas:
-            changes["lemma_exceptions"] = load_lemma_exceptions(args.lemmas)
+            changes["lemma_exceptions"] = parse_lemma_exceptions(_read_text(args.lemmas))
         return dataclasses.replace(PipelineConfig.default(), **changes)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

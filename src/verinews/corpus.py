@@ -2,7 +2,8 @@
 
 The expected file layout is a standard comma-delimited, double-quoted,
 UTF-8 CSV with a header row naming at least ``public_id``, ``title`` and
-``text``; a leading byte-order mark is skipped. Labeled files additionally
+``text``. decode_utf8 is the one decoder for every text input: strict
+UTF-8, with one leading byte-order mark skipped. Labeled files additionally
 carry a rating column, accepted under either the ``our rating`` or
 ``our_rating`` spelling. Columns are matched by header name, not position.
 """
@@ -14,13 +15,13 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 from .errors import CsvParseError, CsvSchemaError, EncodingError, LabelError, VerinewsError
 
 RATING_HEADERS = ("our rating", "our_rating")
 REQUIRED_HEADERS = ("public_id", "title", "text")
+_BYTE_ORDER_MARK = "\ufeff"
 
 
 class Label(IntEnum):
@@ -92,17 +93,19 @@ def parse_label(raw: str) -> Label:
         raise LabelError(f"unrecognized rating value: {raw!r}") from None
 
 
-def parse_csv(stream: bytes | str | IO) -> list[RawRecord]:
-    """Parse CSV bytes/text (or an open file) into raw records.
+def parse_csv(data: bytes | str) -> list[RawRecord]:
+    """Parse CSV bytes or text into raw records.
 
-    Standard CSV quoting applies: quoted fields may contain commas, doubled
-    quotes and embedded newlines. Missing cells become empty strings.
+    Bytes go through decode_utf8; bytes and text alike skip one leading
+    byte-order mark. Standard CSV quoting applies: quoted fields may contain
+    commas, doubled quotes and embedded newlines. Missing cells become empty
+    strings.
 
     Raises EncodingError (with the byte offset) on bytes that are not
     UTF-8, CsvSchemaError when a required header column is absent and
     CsvParseError (with the offending data row number) on malformed input.
     """
-    text = _as_text(stream)
+    text = decode_utf8(data) if isinstance(data, bytes) else data.removeprefix(_BYTE_ORDER_MARK)
     # The csv module rejects fields over 131072 characters by default; no
     # field is longer than the whole text.
     previous_limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
@@ -146,11 +149,6 @@ def _read_records(reader) -> list[RawRecord]:
     except csv.Error as exc:
         raise CsvParseError(f"malformed CSV: {exc}", row=len(records) + 1) from exc
     return records
-
-
-def read_csv(path: str | Path) -> list[RawRecord]:
-    """parse_csv over a file path."""
-    return parse_csv(Path(path).read_bytes())
 
 
 def serialize_csv(records: Iterable[RawRecord], with_rating: bool = True) -> str:
@@ -204,14 +202,9 @@ def dataset_stats(docs: list[Document]) -> ClassCounts:
 
 
 def decode_utf8(data: bytes) -> str:
-    """Strict UTF-8 decoding; invalid input raises EncodingError."""
+    """Strict UTF-8 decoding with one leading byte-order mark skipped;
+    invalid input raises EncodingError."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix(_BYTE_ORDER_MARK)
     except UnicodeDecodeError as exc:
         raise EncodingError(data[exc.start], exc.start) from None
-
-
-def _as_text(stream: bytes | str | IO) -> str:
-    data = stream if isinstance(stream, (bytes, str)) else stream.read()
-    text = decode_utf8(data) if isinstance(data, bytes) else data
-    return text.removeprefix("\ufeff")  # a UTF-8 byte-order mark

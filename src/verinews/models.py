@@ -279,7 +279,9 @@ def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
     each iteration solves the Newton system inside the radius by Steihaug
     CG, accepts the step if it achieves enough of the predicted reduction,
     and rescales the radius by how well the quadratic model predicted.
-    Stops once max|grad| <= lr_tol, or after lr_max_iter iterations;
+    Stops once max|grad| <= lr_tol, after lr_max_iter iterations, or (not
+    converged) once a later iteration rejects its step and keeps the
+    radius, since every iteration after it would repeat it exactly;
     callback(z) runs after each iteration.
 
     Raises TrainingError once the objective, the gradient or the radius is
@@ -300,6 +302,7 @@ def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
             raise TrainingError(
                 f"lr_C {C} with lr_tol {cfg.lr_tol} takes the LR fit outside the floating-point range"
             )
+        cg_radius = radius
         s, r = _steihaug_cg(grad, lambda p: _weighted_hessp(d, p, X), radius)
         f_new, margins = _logistic_loss(z + s, X, y_pm, C)
         gs = _dot(grad, s)
@@ -319,11 +322,16 @@ def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
             radius = max(SIGMA[0] * radius, min(alpha * s_norm, SIGMA[2] * radius))
         else:
             radius = max(radius, min(alpha * s_norm, SIGMA[2] * radius))
-        if actual > ETA[0] * predicted:
+        accepted = actual > ETA[0] * predicted
+        if accepted:
             z, f = z + s, f_new
             grad, d = _logistic_gradient(z, X, y_pm, C, margins)
         if callback is not None:
             callback(z)
+        # Iteration 0 alone clips the radius to its step, so only a later
+        # iteration can be a fixed point.
+        if not accepted and radius == cg_radius and k > 0:
+            return z, False
     return z, bool(np.max(np.abs(grad)) <= cfg.lr_tol)
 
 

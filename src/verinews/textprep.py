@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from itertools import chain, count
-from pathlib import Path
 
 import numpy as np
 
@@ -168,14 +167,6 @@ def parse_lemma_exceptions(text: str) -> dict[str, str]:
             raise ValueError(f"bad lemma exceptions line: {line!r}")
         table[surface.strip()] = lemma.strip()
     return table
-
-
-def load_stopwords(path: str | Path) -> frozenset[str]:
-    return parse_stopwords(Path(path).read_text("utf-8"))
-
-
-def load_lemma_exceptions(path: str | Path) -> dict[str, str]:
-    return parse_lemma_exceptions(Path(path).read_text("utf-8"))
 
 
 def normalize_text(raw: str, cfg: PipelineConfig) -> str:

@@ -23,7 +23,7 @@ from csr_rows import csr_rows
 from test_models import brute_force_nb_optimal
 
 import verinews
-from verinews.corpus import Label, read_csv, to_documents
+from verinews.corpus import Label, parse_csv, to_documents
 from verinews.features import build_vocabulary, featurize, fit_idf, row_ids
 from verinews.metrics import (
     Confusion,
@@ -307,8 +307,8 @@ def test_full_corpus_reproduction():
         pytest.skip(f"missing {train_path} or {test_path}")
 
     with criterion(name):
-        train_docs = to_documents(read_csv(train_path), labeled=True)
-        test_docs = to_documents(read_csv(test_path), labeled=True)
+        train_docs = to_documents(parse_csv(train_path.read_bytes()), labeled=True)
+        test_docs = to_documents(parse_csv(test_path.read_bytes()), labeled=True)
         reports = {}
         for kind in ("nb", "lr", "sgd"):
             bundle = train_bundle(

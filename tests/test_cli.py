@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from verinews import cli
+from verinews import cli, models
 from verinews.corpus import parse_csv, to_documents
 from verinews.models import TrainConfig
 from verinews.persistence import read_bundle, save_bundle_bytes
@@ -221,6 +221,37 @@ class TestTrain:
         assert run("train", "--model", "nb", "--in", train_csv, "--out", out,
                    "--max-terms", 5, "--threads", 1) == 0
         assert read_bundle(out).vocab.size <= 5
+
+    def test_stalled_lr_fit_stops_early_with_the_limit_result(self, tmp_path, train_csv, monkeypatch, capsys):
+        # lr_tol 1e-300 is out of reach. About 490 iterations in, each class
+        # rejects its step and keeps its radius, so every later iteration
+        # would repeat the same CG solve until lr_max_iter.
+        cg, minimize = models._steihaug_cg, models._minimize_logistic
+        cg_calls, per_class = [], []
+
+        def counting_cg(*args):
+            cg_calls.append(None)
+            return cg(*args)
+
+        def counting_minimize(*args, **kwargs):
+            before = len(cg_calls)
+            result = minimize(*args, **kwargs)
+            per_class.append(len(cg_calls) - before)
+            return result
+
+        monkeypatch.setattr(models, "_steihaug_cg", counting_cg)
+        monkeypatch.setattr(models, "_minimize_logistic", counting_minimize)
+        models_by_limit = {}
+        for limit in (600, 3000):
+            out = tmp_path / f"lr-{limit}.b"
+            per_class.clear()
+            assert run("train", "--model", "lr", "--in", train_csv, "--out", out, "--threads", 1,
+                       "--lr-tol", "1e-300", "--lr-max-iter", limit) == 0
+            assert len(per_class) == 4 and max(per_class) < 600, per_class
+            assert "converged: NO (hit iteration limit)" in capsys.readouterr().out.splitlines()
+            models_by_limit[limit] = read_bundle(out).model
+        a, b = models_by_limit.values()
+        assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
 
 
 @pytest.fixture
@@ -542,6 +573,50 @@ class TestThreads:
         monkeypatch.delenv(cli.THREADS_ENV)
         assert threads([], {}) == cli.default_workers()
 
+    @pytest.mark.parametrize("command", ["train", "prep", "eval", "predict", "report"])
+    def test_environment_thread_count(self, tmp_path, train_csv, nb_bundle, monkeypatch, capsys, command):
+        # VERINEWS_THREADS is read only when neither --threads nor a config
+        # threads= line sets the count. A usable count changes no output; a
+        # bad one exits 2 before any output is written, except on report,
+        # which takes no --threads and never reads it.
+        report = tmp_path / "r.json"
+        report.write_text('{"confusion": [[3, 1, 0, 0], [0, 2, 0, 0], [1, 0, 2, 0], [0, 0, 0, 1]]}')
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--model", "sgd", "--in", train_csv, "--out", out],
+            "prep": ["prep", "--in", train_csv, "--out", out],
+            "eval": ["eval", "--in", train_csv, "--model", nb_bundle, "--format", "json", "--out", out],
+            "predict": ["predict", "--in", train_csv, "--model", nb_bundle, "--out", out],
+            "report": ["report", "--in", report],
+        }[command]
+        config = tmp_path / "v.conf"
+        config.write_text("threads=1\n", encoding="utf-8")
+
+        def outputs(value, *extra):
+            out.unlink(missing_ok=True)
+            if value is None:
+                monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+            else:
+                monkeypatch.setenv(cli.THREADS_ENV, value)
+            code = run(*argv, *extra)
+            captured = capsys.readouterr()
+            return code, captured.out, out.read_bytes() if out.exists() else None, captured.err
+
+        expected = outputs(None)
+        assert expected[0] == 0 and (expected[2] is not None) == (command != "report")
+        for value in ("1", "2", " 3 "):
+            assert outputs(value) == expected, value
+        for value in ("abc", "1.5", "0", "-1"):
+            if command == "report":
+                assert outputs(value) == expected, value
+                continue
+            code, stdout, written, err = outputs(value)
+            assert (code, stdout, written) == (2, "", None), value
+            assert err.startswith("error: ") and "thread" in err.lower(), err
+            # A flag or a config threads= line wins, and the variable is not read.
+            assert outputs(value, "--threads", 1) == expected, value
+            assert outputs(value, "--config", config) == expected, value
+
 
 _EPOCH_SNIPPET = """
 import json, sys
@@ -688,6 +763,52 @@ class TestInputBytes:
         assert run("predict", "--in", marked, "--model", nb_bundle, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["config", "stopwords", "lemmas", "report"])
+    def test_byte_order_mark_before_a_side_file(self, tmp_path, train_csv, capsys, kind):
+        # Every text input is decoded one way: a leading byte-order mark is
+        # skipped, so it changes no exit code, no stdout and no bundle byte.
+        text = {
+            "config": "seed=43\nthreads=1\n",
+            "stopwords": "the\nof\n",
+            "lemmas": "went\tgo\nofficials\tofficial\n",
+            "report": '{"confusion": [[3, 1, 0, 0], [0, 2, 0, 0], [1, 0, 2, 0], [0, 0, 0, 1]]}',
+        }[kind]
+        out = tmp_path / "m.bundle"
+        results = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            side = tmp_path / f"side-{len(bom)}"
+            side.write_bytes(bom + text.encode("utf-8"))
+            out.unlink(missing_ok=True)
+            if kind == "report":
+                code = run("report", "--in", side)
+            else:
+                model = "sgd" if kind == "config" else "nb"
+                code = run("train", "--model", model, "--in", train_csv, "--out", out, f"--{kind}", side)
+            bundle = out.read_bytes() if out.exists() else None
+            results.append((code, capsys.readouterr().out, bundle))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("eval", "--model"), ("predict", "--model"), ("train", "--stopwords"), ("prep", "--lemmas"),
+         ("train", "--config"), ("prep", "--in"), ("report", "--in")],
+    )
+    def test_missing_path_is_exit_2_naming_it(self, tmp_path, train_csv, nb_bundle, capsys, command, flag):
+        missing = tmp_path / "nope"
+        paths = {"--in": train_csv, "--model": nb_bundle, "--out": tmp_path / "out"}
+        if command == "report":
+            paths = {"--in": tmp_path / "r.json"}
+        elif command == "train":
+            paths["--model"] = "nb"
+        elif command == "prep":
+            del paths["--model"]
+        paths[flag] = missing
+        argv = [a for key, value in paths.items() for a in (key, value)]
+        assert run(command, *argv) == 2
+        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+        assert not (tmp_path / "out").exists()
+
 
 _headers = st.sampled_from(
     ["public_id,title,text,our_rating", "public_id,title,text", "title,text,our rating", ""]
@@ -750,6 +871,33 @@ def test_any_input_bytes_exit_0_or_2(any_input_dir, data, model):
         run("report", "--in", d / "in.csv"),
     ]
     assert set(codes) <= {0, 2}, codes
+
+
+# Bytes for the config file, stop-word list, lemma table and JSON report:
+# arbitrary bytes, and runs of the pieces their parsers split on.
+_side_pieces = [
+    b"\xef\xbb\xbf", b"\x00", b"\xff", b"\r", b"\n", b"\t", b"#", b"=", b" ", b"seed", b"threads", b"min_df",
+    b"1", b"0", b"x", b"the", b"went", b"go", b"{", b"}", b'"confusion"', b":", b"[", b"]", b",",
+]
+_side_bytes = st.one_of(
+    st.binary(max_size=80),
+    st.lists(st.sampled_from(_side_pieces), max_size=24).map(b"".join),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=_side_bytes, kind=st.sampled_from(["config", "stopwords", "lemmas", "report"]))
+def test_any_side_file_bytes_exit_0_or_2(any_input_dir, data, kind):
+    d = any_input_dir
+    side, out = d / "side", d / "side.bundle"
+    side.write_bytes(data)
+    out.unlink(missing_ok=True)
+    if kind == "report":
+        code = run("report", "--in", side)
+    else:
+        code = run("train", "--model", "nb", "--in", d / "train.csv", "--out", out, f"--{kind}", side)
+        assert code == 0 or not out.exists()
+    assert code in (0, 2), data
 
 
 # Positive finite floats across the double range, spread over every decade.

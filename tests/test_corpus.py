@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,12 +7,13 @@ from verinews.corpus import (
     Label,
     RawRecord,
     dataset_stats,
+    decode_utf8,
     parse_csv,
     parse_label,
     serialize_csv,
     to_documents,
 )
-from verinews.errors import CsvParseError, CsvSchemaError, LabelError, VerinewsError
+from verinews.errors import CsvParseError, CsvSchemaError, EncodingError, LabelError, VerinewsError
 
 HEADER = "public_id,title,text,our_rating\n"
 
@@ -166,9 +165,23 @@ def test_parse_csv_empty_public_id_rejected():
 
 
 def test_parse_csv_accepts_bytes_and_files():
+    # A file's bytes and its text parse alike, each with one leading
+    # byte-order mark skipped.
     raw = HEADER + "x1,t,b,false\n"
-    assert parse_csv(raw) == parse_csv(raw.encode("utf-8"))
-    assert parse_csv(io.BytesIO(raw.encode("utf-8"))) == parse_csv(raw)
+    expected = parse_csv(raw)
+    assert parse_csv(raw.encode("utf-8")) == expected
+    assert parse_csv("\ufeff" + raw) == expected
+    assert parse_csv(b"\xef\xbb\xbf" + raw.encode("utf-8")) == expected
+
+
+def test_decode_utf8_skips_one_byte_order_mark():
+    bom = b"\xef\xbb\xbf"
+    assert decode_utf8(bom + b"the") == decode_utf8(b"the") == "the"
+    assert decode_utf8(bom + bom + b"the") == "\ufeffthe"
+    assert decode_utf8(b"a" + bom) == "a\ufeff"
+    assert decode_utf8(bom) == decode_utf8(b"") == ""
+    with pytest.raises(EncodingError, match="offset 3"):
+        decode_utf8(bom + b"\xff")
 
 
 # \r and NUL are outside the dialect: the serializer emits \n terminators

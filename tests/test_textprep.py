@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_features import assert_same_array, assert_same_csr
 from verinews import models
-from verinews.corpus import Document, Label
+from verinews.corpus import Document, Label, decode_utf8
 from verinews.features import featurize, fit_features
 from verinews.persistence import FEATURE_COUNT, FEATURE_TFIDF
 from verinews.pipeline import evaluate_bundle, predict_bundle, preprocess_many, train_bundle
@@ -22,8 +22,6 @@ from verinews.textprep import (
     _lemmatize_stable,
     _strip_links,
     lemmatize_token,
-    load_lemma_exceptions,
-    load_stopwords,
     normalize_text,
     parse_lemma_exceptions,
     parse_stopwords,
@@ -564,15 +562,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="stop word"):
             PipelineConfig(stopword_list=frozenset({"blank"}), numeric_placeholder="blank")
 
-    def test_stopword_file_format(self, tmp_path):
-        p = tmp_path / "stop.txt"
-        p.write_text("# comment\nfoo\n\nbar # trailing\n", encoding="utf-8")
-        assert load_stopwords(p) == frozenset({"foo", "bar"})
+    def test_stopword_file_format(self):
+        # A file is decoded as every input is, so a byte-order mark never
+        # reaches the first entry.
+        for bom in (b"", b"\xef\xbb\xbf"):
+            text = decode_utf8(bom + b"foo\n# comment\n\nbar # trailing\n")
+            assert parse_stopwords(text) == frozenset({"foo", "bar"})
 
-    def test_lemma_file_format(self, tmp_path):
-        p = tmp_path / "lem.tsv"
-        p.write_text("# comment\nwent\tgo\nsaw\tsee\n", encoding="utf-8")
-        assert load_lemma_exceptions(p) == {"went": "go", "saw": "see"}
+    def test_lemma_file_format(self):
+        for bom in (b"", b"\xef\xbb\xbf"):
+            text = decode_utf8(bom + b"went\tgo\n# comment\nsaw\tsee\n")
+            assert parse_lemma_exceptions(text) == {"went": "go", "saw": "see"}
 
     def test_lemma_file_rejects_missing_tab(self):
         with pytest.raises(ValueError, match="lemma"):
