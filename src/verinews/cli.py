@@ -7,9 +7,11 @@ and choices of the flag that spells it. VERINEWS_THREADS sets the worker
 count when neither --threads nor a config threads= line does.
 
 Every input path (the CSV, --config, --stopwords, --lemmas, a bundle, and
-the JSON report) is read by _read_bytes, which exits 2 with "no such file"
-when the path names no file; text goes through corpus.decode_utf8, so each
-text input is strict UTF-8 with one leading byte-order mark skipped.
+the JSON report) is read by _read_bytes, so a pipe reads like a file; a
+path that names nothing exits 2 with "no such file", and any other OS
+error (a directory, say) with the OS message. Text goes through
+corpus.decode_utf8, so each text input is strict UTF-8 with one leading
+byte-order mark skipped.
 """
 
 from __future__ import annotations
@@ -302,10 +304,11 @@ def _read_text(path: str) -> str:
 
 
 def _read_bytes(path: str) -> bytes:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"no such file: {path}")
-    return p.read_bytes()
+    try:  # not Path(path), which reads "" as the current directory
+        with open(path, "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        raise UsageError(f"no such file: {path}") from None
 
 
 def _format_csv(rows: list[list[str]]) -> str:

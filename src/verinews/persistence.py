@@ -74,6 +74,8 @@ class ModelBundle:
 
 
 def save_bundle_bytes(bundle: ModelBundle) -> bytes:
+    """The bundle's bytes. They are loaded back before they are returned,
+    so a bundle that load_bundle would reject raises its error here."""
     payload = b"".join(
         _section(tag, body)
         for tag, body in (
@@ -86,7 +88,9 @@ def save_bundle_bytes(bundle: ModelBundle) -> bytes:
         if body is not None
     )
     head = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + payload
-    return head + hashlib.sha256(head).digest()
+    blob = head + hashlib.sha256(head).digest()
+    load_bundle(blob)
+    return blob
 
 
 def write_bundle(bundle: ModelBundle, path: str | Path) -> None:
@@ -106,8 +110,7 @@ def load_bundle(blob: bytes) -> ModelBundle:
     that json cannot parse within Python's recursion and integer-digit
     limits is an integrity error. A blob with several faults reports the
     first one in byte order, as a BundleIntegrityError or a
-    BundleValidationError; only an unknown feature kind is reported last,
-    by ModelBundle.
+    BundleValidationError.
     """
     reader = _Reader(blob)
 
@@ -293,6 +296,8 @@ def _decode_meta(r: _Reader) -> dict:
         raise BundleIntegrityError("metadata is not compact JSON with sorted keys")
     if not isinstance(meta["model_kind"], str) or meta["model_kind"] not in _MODEL_CODES:
         raise BundleValidationError("model_kind", f"unknown kind {meta['model_kind']!r}")
+    if meta["feature_kind"] not in (FEATURE_COUNT, FEATURE_TFIDF):
+        raise BundleValidationError("feature_kind", f"unknown kind {meta['feature_kind']!r}")
     if not _is_int(meta["n_train_docs"]) or meta["n_train_docs"] < 0:
         raise BundleValidationError("n_train_docs", "must be a non-negative integer")
     if meta["created_at"] is not None and not _is_int(meta["created_at"]):

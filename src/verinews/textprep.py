@@ -278,23 +278,26 @@ def lemmatize_token(token: str, cfg: PipelineConfig) -> str:
         return exception
     if token.endswith("ies"):
         return token[:-3] + "y"
-    if token.endswith("sses"):
-        return token[:-2]
-    if token.endswith("es") and len(token) - 2 >= 3:
-        return token[:-2]
-    if token.endswith("s") and not token.endswith("ss") and len(token) - 1 >= 3:
-        return token[:-1]
-    if token.endswith("ing") and len(token) - 3 >= 3:
-        return _undouble(token[:-3])
-    if token.endswith("ed") and len(token) - 2 >= 3:
-        return _undouble(token[:-2])
-    return token
+    return token[: len(token) - _suffix_cut(token, len(token))]
 
 
-def _undouble(stem: str) -> str:
-    if len(stem) >= 2 and stem[-1] == stem[-2] and stem[-1] not in _VOWELS:
-        return stem[:-1]
-    return stem
+def _suffix_cut(token: str, end: int) -> int:
+    """How many characters the first suffix rule after -ies>-y strips from
+    token[:end], undoubling included; 0 when no rule applies."""
+    if token.endswith("sses", 0, end):
+        return 2
+    if token.endswith("es", 0, end) and end - 2 >= 3:
+        return 2
+    if token.endswith("s", 0, end) and not token.endswith("ss", 0, end) and end - 1 >= 3:
+        return 1
+    if token.endswith("ing", 0, end) and end - 3 >= 3:
+        cut = 3
+    elif token.endswith("ed", 0, end) and end - 2 >= 3:
+        cut = 2
+    else:
+        return 0
+    last = token[end - cut - 1]
+    return cut + (last == token[end - cut - 2] and last not in _VOWELS)
 
 
 def _lemmatize_stable(token: str, cfg: PipelineConfig) -> str:
@@ -303,39 +306,23 @@ def _lemmatize_stable(token: str, cfg: PipelineConfig) -> str:
     # Every suffix rule shortens the token; the bound guards exception
     # tables that map between surfaces. A suffix rule needs a final s, d
     # or g.
-    if token not in cfg.lemma_exceptions and not token.endswith(_RULE_ENDINGS):
+    if token not in cfg.lemma_exceptions and not token.endswith(("s", "d", "g")):
         return token
-    steps = len(token) + 1
-    if len(token) > cfg.longest_exception:
-        token, steps = _strip_long(token, cfg.longest_exception, steps)
-    for _ in range(steps):
-        lemma = lemmatize_token(token, cfg)
-        if lemma == token:
-            return token
-        token = lemma
-    return token
-
-
-# The suffix rules read at most a token's last 5 characters (-sses, or -ing
-# after a doubled consonant), and every stem-length test passes on 8.
-_RULE_WINDOW = 8
-_RULE_ENDINGS = ("s", "d", "g")
-_NO_EXCEPTIONS = PipelineConfig()
-
-
-def _strip_long(token: str, longest: int, steps: int) -> tuple[str, int]:
-    """Suffix rules, bar -ies>-y, while the token is longer than ``longest``
-    (so no exception applies); returns it and the steps left. Each rule
-    copies only the last _RULE_WINDOW characters, not the whole token."""
-    end = len(token)
-    while steps and end > longest and not token.endswith("ies", 0, end):
-        window = token[max(0, end - _RULE_WINDOW) : end]
-        cut = len(window) - len(lemmatize_token(window, _NO_EXCEPTIONS))
-        if not cut:
-            break
-        end -= cut
-        steps -= 1
-    return token[:end], steps
+    end = len(token)  # the lemma so far is token[:end]
+    for _ in range(len(token) + 1):
+        if end > cfg.longest_exception and not token.endswith("ies", 0, end):
+            # No exception is this long, so only a cut applies: no copy.
+            cut = _suffix_cut(token, end)
+            if not cut:
+                break
+            end -= cut
+        else:
+            token = token[:end]
+            lemma = lemmatize_token(token, cfg)
+            if lemma == token:
+                break
+            token, end = lemma, len(lemma)
+    return token[:end]
 
 
 def preprocess_document(doc: Document, cfg: PipelineConfig) -> CleanDoc:

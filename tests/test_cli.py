@@ -1,5 +1,5 @@
 import csv
-import dataclasses
+import errno
 import json
 import os
 import random
@@ -317,11 +317,13 @@ class TestEval:
     def test_overflowing_nb_bundle_is_exit_2_with_no_warning(self, tmp_path, train_csv, nb_bundle, child_env):
         # exp(1000) overflows in the row-mass check. The bundle is bad
         # input, so even with warnings as errors it must exit 2, not 1.
-        bundle = read_bundle(nb_bundle)
-        log_prob = bundle.model.feature_log_prob.copy()
-        log_prob[0, 0] = 1000.0
-        model = dataclasses.replace(bundle.model, feature_log_prob=log_prob)
-        nb_bundle.write_bytes(save_bundle_bytes(dataclasses.replace(bundle, model=model)))
+        # save_bundle_bytes refuses such a model, so feature_log_prob[0, 0],
+        # which starts the last 4 * V doubles before the checksum, is
+        # overwritten in the saved bytes and the bundle resealed.
+        raw = bytearray(nb_bundle.read_bytes())
+        at = len(raw) - 32 - 8 * 4 * read_bundle(nb_bundle).vocab.size
+        raw[at : at + 8] = struct.pack("<d", 1000.0)
+        nb_bundle.write_bytes(resealed(bytes(raw)))
         result = subprocess.run(
             [sys.executable, "-m", "verinews.cli", "eval", "--in", str(train_csv), "--model", str(nb_bundle)],
             capture_output=True, text=True, cwd=tmp_path, env={**child_env, "PYTHONWARNINGS": "error"},
@@ -762,6 +764,41 @@ class TestInputBytes:
         assert run("predict", "--in", tmp_path / "plain.csv", "--model", nb_bundle, "--out", a) == 0
         assert run("predict", "--in", marked, "--model", nb_bundle, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_and_fifo_read_like_the_file(self, tmp_path, train_csv, child_env):
+        # Neither a pipe nor a FIFO is a regular file; both are read as streams.
+        def prep(path, stdin=None):
+            return subprocess.run(
+                [sys.executable, "-m", "verinews.cli", "prep", "--in", str(path), "--threads", "1"],
+                input=stdin, capture_output=True, cwd=tmp_path, env=child_env, timeout=300,
+            )
+
+        expected = prep(train_csv)
+        assert expected.returncode == 0, expected.stderr
+        piped = prep("/dev/stdin", stdin=train_csv.read_bytes())
+        assert (piped.returncode, piped.stdout) == (0, expected.stdout), piped.stderr
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # The writer blocks until a reader opens the FIFO, so it runs apart
+        # and is killed if prep never opens it.
+        copy = "import pathlib, sys; pathlib.Path(sys.argv[2]).write_bytes(pathlib.Path(sys.argv[1]).read_bytes())"
+        writer = subprocess.Popen([sys.executable, "-c", copy, str(train_csv), str(fifo)])
+        try:
+            from_fifo = prep(fifo)
+        finally:
+            writer.kill()
+            writer.wait(timeout=60)
+        assert (from_fifo.returncode, from_fifo.stdout) == (0, expected.stdout), from_fifo.stderr
+
+    def test_directory_as_input_is_exit_2_with_the_os_message(self, tmp_path, capsys):
+        folder = tmp_path / "d"
+        folder.mkdir()
+        assert run("prep", "--in", folder) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and os.strerror(errno.EISDIR) in err, err
+        assert run("prep", "--in", "") == 2  # names no file, not the current directory
+        assert capsys.readouterr().err == "error: no such file: \n"
 
     @pytest.mark.parametrize("kind", ["config", "stopwords", "lemmas", "report"])
     def test_byte_order_mark_before_a_side_file(self, tmp_path, train_csv, capsys, kind):

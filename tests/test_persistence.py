@@ -258,6 +258,44 @@ class TestValidation:
             )
 
 
+def _with_model(bundle, **changes):
+    return dataclasses.replace(bundle, model=dataclasses.replace(bundle.model, **changes))
+
+
+def _reversed(vocab):
+    return Vocabulary({t: vocab.size - 1 - i for t, i in vocab.term_to_index.items()})
+
+
+# Library-built bundles that load_bundle rejects:
+# name -> (nb or lr bundle, edit, the field load_bundle reports).
+UNLOADABLE = {
+    "nb-width-differs-from-vocabulary": (
+        "nb", lambda b: _with_model(b, feature_log_prob=b.model.feature_log_prob[:, :-1]), "model"
+    ),
+    "linear-width-differs-from-vocabulary": ("lr", lambda b: _with_model(b, weights=b.model.weights[:, :-1]), "weights"),
+    "zero-nb-alpha": ("nb", lambda b: _with_model(b, alpha=0.0), "alpha"),
+    "nan-linear-weights": ("lr", lambda b: _with_model(b, weights=np.full_like(b.model.weights, np.nan)), "weights"),
+    "linear-model-of-kind-nb": ("lr", lambda b: _with_model(b, kind="nb"), "model"),
+    "vocabulary-not-in-term-order": ("nb", lambda b: dataclasses.replace(b, vocab=_reversed(b.vocab)), "vocab"),
+    "idf-shorter-than-vocabulary": (
+        "lr", lambda b: dataclasses.replace(b, idf=IdfWeights(idf=b.idf.idf[:-1], n_docs=b.idf.n_docs)), "idf"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNLOADABLE)
+def test_save_raises_what_load_would_and_writes_no_file(tmp_path, name):
+    model, edit, field = UNLOADABLE[name]
+    bad = edit(_nb_bundle()[0] if model == "nb" else _linear_bundle(lr_fit)[0])
+    with pytest.raises(BundleValidationError) as caught:
+        save_bundle_bytes(bad)
+    assert caught.value.field == field
+    path = tmp_path / "bad.bundle"
+    with pytest.raises(BundleValidationError):
+        write_bundle(bad, path)
+    assert not path.exists()
+
+
 def resealed(raw):
     """raw with its checksum recomputed over the bytes before it."""
     return raw[:-32] + hashlib.sha256(raw[:-32]).digest()
@@ -438,6 +476,7 @@ REJECTED = {
     ),
     "nan-linear-weight": ("sgd", _set_model_bytes(10, _NAN), BundleValidationError, "weights"),
     "non-utf8-vocabulary-term": ("nb", _vocab_term_byte(b"\xff"), BundleIntegrityError, None),
+    "unknown-feature-kind": ("lr", _meta(feature_kind="hashing"), BundleValidationError, "feature_kind"),
 }
 
 

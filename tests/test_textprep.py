@@ -281,6 +281,8 @@ def test_lemmatizer_matches_the_copying_reference(keys, values, tokens, tails, d
     table = dict(zip(keys, values + keys[1:] + keys[:1]))
     cfg = _CFG if default else PipelineConfig(lemma_exceptions=table)
     candidates = [*tokens, *keys, *values, *(k + t for k in keys for t in tails)]
+    if default:  # chains of cuts that land on a key of the bundled table
+        candidates += (s + t for s in _CFG.lemma_exceptions for t in tails)
     for token in candidates:
         assert lemmatize_token(token, cfg) == reference_lemmatize_token(token, cfg)
         assert _lemmatize_stable(token, cfg) == reference_lemmatize_stable(token, cfg)
