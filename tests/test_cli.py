@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import errno
 import json
 import os
 import random
+import signal
 import struct
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from verinews.models import TrainConfig
 from verinews.persistence import read_bundle, save_bundle_bytes
 from verinews.pipeline import DEFAULT_FEATURES, train_bundle
 
+from test_models import _count_pools
 from test_persistence import NON_CANONICAL, UNPARSABLE_METADATA, _edited, _metadata, resealed
 
 LABELED_ROWS = [
@@ -471,6 +474,27 @@ class TestPrepAndReport:
     def test_report_missing_file(self, tmp_path):
         assert run("report", "--in", tmp_path / "nope.json") == 2
 
+    @pytest.mark.parametrize("command", ["prep", "eval", "report"])
+    def test_closed_stdout_is_exit_2(self, tmp_path, train_csv, nb_bundle, child_env, monkeypatch, capsys, command):
+        # Python starts with sys.stdout None when file descriptor 1 is closed.
+        report = tmp_path / "r.json"
+        assert run("eval", "--in", train_csv, "--model", nb_bundle, "--format", "json", "--out", report) == 0
+        argv = {
+            "prep": ["prep", "--in", train_csv],
+            "eval": ["eval", "--in", train_csv, "--model", nb_bundle],
+            "report": ["report", "--in", report],
+        }[command]
+        closed = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "verinews.cli", *map(str, argv)],
+            capture_output=True, text=True, env=child_env, timeout=120,
+        )
+        assert (closed.returncode, closed.stderr) == (2, "error: standard output is closed\n")
+
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == "error: standard output is closed\n"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -499,20 +523,26 @@ class TestPrepAndReport:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+POOL_ROWS = [
+    (f"p{i}", f"Repeating headline number {i}", f"Body text {i} with shared words",
+     ["FALSE", "true", "partially false", "other"][i % 4])
+    for i in range(40)
+]
+
+
 class TestThreads:
     @pytest.mark.parametrize("model", ["nb", "lr", "sgd"])
-    def test_parallel_output_matches_serial(self, tmp_path, model):
-        # enough rows to cross the pool threshold
-        rows = [
-            (f"p{i}", f"Repeating headline number {i}", f"Body text {i} with shared words",
-             ["FALSE", "true", "partially false", "other"][i % 4])
-            for i in range(40)
-        ]
-        train = _write_labeled(tmp_path / "big.csv", rows)
+    def test_parallel_output_matches_serial(self, tmp_path, model, monkeypatch):
+        # A threshold these rows meet, on two cores, so sgd fits on a pool.
+        pools = _count_pools(monkeypatch)
+        monkeypatch.setattr(models, "PARALLEL_MIN_DOCS", len(POOL_ROWS))
+        monkeypatch.setattr(models, "default_workers", lambda: 2)
+        train = _write_labeled(tmp_path / "big.csv", POOL_ROWS)
         serial, parallel = tmp_path / "s.bundle", tmp_path / "p.bundle"
         assert run("train", "--model", model, "--in", train, "--out", serial, "--threads", 1) == 0
         assert run("train", "--model", model, "--in", train, "--out", parallel, "--threads", 2) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+        assert pools == ([2] if model == "sgd" else [])
 
     def test_env_var_override(self, tmp_path, train_csv, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "1")
@@ -1005,3 +1035,63 @@ def test_only_lr_training_loads_the_optimizer(tmp_path, child_env):
         steps.append([f"predict {m}", ["predict", "--model", f"{m}.b", *train, "--out", "p.csv"]])
     scoring = _modules_loaded_by(tmp_path, steps, child_env)
     assert scoring == {step: [] for step in ["import", *(name for name, _ in steps)]}
+
+
+def _run_entry_point(argv, env, prelude="", stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs):
+    """cli.run() in a fresh interpreter, with stdout block-buffered as it is
+    for a console script writing to a file or pipe. Sets child.out and
+    child.err to what the child wrote to a pipe."""
+    env = {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
+    code = f"from verinews import cli, models; {prelude}cli.run()"
+    argv = [sys.executable, "-c", code, *map(str, argv)]
+    with subprocess.Popen(argv, env=env, text=True, stdout=stdout, stderr=stderr, **kwargs) as child:
+        child.out, child.err = child.communicate(timeout=120)
+    return child
+
+
+def test_entry_point_exits_after_the_sgd_pool(tmp_path, child_env, capsys):
+    # run() skips interpreter teardown, so it must not leave a pool worker
+    # behind: once the child exits, its session holds no process. Its output
+    # goes to files, not pipes, whose ends a worker would inherit and hold
+    # open.
+    train = _write_labeled(tmp_path / "big.csv", POOL_ROWS)
+    out = tmp_path / "m.bundle"
+    argv = ["train", "--model", "sgd", "--in", train, "--out", out, "--threads", 2]
+    stdout, stderr = tmp_path / "stdout", tmp_path / "stderr"
+    with open(stdout, "w") as stdout_file, open(stderr, "w") as stderr_file:
+        child = _run_entry_point(
+            argv, child_env, "models.PARALLEL_MIN_DOCS = 1; models.default_workers = lambda: 2; ",
+            stdout=stdout_file, stderr=stderr_file, start_new_session=True,
+        )
+    try:
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+    assert child.returncode == 0, stderr.read_text()
+    pooled = out.read_bytes()
+    out.unlink()
+    capsys.readouterr()
+    assert run(*argv) == 0
+    assert out.read_bytes() == pooled
+    assert capsys.readouterr().out == stdout.read_text()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_entry_point_full_disk_is_exit_2(tmp_path, train_csv, nb_bundle, child_env):
+    # The report fits the stdout buffer, so the write succeeds and only
+    # run()'s flush meets the full disk.
+    report = tmp_path / "r.json"
+    assert run("eval", "--in", train_csv, "--model", nb_bundle, "--format", "json", "--out", report) == 0
+    with open("/dev/full", "w") as full:
+        child = _run_entry_point(["report", "--in", report], child_env, stdout=full)
+    assert (child.returncode, child.err) == (2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_entry_point_keeps_argparse_exit_codes(child_env):
+    helped = _run_entry_point(["--help"], child_env)
+    assert helped.returncode == 0 and helped.out.startswith("usage: verinews"), helped.err
+    misused = _run_entry_point(["train", "--bogus"], child_env)
+    assert misused.returncode == 2 and "usage: verinews" in misused.err
+    assert misused.out == ""

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 
@@ -532,6 +533,20 @@ def _reference_sgd_binary(X, y_pm, cfg, t0, rng):
     return scale * w, b, False
 
 
+def _count_pools(monkeypatch) -> list[int]:
+    """The worker count of each process pool that sgd_fit opens from now on;
+    the pools are real."""
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
 # The default schedule; sgd_alpha=1.0, where the first step's decay is 0 and
 # takes the rescale branch; and an epoch cap the fit hits (converged False).
 SGD_CONFIGS = [TrainConfig(), TrainConfig(sgd_alpha=1.0, seed=5), TrainConfig(sgd_epochs=2, seed=9)]
@@ -549,12 +564,17 @@ class TestSgd:
         assert m.converged == converged
 
     def test_pooled_fit_equals_serial_fit(self, monkeypatch):
-        # Two cores on any host, so the fit opens a real pool of two.
+        # Two cores on any host and a threshold this problem meets, so the
+        # fit opens a real pool of two.
+        pools = _count_pools(monkeypatch)
         monkeypatch.setattr(models, "default_workers", lambda: 2)
+        monkeypatch.setattr(models, "PARALLEL_MIN_DOCS", 300)
         X, labels = _random_multiclass_problem(np.random.default_rng(23), n=300, dim=80)
         y = [Label(int(c)) for c in labels]
         for cfg in SGD_CONFIGS:
             m = sgd_fit(X, y, cfg, workers=2)
+            assert pools == [2]
+            pools.clear()
             # The pool is shut down before the fit returns: no worker is
             # left running.
             assert multiprocessing.active_children() == []
@@ -562,6 +582,17 @@ class TestSgd:
             assert m.weights.tobytes() == serial.weights.tobytes()
             assert m.bias.tobytes() == serial.bias.tobytes()
             assert m.converged == serial.converged
+
+    def test_pool_starts_at_the_threshold(self, monkeypatch):
+        pools = _count_pools(monkeypatch)
+        monkeypatch.setattr(models, "default_workers", lambda: 2)
+        X, labels = _random_multiclass_problem(np.random.default_rng(24), n=models.PARALLEL_MIN_DOCS, dim=20)
+        y = [Label(int(c)) for c in labels]
+        cfg = TrainConfig(sgd_epochs=1)
+        sgd_fit(X[:-1], y[:-1], cfg, workers=2)
+        assert pools == []
+        sgd_fit(X, y, cfg, workers=2)
+        assert pools == [2]
 
     def test_same_seed_bit_identical(self):
         X, y = _toy_tfidf_set()

@@ -526,6 +526,7 @@ def test_pool_is_capped_at_the_core_count(monkeypatch, cores):
     monkeypatch.setattr(models, "default_workers", lambda: cores)
     monkeypatch.setattr(models, "_sgd_problem", ())
     docs = _pool_docs()
+    monkeypatch.setattr(models, "PARALLEL_MIN_DOCS", len(docs))
     bundle = train_bundle(docs, "sgd", FEATURE_TFIDF, _lemma_cfg, workers=10_000)
     assert sizes == ([] if cores == 1 else [min(cores, models.N_CLASSES)])
     # Each task carries a class index and its seed, never the matrix: the
