@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import os
 import sys
@@ -40,7 +39,7 @@ from typing import NoReturn
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .corpus import Label, RawRecord, dataset_stats, decode_utf8, parse_csv, to_documents
+from .corpus import Label, RawRecord, dataset_stats, decode_utf8, format_csv, parse_csv, to_documents
 from .errors import VerinewsError, VocabularyError
 from .metrics import render_confusion, render_report, report_from_json, report_to_json
 from .models import LinearModel, TrainConfig, default_workers
@@ -72,10 +71,10 @@ def main(argv: list[str] | None = None) -> int:
             args.threads = _resolve_threads(args)
         return args.run(args)
     except (UsageError, VerinewsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_stderr(f"error: {exc}")
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort internal failure
-        print(f"internal error: {exc}", file=sys.stderr)
+        _print_stderr(f"internal error: {exc}")
         return 1
 
 
@@ -85,10 +84,11 @@ def run() -> NoReturn:
 
     Every output file is closed and every SGD pool shut down before main
     returns, so interpreter teardown has nothing left to do but free numpy
-    and scipy, which took 22-60 ms a call on a 2-core host. A flush that
-    fails exits 2 with the OS error, unless main already failed. Under a
-    tracer or profiler (coverage, cProfile), which write their results at
-    exit, run exits normally.
+    and scipy, which took 22-60 ms a call on a 2-core host. A stdout flush
+    that fails exits 2 with the OS error, unless main already failed; a
+    stderr that fails loses its text, not the exit code. Under a tracer or
+    profiler (coverage, cProfile), which write their results at exit, run
+    exits normally.
     """
     if _observed():
         sys.exit(main())
@@ -101,11 +101,19 @@ def run() -> NoReturn:
             if stream is not None:
                 stream.flush()
         except OSError as exc:
-            if code == 0:
+            if code == 0 and stream is sys.stdout:
                 code = 2
-                with contextlib.suppress(OSError):
-                    print(f"error: {exc}", file=sys.stderr)
+                _print_stderr(f"error: {exc}")
     os._exit(code)
+
+
+def _print_stderr(line: str):
+    """Print line to stderr. Python sets sys.stderr to None when it starts
+    with file descriptor 2 closed; a closed, full or missing stderr drops
+    the line, so the exit code stays the one a working stderr gives."""
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
 
 
 def _observed() -> bool:
@@ -224,7 +232,7 @@ def _cmd_prep(args) -> int:
         [d.id, d.label.display_name if d.label is not None else "", ",".join(d.tokens)]
         for d in clean
     ]
-    _write_text(args.out, _format_csv([["public_id", "label", "tokens"], *rows]))
+    _write_text(args.out, format_csv([["public_id", "label", "tokens"], *rows]))
     return 0
 
 
@@ -295,11 +303,11 @@ def _cmd_predict(args) -> int:
     _warn_duplicate_ids([doc.id for doc in docs])
     preds, scores = predict_bundle(bundle, docs)
     rows = [
-        [doc.id, label.display_name, *[repr(float(s)) for s in row]]
-        for doc, label, row in zip(docs, preds, scores)
+        [doc.id, label.display_name, *map(repr, row)]
+        for doc, label, row in zip(docs, preds, scores.tolist())
     ]
     header = ["public_id", "predicted_label", *(f"score_{label.display_name}" for label in Label)]
-    Path(args.out).write_text(_format_csv([header, *rows]), encoding="utf-8")
+    Path(args.out).write_text(format_csv([header, *rows]), encoding="utf-8")
     print(f"wrote {len(rows)} predictions to {args.out}")
     return 0
 
@@ -314,10 +322,9 @@ def _warn_duplicate_ids(ids: list[str]):
             repeats.append(public_id)
         seen.add(public_id)
     if repeats:
-        print(
+        _print_stderr(
             f"warning: {len(repeats)} duplicate public_id value(s), first {repeats[0]!r}; "
-            "each row is predicted",
-            file=sys.stderr,
+            "each row is predicted"
         )
 
 
@@ -355,14 +362,6 @@ def _write_text(path: str | None, text: str):
         raise UsageError("standard output is closed")
     else:
         sys.stdout.write(text)
-
-
-def _format_csv(rows: list[list[str]]) -> str:
-    import io
-
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
 
 
 def _load_config_file(path: str | None, keys: set[str]) -> dict[str, str]:

@@ -127,6 +127,7 @@ def _read_records(reader) -> list[RawRecord]:
     for required in REQUIRED_HEADERS:
         if required not in columns:
             raise CsvSchemaError(f"missing required column: {required!r}")
+    id_col, title_col, text_col = (columns[h] for h in REQUIRED_HEADERS)
     rating_col = next((columns[h] for h in RATING_HEADERS if h in columns), None)
 
     records = []
@@ -134,15 +135,16 @@ def _read_records(reader) -> list[RawRecord]:
         for row in reader:
             if not row:
                 continue  # blank line
-            row += [""] * (len(header) - len(row))  # missing cells
-            public_id = row[columns["public_id"]].strip()
+            if len(row) < len(header):
+                row += [""] * (len(header) - len(row))  # missing cells
+            public_id = row[id_col].strip()
             if not public_id:
                 raise CsvParseError("empty public_id", row=len(records) + 1)
             records.append(
                 RawRecord(
                     public_id=public_id,
-                    title=row[columns["title"]],
-                    text=row[columns["text"]],
+                    title=row[title_col],
+                    text=row[text_col],
                     rating=row[rating_col] if rating_col is not None else None,
                 )
             )
@@ -154,16 +156,19 @@ def _read_records(reader) -> list[RawRecord]:
 def serialize_csv(records: Iterable[RawRecord], with_rating: bool = True) -> str:
     """Inverse of parse_csv for record lists (used for round-trip checks
     and test fixtures). Emits a rating column only when requested."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     if with_rating:
-        writer.writerow(["public_id", "title", "text", "our_rating"])
-        for r in records:
-            writer.writerow([r.public_id, r.title, r.text, r.rating or ""])
+        header = ["public_id", "title", "text", "our_rating"]
+        rows = [[r.public_id, r.title, r.text, r.rating or ""] for r in records]
     else:
-        writer.writerow(["public_id", "title", "text"])
-        for r in records:
-            writer.writerow([r.public_id, r.title, r.text])
+        header = ["public_id", "title", "text"]
+        rows = [[r.public_id, r.title, r.text] for r in records]
+    return format_csv([header, *rows])
+
+
+def format_csv(rows: Iterable[list[str]]) -> str:
+    """The one output CSV dialect: minimal quoting and "\n" line ends."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
@@ -175,13 +180,14 @@ def to_documents(records: list[RawRecord], labeled: bool) -> list[Document]:
     labeled=False ratings are ignored and no document carries a label.
     """
     docs = []
+    labels: dict[str, Label] = {}  # each distinct rating string is parsed once
     for record in records:
-        label = None
-        if labeled:
+        label = labels.get(record.rating) if labeled else None
+        if labeled and label is None:
             if record.rating is None or not record.rating.strip():
                 raise LabelError(f"record {record.public_id!r} has no rating")
             try:
-                label = parse_label(record.rating)
+                label = labels[record.rating] = parse_label(record.rating)
             except LabelError as exc:
                 raise LabelError(f"record {record.public_id!r}: {exc}") from None
         docs.append(

@@ -40,6 +40,7 @@ from .errors import DimensionMismatchError, TrainingError
 from .features import CSR, class_sums, row_dots, stack
 
 N_CLASSES = len(Label)
+_LABELS = tuple(Label)  # by code
 
 # Below this many training documents a pool costs more than it saves. On a
 # 2-core host, whole train --model sgd processes with and without the pool
@@ -171,7 +172,7 @@ def predict_labels(scores: np.ndarray) -> list[Label]:
         raise ValueError("NaN score")
     if not np.all(np.any(np.isfinite(scores), axis=1)):
         raise ValueError("all class scores are -inf; no class is predictable")
-    return [Label(int(i)) for i in np.argmax(scores, axis=1)]
+    return [_LABELS[i] for i in np.argmax(scores, axis=1).tolist()]
 
 
 def logistic_objective(z, X, y_pm, C):
@@ -184,16 +185,6 @@ def logistic_objective(z, X, y_pm, C):
     f, margins = _logistic_loss(z, X, y_pm, C)
     grad, _ = _logistic_gradient(z, X, y_pm, C, margins)
     return f, grad
-
-
-def logistic_hessp(z, p, X, y_pm, C):
-    """Exact Hessian of logistic_objective at z times the vector p.
-
-    With q = X@p_w + p_b and D = C*sigma*(1-sigma), sigma = expit(-y*s),
-    H p = [p_w + X.T@(D*q), sum(D*q)].
-    """
-    X = _scipy_rows(X)
-    return _weighted_hessp(_hessian_weights(z, X, y_pm, C), p, X)
 
 
 def _logistic_loss(z, X, y_pm, C):
@@ -215,14 +206,11 @@ def _logistic_gradient(z, X, y_pm, C, margins):
     return grad, C * sigma * (1.0 - sigma)
 
 
-def _hessian_weights(z, X, y_pm, C):
-    """D = C*sigma*(1-sigma) at z."""
-    w, b = z[:-1], z[-1]
-    sigma = _expit(-y_pm * (X @ w + b))
-    return C * sigma * (1.0 - sigma)
-
-
 def _weighted_hessp(d, p, X):
+    """H p, the exact Hessian of logistic_objective at z times the vector p,
+    from the D = C*sigma*(1-sigma), sigma = expit(-y*s), that
+    _logistic_gradient gives at z: with q = X@p_w + p_b,
+    H p = [p_w + X.T@(D*q), sum(D*q)]."""
     dq = d * (X @ p[:-1] + p[-1])
     hp = np.empty_like(p)
     hp[:-1] = p[:-1] + X.T @ dq

@@ -1095,3 +1095,40 @@ def test_entry_point_keeps_argparse_exit_codes(child_env):
     misused = _run_entry_point(["train", "--bogus"], child_env)
     assert misused.returncode == 2 and "usage: verinews" in misused.err
     assert misused.out == ""
+
+
+@pytest.mark.parametrize("command", ["report", "eval", "predict"])
+def test_broken_stderr_keeps_the_exit_code(tmp_path, nb_bundle, child_env, monkeypatch, capsys, command):
+    # A closed or full stderr loses the message, not the exit code, and no
+    # message moves to stdout: input errors still exit 2, and a duplicate-id
+    # warning still lets predict write every row.
+    dups = tmp_path / "dups.csv"
+    dups.write_text("public_id,title,text\nd1,Headline,Body\nd1,Other,Words\n", encoding="utf-8")
+    preds = tmp_path / "preds.csv"
+    argv, code, stdout = {
+        "report": (["report", "--in", tmp_path / "missing.json"], 2, ""),
+        "eval": (["eval", "--in", tmp_path / "missing.csv", "--model", nb_bundle], 2, ""),
+        "predict": (["predict", "--in", dups, "--model", nb_bundle, "--out", preds], 0,
+                    f"wrote 2 predictions to {preds}\n"),
+    }[command]
+
+    def written():
+        return preds.read_bytes() if preds.exists() else None
+
+    assert run(*argv) == code
+    expected = written()
+    assert (expected is not None) == (command == "predict")
+    capsys.readouterr()
+    redirects = ["2>&-"] + (["2>/dev/full"] if os.path.exists("/dev/full") else [])
+    for redirect in redirects:
+        preds.unlink(missing_ok=True)
+        child = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "verinews.cli", *map(str, argv)],
+            capture_output=True, text=True, env=child_env, timeout=120,
+        )
+        assert (child.returncode, child.stdout, written()) == (code, stdout, expected), redirect
+
+    preds.unlink(missing_ok=True)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert run(*argv) == code
+    assert (capsys.readouterr().out, written()) == (stdout, expected)

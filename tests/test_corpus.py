@@ -235,6 +235,22 @@ def test_to_documents_bad_rating_names_record():
         to_documents([RawRecord(public_id="r7", rating="unsure")], labeled=True)
 
 
+def test_to_documents_parses_each_rating_once_and_names_the_first_bad_record(monkeypatch):
+    from verinews import corpus
+
+    ratings = ["true", " FALSE", "true", " FALSE", "other", "unsure", "", "unsure"]
+    records = [RawRecord(public_id=f"r{i}", rating=r) for i, r in enumerate(ratings)]
+    calls = []
+    monkeypatch.setattr(corpus, "parse_label", lambda raw: calls.append(raw) or parse_label(raw))
+    docs = to_documents(records[:5], labeled=True)
+    assert [d.label for d in docs] == [parse_label(r) for r in ratings[:5]]
+    assert calls == ["true", " FALSE", "other"]
+    with pytest.raises(LabelError, match="'r5'"):
+        to_documents(records, labeled=True)
+    with pytest.raises(LabelError, match="'r6' has no rating"):
+        to_documents(records[6:] + records[:6], labeled=True)
+
+
 def test_to_documents_preserves_order():
     records = [RawRecord(public_id=f"r{i}", rating="true") for i in range(10)]
     assert [d.id for d in to_documents(records, True)] == [r.public_id for r in records]

@@ -17,10 +17,8 @@ from verinews.models import (
     LinearModel,
     NbModel,
     TrainConfig,
-    _hessian_weights,
     _minimize_logistic,
     decision_scores,
-    logistic_hessp,
     logistic_objective,
     lr_fit,
     nb_fit,
@@ -257,6 +255,13 @@ def _random_multiclass_problem(rng, n=200, dim=60):
     return X, rng.integers(0, 4, size=n)
 
 
+def _curvature(z, X, y_pm, C):
+    """D = C*sigma*(1-sigma) at z, as the Newton loop computes it."""
+    X = models._scipy_rows(X)
+    _, margins = models._logistic_loss(z, X, y_pm, C)
+    return models._logistic_gradient(z, X, y_pm, C, margins)[1]
+
+
 def _lbfgs_reference_objective(X, y_pm, C):
     """The objective that L-BFGS-B reaches when run well past lr_tol."""
     result = scipy.optimize.minimize(
@@ -303,7 +308,7 @@ class TestLogistic:
         for _ in range(10):
             z = rng.normal(size=X.shape[1] + 1)
             p = rng.normal(size=z.size)
-            hp = logistic_hessp(z, p, X, y_pm, 100.0)
+            hp = models._weighted_hessp(_curvature(z, X, y_pm, 100.0), p, models._scipy_rows(X))
             fd = (
                 logistic_objective(z + h * p, X, y_pm, 100.0)[1]
                 - logistic_objective(z - h * p, X, y_pm, 100.0)[1]
@@ -311,12 +316,17 @@ class TestLogistic:
             assert np.linalg.norm(hp - fd) / np.linalg.norm(fd) < 1e-6
 
     def test_newton_loop_hessian_weights_match_hessian_weights_bit_for_bit(self, monkeypatch):
-        # The loop computes D alongside the gradient at each accepted iterate;
-        # every D its Hessian products use must equal _hessian_weights there.
-        rng = np.random.default_rng(14)
-        X, labels = _random_multiclass_problem(rng)
-        y_pm = np.where(labels == 0, 1.0, -1.0)
-        cfg = TrainConfig()
+        # The loop computes D alongside the gradient at each accepted iterate,
+        # and only there: every D its Hessian products use must equal the D
+        # that _logistic_gradient gives at that iterate. The second problem
+        # is the first of the overshooting test below, which rejects steps.
+        X, labels = _random_multiclass_problem(np.random.default_rng(14))
+        rng = np.random.default_rng(12)
+        dense = rng.uniform(-50, 50, size=(12, 3))
+        problems = [
+            (X, np.where(labels == 0, 1.0, -1.0), TrainConfig()),
+            (sp.csr_matrix(dense), np.where(dense @ rng.normal(size=3) > 0, 1.0, -1.0), TrainConfig(lr_C=1e3)),
+        ]
         used = []
         hessp = models._weighted_hessp
 
@@ -326,14 +336,18 @@ class TestLogistic:
             return hessp(d, p, X)
 
         monkeypatch.setattr(models, "_weighted_hessp", recording_hessp)
-        iterates = [np.zeros(X.shape[1] + 1)]
-        _minimize_logistic(
-            X, y_pm, cfg,
-            callback=lambda z: iterates.append(z) if z is not iterates[-1] else None,
-        )
-        assert len(used) >= 2
-        for d, z in zip(used, iterates):
-            assert d.tobytes() == _hessian_weights(z, X, y_pm, cfg.lr_C).tobytes()
+        rejected = 0
+        for X, y_pm, cfg in problems:
+            used.clear()
+            calls = []
+            _minimize_logistic(X, y_pm, cfg, callback=calls.append)
+            iterates = [np.zeros(X.shape[1] + 1)]
+            iterates += [z for prev, z in zip(iterates + calls, calls) if z is not prev]
+            rejected += len(calls) - (len(iterates) - 1)
+            assert 2 <= len(used) <= len(iterates)
+            for d, z in zip(used, iterates):
+                assert d.tobytes() == _curvature(z, X, y_pm, cfg.lr_C).tobytes()
+        assert rejected > 0
 
     def test_every_class_meets_the_gradient_test_and_beats_lbfgs(self):
         X, labels = _random_multiclass_problem(np.random.default_rng(13))
