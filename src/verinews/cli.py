@@ -3,8 +3,8 @@
 Exit codes are a stable contract: 0 success, 1 internal failure, 2 usage
 or input error. Option precedence is flags > config file > defaults; the
 config file is flat key=value text, and each value goes through the type
-and choices of the flag that spells it. VERINEWS_THREADS sets the worker
-count when neither --threads nor a config threads= line does.
+and choices of the flag that spells it. The SGD worker count comes from
+--threads or a config threads= line; unset, models.sgd_fit uses all cores.
 
 Every input path (the CSV, --config, --stopwords, --lemmas, a bundle, and
 the JSON report) is read by _read_bytes, so a pipe reads like a file; a
@@ -42,12 +42,10 @@ if "numpy" not in sys.modules:
 from .corpus import Label, RawRecord, dataset_stats, decode_utf8, format_csv, parse_csv, to_documents
 from .errors import VerinewsError, VocabularyError
 from .metrics import render_confusion, render_report, report_from_json, report_to_json
-from .models import LinearModel, TrainConfig, default_workers
+from .models import LinearModel, TrainConfig
 from .persistence import FEATURE_COUNT, FEATURE_TFIDF, load_bundle, write_bundle
 from .pipeline import DEFAULT_FEATURES, evaluate_bundle, predict_bundle, train_bundle
 from .textprep import PipelineConfig, parse_lemma_exceptions, parse_stopwords, preprocess_corpus
-
-THREADS_ENV = "VERINEWS_THREADS"
 
 # 9999-12-31T23:59:59Z, the last second that stdlib time functions format.
 MAX_SOURCE_DATE_EPOCH = 253402300799
@@ -67,8 +65,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config_file(getattr(args, "config", None), _config_keys(parser))
         _merge_config(parser, args, config)
-        if hasattr(args, "threads"):
-            args.threads = _resolve_threads(args)
+        # Only train --model sgd uses the count; prep, eval and predict reject
+        # a bad one too, so a config file shared with train fails alike.
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise UsageError(f"thread count must be >= 1, got {args.threads}")
         return args.run(args)
     except (UsageError, VerinewsError, OSError) as exc:
         _print_stderr(f"error: {exc}")
@@ -86,24 +86,27 @@ def run() -> NoReturn:
     returns, so interpreter teardown has nothing left to do but free numpy
     and scipy, which took 22-60 ms a call on a 2-core host. A stdout flush
     that fails exits 2 with the OS error, unless main already failed; a
-    stderr that fails loses its text, not the exit code. Under a tracer or
-    profiler (coverage, cProfile), which write their results at exit, run
-    exits normally.
+    stderr that fails loses its text, not the exit code; the failed stream
+    is set to None in sys, so nothing is left to flush at exit. Under a
+    tracer or profiler (coverage, cProfile), which write their results at
+    exit, run ends with sys.exit instead. cProfile's runner discards that
+    SystemExit, so under python -m cProfile the exit code is lost.
     """
-    if _observed():
-        sys.exit(main())
     try:
         code = main()
     except SystemExit as exc:  # argparse: --help, or a usage error
         code = exc.code
-    for stream in (sys.stdout, sys.stderr):
+    for name in ("stdout", "stderr"):
         try:
-            if stream is not None:
-                stream.flush()
+            if getattr(sys, name) is not None:
+                getattr(sys, name).flush()
         except OSError as exc:
-            if code == 0 and stream is sys.stdout:
+            setattr(sys, name, None)
+            if code == 0 and name == "stdout":
                 code = 2
                 _print_stderr(f"error: {exc}")
+    if _observed():
+        sys.exit(code)
     os._exit(code)
 
 
@@ -396,27 +399,6 @@ def _resolve_train_config(args) -> TrainConfig:
         return TrainConfig(**{names[key]: value for key, value in _given(args, *names).items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _resolve_threads(args) -> int:
-    """--threads or config threads= > VERINEWS_THREADS > all cores.
-
-    main checks the count for every subcommand that declares --threads,
-    before the command runs. Only train --model sgd uses it; prep, eval and
-    predict reject a bad count all the same, so a config file or environment
-    shared with train fails the same way on each.
-    """
-    workers = args.threads
-    if workers is None and os.environ.get(THREADS_ENV):
-        try:
-            workers = int(os.environ[THREADS_ENV])
-        except ValueError as exc:
-            raise UsageError(f"{THREADS_ENV}: {exc}") from exc
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise UsageError(f"thread count must be >= 1, got {workers}")
-    return workers
 
 
 def _resolve_pipeline(args) -> PipelineConfig:

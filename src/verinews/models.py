@@ -364,7 +364,7 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def sgd_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig, workers: int = 1) -> LinearModel:
+def sgd_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig, workers: int | None = None) -> LinearModel:
     """Fit four one-vs-rest hinge classifiers by per-example SGD.
 
     Per example: s = w.x + b; the L2 penalty (sgd_alpha/2)*||w||^2 decays w
@@ -373,16 +373,18 @@ def sgd_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig, workers: int = 1) 
     spawned from cfg.seed. Training stops early once the mean epoch
     objective improves by less than sgd_tol.
 
-    The four subproblems share nothing. With workers > 1 and at least
-    PARALLEL_MIN_DOCS documents they run on min(workers, cores, N_CLASSES)
-    processes, as a forked pool starts them all at its first task. The
-    initializer hands each process the problem once (under fork, without a
-    copy), so a task carries only a class index and its seed. Results are
-    gathered in class order and equal the serial fit bit for bit.
+    The four subproblems share nothing. workers defaults to the number of
+    cores. With workers > 1 and at least PARALLEL_MIN_DOCS documents they
+    run on min(workers, cores, N_CLASSES) processes, as a forked pool
+    starts them all at its first task. The initializer hands each process
+    the problem once (under fork, without a copy), so a task carries only
+    a class index and its seed. Results are gathered in class order and
+    equal the serial fit bit for bit.
     """
     X_csr, labels = _check_training_inputs(X, y)
     seeds = np.random.SeedSequence(cfg.seed).spawn(N_CLASSES)
-    workers = min(workers, default_workers(), N_CLASSES)
+    cores = default_workers()
+    workers = min(cores if workers is None else workers, cores, N_CLASSES)
     if workers <= 1 or X_csr.shape[0] < PARALLEL_MIN_DOCS:
         results = list(map(partial(_sgd_binary, X_csr, labels, cfg), range(N_CLASSES), seeds))
     else:

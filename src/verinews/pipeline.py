@@ -56,7 +56,7 @@ def train_bundle(
     pipeline_cfg: PipelineConfig | None = None,
     train_cfg: TrainConfig | None = None,
     nb_alpha: float = 1.0,
-    workers: int = 1,
+    workers: int | None = None,
     created_at: int | None = None,
     min_df: int = 1,
     max_df: int | None = None,
@@ -64,7 +64,8 @@ def train_bundle(
 ) -> ModelBundle:
     """Full training pass: clean, build vocabulary, featurize, fit.
 
-    workers caps the SGD fit's process pool; see models.sgd_fit.
+    workers caps the SGD fit's process pool, all cores by default; see
+    models.sgd_fit.
     """
     if model_kind not in DEFAULT_FEATURES:
         raise ValueError(f"unknown model kind {model_kind!r}")

@@ -544,11 +544,6 @@ class TestThreads:
         assert serial.read_bytes() == parallel.read_bytes()
         assert pools == ([2] if model == "sgd" else [])
 
-    def test_env_var_override(self, tmp_path, train_csv, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
-        out = tmp_path / "m.bundle"
-        assert run("train", "--model", "nb", "--in", train_csv, "--out", out) == 0
-
     def test_bad_thread_count(self, train_csv, tmp_path):
         assert run("train", "--model", "nb", "--in", train_csv,
                    "--out", tmp_path / "m.bundle", "--threads", 0) == 2
@@ -561,9 +556,9 @@ class TestThreads:
         assert "threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["prep", "eval", "predict"])
-    @pytest.mark.parametrize("setting", ["flag 0", "config abc", "env abc"])
+    @pytest.mark.parametrize("setting", ["flag 0", "config abc"])
     def test_bad_thread_count_is_exit_2_where_cleaning_is_serial(
-        self, tmp_path, train_csv, nb_bundle, monkeypatch, capsys, command, setting
+        self, tmp_path, train_csv, nb_bundle, capsys, command, setting
     ):
         # Only train --model sgd uses the count, but every subcommand that
         # reads data still rejects a bad one.
@@ -571,12 +566,10 @@ class TestThreads:
         flags = []
         if how == "flag":
             flags = ["--threads", value]
-        elif how == "config":
+        else:
             cfgfile = tmp_path / "v.conf"
             cfgfile.write_text(f"threads={value}\n", encoding="utf-8")
             flags = ["--config", cfgfile]
-        else:
-            monkeypatch.setenv(cli.THREADS_ENV, value)
         out = tmp_path / "out"
         extra = ["--out", out] if command == "prep" else ["--model", nb_bundle, "--out", out]
         # A header-only CSV gives the command no rows to work on; the count
@@ -589,6 +582,8 @@ class TestThreads:
             assert not out.exists()
 
     def test_precedence_flag_config_env_cores(self, monkeypatch):
+        # --threads > config threads= > unset, which sgd_fit reads as all
+        # cores. VERINEWS_THREADS is not read.
         parser = cli._build_parser()
 
         def threads(flags, config):
@@ -596,21 +591,17 @@ class TestThreads:
                 ["predict", "--in", "x.csv", "--model", "m", "--out", "p.csv", *flags]
             )
             cli._merge_config(parser, args, config)
-            return cli._resolve_threads(args)
+            return args.threads
 
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
+        monkeypatch.setenv("VERINEWS_THREADS", "3")
         assert threads(["--threads", "1"], {"threads": "2"}) == 1
         assert threads([], {"threads": "2"}) == 2
-        assert threads([], {}) == 3
-        monkeypatch.delenv(cli.THREADS_ENV)
-        assert threads([], {}) == cli.default_workers()
+        assert threads([], {}) is None
 
     @pytest.mark.parametrize("command", ["train", "prep", "eval", "predict", "report"])
     def test_environment_thread_count(self, tmp_path, train_csv, nb_bundle, monkeypatch, capsys, command):
-        # VERINEWS_THREADS is read only when neither --threads nor a config
-        # threads= line sets the count. A usable count changes no output; a
-        # bad one exits 2 before any output is written, except on report,
-        # which takes no --threads and never reads it.
+        # VERINEWS_THREADS is not read: no value of it, usable or not,
+        # changes an exit code, stdout, stderr or an output file.
         report = tmp_path / "r.json"
         report.write_text('{"confusion": [[3, 1, 0, 0], [0, 2, 0, 0], [1, 0, 2, 0], [0, 0, 0, 1]]}')
         out = tmp_path / "out"
@@ -621,33 +612,21 @@ class TestThreads:
             "predict": ["predict", "--in", train_csv, "--model", nb_bundle, "--out", out],
             "report": ["report", "--in", report],
         }[command]
-        config = tmp_path / "v.conf"
-        config.write_text("threads=1\n", encoding="utf-8")
 
-        def outputs(value, *extra):
+        def outputs(value):
             out.unlink(missing_ok=True)
             if value is None:
-                monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+                monkeypatch.delenv("VERINEWS_THREADS", raising=False)
             else:
-                monkeypatch.setenv(cli.THREADS_ENV, value)
-            code = run(*argv, *extra)
+                monkeypatch.setenv("VERINEWS_THREADS", value)
+            code = run(*argv)
             captured = capsys.readouterr()
             return code, captured.out, out.read_bytes() if out.exists() else None, captured.err
 
         expected = outputs(None)
         assert expected[0] == 0 and (expected[2] is not None) == (command != "report")
-        for value in ("1", "2", " 3 "):
+        for value in ("1", "2", "abc", "1.5", "0", "-1"):
             assert outputs(value) == expected, value
-        for value in ("abc", "1.5", "0", "-1"):
-            if command == "report":
-                assert outputs(value) == expected, value
-                continue
-            code, stdout, written, err = outputs(value)
-            assert (code, stdout, written) == (2, "", None), value
-            assert err.startswith("error: ") and "thread" in err.lower(), err
-            # A flag or a config threads= line wins, and the variable is not read.
-            assert outputs(value, "--threads", 1) == expected, value
-            assert outputs(value, "--config", config) == expected, value
 
 
 _EPOCH_SNIPPET = """
@@ -1079,14 +1058,23 @@ def test_entry_point_exits_after_the_sgd_pool(tmp_path, child_env, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_entry_point_full_disk_is_exit_2(tmp_path, train_csv, nb_bundle, child_env):
+def test_entry_point_full_disk_is_exit_2(tmp_path, train_csv, nb_bundle, child_env, capsys):
     # The report fits the stdout buffer, so the write succeeds and only
-    # run()'s flush meets the full disk.
+    # run()'s flush meets the full disk. Under a tracer run() ends with
+    # sys.exit, and interpreter exit must find nothing left to flush.
     report = tmp_path / "r.json"
     assert run("eval", "--in", train_csv, "--model", nb_bundle, "--format", "json", "--out", report) == 0
-    with open("/dev/full", "w") as full:
-        child = _run_entry_point(["report", "--in", report], child_env, stdout=full)
-    assert (child.returncode, child.err) == (2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    capsys.readouterr()
+    assert run("report", "--in", report) == 0
+    rendered = capsys.readouterr().out
+    for prelude in ("", "import sys; sys.settrace(lambda *a: None); "):
+        with open("/dev/full", "w") as full:
+            child = _run_entry_point(["report", "--in", report], child_env, prelude, stdout=full)
+        assert (child.returncode, child.err) == (
+            2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        ), prelude
+        working = _run_entry_point(["report", "--in", report], child_env, prelude)
+        assert (working.returncode, working.out, working.err) == (0, rendered, ""), prelude
 
 
 def test_entry_point_keeps_argparse_exit_codes(child_env):

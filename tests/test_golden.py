@@ -7,7 +7,9 @@ written once by bench/corpus_gen.py:
 
 prep reads the whole file. Each model trains on its first 200 rows and is
 evaluated and predicts on the other 100, so the eval reports differ by
-model. A digest that moves means an output byte moved.
+model. A digest that moves means an output byte moved. The flow runs in
+this process, and in child processes where numpy and glibc are told to
+dispatch without some of the host's CPU features.
 
 Not pinned (ROADMAP item 7): the LR bundle and the LR score columns.
 np.exp and np.log in numpy, and exp and log1p in glibc, pick code paths by
@@ -15,9 +17,13 @@ CPU feature (AVX-512, FMA), and the LR weights move in their last bits
 with them. The LR predicted labels are pinned.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +52,28 @@ DIGESTS = {
 }
 
 
-def _outputs(tmp_path, capsys, threads: list[str]) -> dict[str, bytes]:
+# Each setting turns off code paths that numpy (NPY_DISABLE_CPU_FEATURES)
+# or glibc's libm (GLIBC_TUNABLES) would otherwise pick on a host with the
+# feature. Names a host or numpy build lacks are accepted and change nothing.
+NPY_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+GLIBC_OFF = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"}
+DISPATCH = {"numpy": NPY_OFF, "glibc": GLIBC_OFF, "numpy-glibc": {**NPY_OFF, **GLIBC_OFF}}
+
+_CHILD_SNIPPET = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import test_golden
+print(json.dumps(test_golden._digests(Path(sys.argv[2]), ["--threads", "1"])))
+"""
+
+
+def _outputs(tmp_path, threads: list[str]) -> dict[str, bytes]:
+    stdout = io.StringIO()
+
     def run(*argv):
-        assert cli.main([*map(str, argv), *threads]) == 0
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main([*map(str, argv), *threads]) == 0
 
     header, *rows = GOLDEN.read_bytes().splitlines(keepends=True)
     assert len(rows) == 300  # one line per row: no cell holds a newline
@@ -56,9 +81,8 @@ def _outputs(tmp_path, capsys, threads: list[str]) -> dict[str, bytes]:
     train.write_bytes(b"".join([header, *rows[:200]]))
     test.write_bytes(b"".join([header, *rows[200:]]))
 
-    capsys.readouterr()
     run("prep", "--in", GOLDEN)
-    outputs = {"prep": capsys.readouterr().out.encode("utf-8")}
+    outputs = {"prep": stdout.getvalue().encode("utf-8")}
     for model in ("nb", "lr", "sgd"):
         bundle, preds = tmp_path / f"{model}.bundle", tmp_path / f"{model}.predictions.csv"
         run("train", "--model", model, "--in", train, "--out", bundle)
@@ -76,20 +100,38 @@ def _outputs(tmp_path, capsys, threads: list[str]) -> dict[str, bytes]:
     return outputs
 
 
+def _digests(tmp_path, threads: list[str]) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in _outputs(tmp_path, threads).items()}
+
+
+def _check(digests: dict[str, str]):
+    if digests != DIGESTS:
+        lines = "".join(f'    "{name}": "{digest}",\n' for name, digest in digests.items())
+        pytest.fail(f"output digests moved (numpy {np.__version__}, scipy {scipy.__version__}); now:\n{lines}")
+
+
 @pytest.mark.parametrize("pooled", [False, True], ids=["threads-1", "sgd-pool"])
-def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, capsys, pooled):
+def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, pooled):
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
-    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
     threads = ["--threads", "1"]
     if pooled:
         pools = _count_pools(monkeypatch)
         monkeypatch.setattr(models, "PARALLEL_MIN_DOCS", 100)
         monkeypatch.setattr(models, "default_workers", lambda: 2)
         threads = []
-    outputs = _outputs(tmp_path, capsys, threads)
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    digests = _digests(tmp_path, threads)
     if pooled:
         assert pools == [2]
-    if digests != DIGESTS:
-        lines = "".join(f'    "{name}": "{digest}",\n' for name, digest in digests.items())
-        pytest.fail(f"output digests moved (numpy {np.__version__}, scipy {scipy.__version__}); now:\n{lines}")
+    _check(digests)
+
+
+@pytest.mark.parametrize("setting", DISPATCH)
+def test_outputs_match_the_pinned_digests_under_cpu_dispatch(tmp_path, child_env, setting):
+    unset = ("SOURCE_DATE_EPOCH", *NPY_OFF, *GLIBC_OFF)
+    env = {k: v for k, v in child_env.items() if k not in unset} | DISPATCH[setting]
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD_SNIPPET, str(Path(__file__).parent), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    _check(json.loads(child.stdout.splitlines()[-1]))

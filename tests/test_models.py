@@ -592,7 +592,7 @@ class TestSgd:
             # The pool is shut down before the fit returns: no worker is
             # left running.
             assert multiprocessing.active_children() == []
-            serial = sgd_fit(X, y, cfg)
+            serial = sgd_fit(X, y, cfg, workers=1)
             assert m.weights.tobytes() == serial.weights.tobytes()
             assert m.bias.tobytes() == serial.bias.tobytes()
             assert m.converged == serial.converged
@@ -607,6 +607,22 @@ class TestSgd:
         assert pools == []
         sgd_fit(X, y, cfg, workers=2)
         assert pools == [2]
+
+    def test_default_worker_count_is_all_cores(self, monkeypatch):
+        # Without workers the fit uses every core, two here, and still
+        # equals the serial fit.
+        pools = _count_pools(monkeypatch)
+        monkeypatch.setattr(models, "default_workers", lambda: 2)
+        X, labels = _random_multiclass_problem(np.random.default_rng(25), n=models.PARALLEL_MIN_DOCS, dim=20)
+        y = [Label(int(c)) for c in labels]
+        cfg = TrainConfig(sgd_epochs=1)
+        pooled = sgd_fit(X, y, cfg)
+        assert pools == [2]
+        serial = sgd_fit(X, y, cfg, workers=1)
+        assert pools == [2]
+        assert pooled.weights.tobytes() == serial.weights.tobytes()
+        assert pooled.bias.tobytes() == serial.bias.tobytes()
+        assert pooled.converged == serial.converged
 
     def test_same_seed_bit_identical(self):
         X, y = _toy_tfidf_set()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_features import assert_same_array, assert_same_csr
+from test_models import _count_pools
 from verinews import models
 from verinews.corpus import Document, Label, decode_utf8
 from verinews.features import featurize, fit_features
@@ -544,6 +545,18 @@ def test_pool_is_capped_at_the_core_count(monkeypatch, cores):
     evaluate_bundle(bundle, docs)
     preprocess_many(docs, _lemma_cfg, workers=2)
     assert sizes == []
+
+
+def test_train_bundle_pools_on_every_core_by_default(monkeypatch):
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(models, "default_workers", lambda: 2)
+    docs = _pool_docs()
+    monkeypatch.setattr(models, "PARALLEL_MIN_DOCS", len(docs))
+    pooled = train_bundle(docs, "sgd", FEATURE_TFIDF, _lemma_cfg).model
+    assert pools == [2]
+    serial = train_bundle(docs, "sgd", FEATURE_TFIDF, _lemma_cfg, workers=1).model
+    assert pools == [2]
+    assert (pooled.weights.tobytes(), pooled.bias.tobytes()) == (serial.weights.tobytes(), serial.bias.tobytes())
 
 
 _CFG = PipelineConfig.default()
