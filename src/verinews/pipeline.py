@@ -2,10 +2,10 @@
 
 These functions tie the modules together behind the bundle abstraction so
 the CLI, the demos, and library users share one code path. Cleaning hands
-features an IdCorpus, token ids over the distinct lemmas, so no per-token
-string list is built between the two. Cleaning is serial: it cleans each
-distinct whitespace run once per call, which beats a process pool at
-every corpus size the benchmark runs. The worker count
+features an IdCorpus, array("q") token ids that features views without a
+copy, so no per-token string list is built between the two. Cleaning is
+serial: it cleans each distinct whitespace run once per call, which beats
+a process pool at every corpus size the benchmark runs. The worker count
 passes through to models.sgd_fit, which alone decides whether to fan its
 four classes out over a pool of its own.
 """

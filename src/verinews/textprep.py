@@ -11,29 +11,28 @@ run at a time, in time linear in the text. Tag removal and the ASCII fold
 can span or join runs, so they and lowercasing act on the whole text; every
 later step stays inside one run.
 
-A corpus is cleaned into an IdCorpus, one int64 array of token ids over
-the distinct kept lemmas. Each document's folded runs are looked up in a
-table of distinct runs as the document is folded; a run is cleaned, and a
-token lemmatized, only the first time it is seen, and the table holds the
-ids of each run's kept lemmas, so no per-token string is built. features
-builds its matrices from the ids; preprocess_corpus and preprocess_document
-read the same ids back as CleanDoc token tuples.
+A corpus is cleaned into an IdCorpus, int64 array("q")s of token ids over
+the distinct kept lemmas and of document offsets. Each document's folded
+runs are looked up in a table of distinct runs as the document is folded;
+a run is cleaned, and a token lemmatized, only the first time it is seen,
+and the table holds the ids of each run's kept lemmas, so no per-token
+string is built. features views the ids as numpy arrays without a copy;
+preprocess_corpus and preprocess_document read them back as CleanDoc tokens.
 
 Everything here is a pure function of (input, config): same bytes in, same
-tokens out, on any machine.
+tokens out, on any machine. Like corpus, it needs only the standard library.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from itertools import chain, count
-
-import numpy as np
 
 from .corpus import Document, Label
 
@@ -132,8 +131,8 @@ class IdCorpus:
     """
 
     lemmas: list[str]
-    ids: np.ndarray  # int64, one per kept token
-    doc_ptr: np.ndarray  # int64, length n_docs + 1
+    ids: array  # typecode "q" (int64), one per kept token
+    doc_ptr: array  # typecode "q" (int64), length n_docs + 1
 
     def __len__(self) -> int:
         return len(self.doc_ptr) - 1
@@ -358,8 +357,8 @@ def preprocess_ids(docs: list[Document], cfg: PipelineConfig) -> IdCorpus:
         doc_ptr.append(len(ids))
     return IdCorpus(
         lemmas=list(runs.lemma_ids),
-        ids=np.fromiter(ids, np.int64, len(ids)),
-        doc_ptr=np.array(doc_ptr, dtype=np.int64),
+        ids=array("q", ids),
+        doc_ptr=array("q", doc_ptr),
     )
 
 

@@ -2,6 +2,7 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,23 @@ def test_import_loads_no_submodule_and_no_numpy(tmp_path, child_env):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
 
+    # The text layer is standard library only: cleaning a corpus loads no numpy.
+    snippet = (
+        "import pathlib, sys\n"
+        "from verinews.corpus import parse_csv, to_documents\n"
+        "from verinews.textprep import PipelineConfig, preprocess_corpus, preprocess_ids\n"
+        "cfg = PipelineConfig.default()\n"
+        "docs = to_documents(parse_csv(pathlib.Path(sys.argv[1]).read_bytes()), labeled=True)\n"
+        "assert len(preprocess_ids(docs, cfg)) == len(preprocess_corpus(docs, cfg)) == len(docs) > 0\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy'))\n"
+    )
+    golden = Path(__file__).with_name("golden_claims.csv")
+    result = subprocess.run(
+        [sys.executable, "-c", snippet, str(golden)], capture_output=True, text=True, cwd=tmp_path, env=child_env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
 
 def test_all_is_the_export_list():
     assert verinews.__all__ == [name for names in EXPORTS.values() for name in names]
@@ -56,3 +74,30 @@ def test_from_import_still_loads_a_submodule():
     from verinews import cli
 
     assert cli is sys.modules["verinews.cli"]
+
+
+_FAILING_PROPERTY_PAIR = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_fails_alone(tmp_path):
+    # Under the repository's warning filters a failed @given test must be
+    # reported as one failure, not end the run with an internal error.
+    (tmp_path / "test_pair.py").write_text(_FAILING_PROPERTY_PAIR)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider", "-q", "test_pair.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout, result.stdout

@@ -3,6 +3,7 @@ import pickle
 import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from test_features import assert_same_array, assert_same_csr
 from test_models import _count_pools
 from verinews import models
-from verinews.corpus import Document, Label, decode_utf8
+from verinews.corpus import Document, Label, decode_utf8, parse_csv, to_documents
 from verinews.features import featurize, fit_features
 from verinews.persistence import FEATURE_COUNT, FEATURE_TFIDF
 from verinews.pipeline import evaluate_bundle, predict_bundle, preprocess_many, train_bundle
@@ -31,6 +32,8 @@ from verinews.textprep import (
     preprocess_ids,
     tokenize_and_filter,
 )
+
+GOLDEN_CLAIMS = Path(__file__).with_name("golden_claims.csv")
 
 
 @pytest.fixture(scope="module")
@@ -426,13 +429,14 @@ def test_id_corpus_equals_the_clean_doc_path(docs, scored, min_df, max_df, max_t
         clean = [preprocess_document(d, cfg) for d in docs]
         assert ids.token_tuples() == [c.tokens for c in clean]
         assert [c.tokens for c in clean] == [reference_tokens(d, cfg) for d in docs]
-        assert ids.ids.dtype == ids.doc_ptr.dtype == np.int64
+        assert ids.ids.typecode == ids.doc_ptr.typecode == "q"
         assert len(ids) == len(docs) and len(set(ids.lemmas)) == len(ids.lemmas)
         assert sorted(set(ids.ids.tolist())) == list(range(len(ids.lemmas)))
         # No matrix may depend on the order of the lemma ids, so the same
         # corpus with its lemmas numbered backwards gives the same results.
         n = len(ids.lemmas)
-        backwards = IdCorpus(lemmas=ids.lemmas[::-1], ids=n - 1 - ids.ids, doc_ptr=ids.doc_ptr)
+        backwards = IdCorpus(lemmas=ids.lemmas[::-1], ids=array("q", [n - 1 - i for i in ids.ids]),
+                             doc_ptr=ids.doc_ptr)
         scored_ids = preprocess_ids(scored, cfg)
         scored_clean = preprocess_corpus(scored, cfg)
         for tfidf in (False, True):
@@ -446,6 +450,12 @@ def test_id_corpus_equals_the_clean_doc_path(docs, scored, min_df, max_df, max_t
                 assert_same_csr(X, want_X)
             want_scored = featurize(scored_clean, want_vocab, want_idf)
             assert_same_csr(featurize(scored_ids, want_vocab, want_idf), want_scored)
+
+
+def test_id_corpora_compare_by_value(cfg):
+    docs = to_documents(parse_csv(GOLDEN_CLAIMS.read_bytes()), labeled=True)
+    assert preprocess_ids(docs, cfg) == preprocess_ids(docs, cfg)
+    assert preprocess_ids(docs[:5], cfg) != preprocess_ids(docs, cfg)
 
 
 def test_lemmatizer_returns_the_empty_token():
