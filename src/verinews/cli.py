@@ -83,14 +83,15 @@ def run() -> NoReturn:
     and os._exit, as mypy's util.hard_exit does.
 
     Every output file is closed and every SGD pool shut down before main
-    returns, so interpreter teardown has nothing left to do but free numpy
-    and scipy, which took 22-60 ms a call on a 2-core host. A stdout flush
-    that fails exits 2 with the OS error, unless main already failed; a
-    stderr that fails loses its text, not the exit code; the failed stream
-    is set to None in sys, so nothing is left to flush at exit. Under a
-    tracer or profiler (coverage, cProfile), which write their results at
-    exit, run ends with sys.exit instead. cProfile's runner discards that
-    SystemExit, so under python -m cProfile the exit code is lost.
+    returns, so interpreter teardown has nothing left to do but free numpy,
+    which took 22-60 ms a call on a 2-core host (with scipy.sparse loaded
+    too). A stdout flush that fails exits 2 with the OS error, unless main
+    already failed; a stderr that fails loses its text, not the exit code;
+    the failed stream is set to None in sys, so nothing is left to flush at
+    exit. Under a tracer or profiler (coverage, cProfile), which write their
+    results at exit, run ends with sys.exit instead. cProfile's runner
+    discards that SystemExit, so under python -m cProfile the exit code is
+    lost.
     """
     try:
         code = main()
@@ -417,9 +418,8 @@ def _resolve_pipeline(args) -> PipelineConfig:
 
 def _source_date_epoch() -> int | None:
     # Reproducible-builds convention: record a creation time only when the
-    # environment pins one, keeping rerun outputs byte-identical. The LR fit
-    # imports scipy, whose import parses this variable too, so it is checked
-    # before training starts.
+    # environment pins one, keeping rerun outputs byte-identical. It is
+    # checked before training starts, so a bad value exits 2 before any fit.
     raw = os.environ.get("SOURCE_DATE_EPOCH")
     if raw is None:
         return None

@@ -13,14 +13,26 @@ every distinct lemma (fit_features). A row stores each column at most
 once, so column entry counts are the document frequencies, and df pruning
 drops columns from that matrix and renumbers the rest.
 
-A corpus is one CSR matrix, and the two products the models need, row
-dot products and per-class column sums, are np.bincount kernels over its
-arrays. bincount adds in storage order, so each sum is the sequential sum
-that scipy.sparse computes, bit for bit, without importing scipy.
+A corpus is one CSR matrix, checked once when it is built. The models
+need three products of it. Per-class column sums (NB) are an np.bincount
+kernel over its arrays. Row dot products X @ w (every score, the SGD
+epoch objective, the LR fit) and column dot products X.T @ u (the LR fit)
+run through scipy's compiled sparsetools. Only that one extension file is
+loaded, never the scipy package: importing scipy.sparse takes about
+0.15 s after numpy, most of it spent loading numpy.f2py, numpy.ma and
+numpy.testing. Every product adds in storage order from 0.0, so each sum is
+the one scipy.sparse computes, bit for bit. The kernels read raw memory, so
+a matrix's indices are checked when it is built, and each vector's length
+on each call.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -32,6 +44,8 @@ from .errors import DimensionMismatchError, VocabularyError
 from .textprep import CleanDoc, IdCorpus
 
 Corpus = IdCorpus | list[CleanDoc]
+
+_INDEX_DTYPES = {np.dtype(np.int32), np.dtype(np.int64)}
 
 
 @dataclass(frozen=True)
@@ -57,14 +71,40 @@ class CSR:
     """A compressed-sparse-row matrix of float64 weights.
 
     Row i stores columns indices[indptr[i]:indptr[i+1]], strictly
-    increasing, with weights data[indptr[i]:indptr[i+1]]. The kernels below
-    read only these four fields, so they accept a scipy csr_matrix too.
+    increasing, with weights data[indptr[i]:indptr[i+1]]. Construction
+    checks what the compiled kernels rely on (dtypes, indptr rising from 0
+    to nnz, every column inside the shape; not the order within a row) and
+    keeps read-only views of indices and indptr, so the checks stay true.
     """
 
     data: np.ndarray  # float64, length nnz
-    indices: np.ndarray  # int64, length nnz
-    indptr: np.ndarray  # int64, length rows + 1
+    indices: np.ndarray  # int32 or int64, length nnz
+    indptr: np.ndarray  # int32 or int64, length rows + 1
     shape: tuple[int, int]
+
+    def __post_init__(self):
+        data, indices, indptr = self.data, self.indices, self.indptr
+        rows, cols = self.shape
+        if data.dtype != np.float64 or not {indices.dtype, indptr.dtype} <= _INDEX_DTYPES:
+            raise ValueError(
+                f"CSR needs float64 data and int32/int64 indices, got {data.dtype}, "
+                f"{indices.dtype} and {indptr.dtype}"
+            )
+        if not data.ndim == indices.ndim == indptr.ndim == 1 or rows < 0 or cols < 0:
+            raise ValueError(f"CSR arrays must be 1-D and its shape non-negative, got {self.shape}")
+        nnz = len(indices)
+        if len(indptr) != rows + 1 or len(data) != nnz:
+            raise ValueError(
+                f"CSR of shape {self.shape} with {len(indptr)} indptr, {nnz} indices and {len(data)} weights"
+            )
+        if indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError(f"CSR indptr must not decrease from 0 to {nnz}")
+        if nnz and not (indices.min() >= 0 and indices.max() < cols):
+            raise ValueError(f"CSR column index outside [0, {cols})")
+        for name, array_ in (("indices", indices), ("indptr", indptr)):
+            view = array_.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def nnz(self) -> int:
@@ -82,15 +122,77 @@ def row_ids(X: CSR) -> np.ndarray:
 
 
 def row_dots(X: CSR, W: np.ndarray) -> np.ndarray:
-    """X @ W.T for a (k, V) W, or X @ W for one length-V W.
+    """X @ W.T for a (k, V) W, or X @ W for one length-V W; a W of another
+    width raises DimensionMismatchError.
 
     Each row sums its entries in storage order, starting from 0.0.
     """
-    rows, n = row_ids(X), X.shape[0]
-    dots = [
-        np.bincount(rows, weights=X.data * w[X.indices], minlength=n) for w in np.atleast_2d(W)
-    ]
-    return dots[0] if W.ndim == 1 else np.column_stack(dots)
+    n, dim = _checked(X).shape
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim not in (1, 2) or W.shape[-1] != dim:
+        raise DimensionMismatchError(f"weights of shape {W.shape} for {dim} feature columns")
+    if W.ndim == 1:
+        out = np.zeros(n)
+        _sparsetools().csr_matvec(n, dim, X.indptr, X.indices, X.data, np.ascontiguousarray(W), out)
+    else:
+        out = np.zeros((n, len(W)))
+        # One row of W.T per column, as the kernel reads its operand.
+        operand = np.ascontiguousarray(W.T)
+        _sparsetools().csr_matvecs(n, dim, len(W), X.indptr, X.indices, X.data, operand, out)
+    return out
+
+
+def column_dots(X: CSR, u: np.ndarray) -> np.ndarray:
+    """X.T @ u for one length-n u; another shape raises
+    DimensionMismatchError.
+
+    Each column sums its entries in storage order, starting from 0.0.
+    """
+    n, dim = _checked(X).shape
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    if u.shape != (n,):
+        raise DimensionMismatchError(f"vector of shape {u.shape} for {n} rows")
+    out = np.zeros(dim)
+    # The arrays of X read as column-compressed are those of X.T.
+    _sparsetools().csc_matvec(dim, n, X.indptr, X.indices, X.data, u, out)
+    return out
+
+
+def _checked(X: CSR) -> CSR:
+    # Only a CSR has had its indices checked against its shape.
+    if not isinstance(X, CSR):
+        raise TypeError(f"expected a verinews CSR matrix, got {type(X).__name__}")
+    return X
+
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse kernels: the module scipy.sparse imports, or
+    else its extension file, loaded on its own (see the module docstring)."""
+    if _SPARSETOOLS in sys.modules:
+        return sys.modules[_SPARSETOOLS]
+    directory = _scipy_sparse_dir()
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SPARSETOOLS, loader))
+            loader.exec_module(module)
+            return module
+    from importlib.metadata import version  # only this error pays its import
+
+    raise ImportError(f"scipy {version('scipy')} has no _sparsetools extension in {directory}")
+
+
+def _scipy_sparse_dir() -> str:
+    """The directory of the scipy.sparse package, found without importing it."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed; verinews needs its compiled sparse kernels")
+    return os.path.join(spec.submodule_search_locations[0], "sparse")
 
 
 def class_sums(X: CSR, labels: np.ndarray, n_classes: int) -> np.ndarray:

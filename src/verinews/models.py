@@ -14,11 +14,10 @@ _sgd_binary).
 
 The logistic classifier is fitted by LIBLINEAR's trust-region Newton
 method, written here with numpy reductions in place of BLAS calls, so its
-weights do not depend on the thread count either. It is the one caller of
-scipy: its hundreds of sparse products per class run faster in
-scipy.sparse, which it imports when called. Every other path works on the
-features module's CSR kernels, so NB and SGD training, eval and predict
-never pay the fifth of a second that importing scipy.sparse takes.
+weights do not depend on the thread count either. Its hundreds of sparse
+products per class, like every score and the SGD epoch objective, are the
+features module's row_dots and column_dots: scipy's compiled sparsetools,
+loaded without importing the scipy package.
 
 So no fit gains from BLAS threads, and the CLI starts OpenBLAS with one
 thread unless OPENBLAS_NUM_THREADS is set (see cli); pool workers inherit
@@ -36,8 +35,8 @@ from typing import ClassVar
 import numpy as np
 
 from .corpus import Label
-from .errors import DimensionMismatchError, TrainingError
-from .features import CSR, class_sums, row_dots, stack
+from .errors import TrainingError
+from .features import CSR, class_sums, column_dots, row_dots, stack
 
 N_CLASSES = len(Label)
 _LABELS = tuple(Label)  # by code
@@ -155,8 +154,6 @@ def decision_scores(model: NbModel | LinearModel, X: FeatureRows) -> np.ndarray:
         weights, offsets = model.feature_log_prob, model.class_log_prior
     else:
         weights, offsets = model.weights, model.bias
-    if X.shape[1] != weights.shape[1]:
-        raise DimensionMismatchError(f"{X.shape[1]} feature columns != model dim {weights.shape[1]}")
     return row_dots(X, weights) + offsets
 
 
@@ -181,7 +178,6 @@ def logistic_objective(z, X, y_pm, C):
     z is [w..., b]; the objective is 0.5*||w||^2 + C * sum ln(1+exp(-y*s))
     with s = X@w + b and y in {-1, +1}. The bias is unregularized.
     """
-    X = _scipy_rows(X)
     f, margins = _logistic_loss(z, X, y_pm, C)
     grad, _ = _logistic_gradient(z, X, y_pm, C, margins)
     return f, grad
@@ -190,7 +186,7 @@ def logistic_objective(z, X, y_pm, C):
 def _logistic_loss(z, X, y_pm, C):
     """(objective, margins -y*s) at z."""
     w, b = z[:-1], z[-1]
-    margins = -y_pm * (X @ w + b)
+    margins = -y_pm * (row_dots(X, w) + b)
     f = 0.5 * _dot(w, w) + C * float(np.sum(np.logaddexp(0.0, margins)))
     return f, margins
 
@@ -201,7 +197,7 @@ def _logistic_gradient(z, X, y_pm, C, margins):
     sigma = _expit(margins)
     coef = C * (-y_pm) * sigma
     grad = np.empty_like(z)
-    grad[:-1] = z[:-1] + X.T @ coef
+    grad[:-1] = z[:-1] + column_dots(X, coef)
     grad[-1] = float(np.sum(coef))
     return grad, C * sigma * (1.0 - sigma)
 
@@ -211,9 +207,9 @@ def _weighted_hessp(d, p, X):
     from the D = C*sigma*(1-sigma), sigma = expit(-y*s), that
     _logistic_gradient gives at z: with q = X@p_w + p_b,
     H p = [p_w + X.T@(D*q), sum(D*q)]."""
-    dq = d * (X @ p[:-1] + p[-1])
+    dq = d * (row_dots(X, p[:-1]) + p[-1])
     hp = np.empty_like(p)
-    hp[:-1] = p[:-1] + X.T @ dq
+    hp[:-1] = p[:-1] + column_dots(X, dq)
     hp[-1] = float(np.sum(dq))
     return hp
 
@@ -228,15 +224,6 @@ def _dot(a, b) -> float:
     return float(np.add.reduce(a * b))
 
 
-def _scipy_rows(X):
-    """X as a scipy csr_matrix over the same arrays, for the LR products."""
-    import scipy.sparse
-
-    if scipy.sparse.issparse(X):
-        return X
-    return scipy.sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape, copy=False)
-
-
 def lr_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
     """Fit four one-vs-rest L2-regularized logistic classifiers.
 
@@ -246,7 +233,6 @@ def lr_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
     the converged flag.
     """
     X_csr, labels = _check_training_inputs(X, y)
-    X_csr = _scipy_rows(X_csr)
     dim = X_csr.shape[1]
 
     weights = np.zeros((N_CLASSES, dim))
@@ -279,7 +265,6 @@ def _minimize_logistic(X, y_pm, cfg: TrainConfig, callback=None):
     not finite, or the radius is 0: an lr_C or lr_tol far from the data's
     scale. That check, not numpy's overflow warnings, reports such a fit.
     """
-    X = _scipy_rows(X)
     C = cfg.lr_C
     z = np.zeros(X.shape[1] + 1)
     f, margins = _logistic_loss(z, X, y_pm, C)
@@ -488,7 +473,8 @@ def _training_data(X: FeatureRows, y: list[Label]) -> tuple[CSR, np.ndarray]:
 
 def _check_training_inputs(X: FeatureRows, y: list[Label]) -> tuple[CSR, np.ndarray]:
     X, labels = _training_data(X, y)
-    if np.unique(labels).size < 2:
+    # Not np.unique, which imports numpy.ma (about 12 ms) to test for a mask.
+    if np.all(labels == labels[0]):
         raise TrainingError("training data contains a single class")
     return X, labels
 

@@ -12,3 +12,9 @@ def csr_rows(rows, dim):
     indices = np.array([c for e in entries for c, _ in e], dtype=np.int64)
     data = np.array([w for e in entries for _, w in e], dtype=np.float64)
     return CSR(data=data, indices=indices, indptr=indptr, shape=(len(rows), dim))
+
+
+def from_scipy(M):
+    """A scipy sparse matrix as a CSR over the same arrays."""
+    M = M.tocsr()
+    return CSR(data=M.data, indices=M.indices, indptr=M.indptr, shape=M.shape)

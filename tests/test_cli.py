@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import importlib.metadata
 import json
 import os
 import random
@@ -650,8 +651,9 @@ print(json.dumps(codes))
     [("abc", 2), ("-1", 2), ("99999999999999999999", 2), ("253402300800", 2), ("253402300799", 0)],
 )
 def test_any_source_date_epoch_exits_0_or_2(tmp_path, child_env, value, train_code):
-    # A fresh interpreter, because the variable is also parsed when scipy
-    # is imported, which used to fail before main ran.
+    # A fresh interpreter, as each CLI call has. Importing scipy also parses
+    # the variable and used to fail before main ran; no command imports
+    # scipy now, but every call still checks the variable itself.
     _write_labeled(tmp_path / "train.csv")
     assert run("train", "--model", "nb", "--in", tmp_path / "train.csv", "--out", tmp_path / "nb.b",
                "--threads", 1) == 0
@@ -976,44 +978,89 @@ _IMPORTS_SNIPPET = """
 import json, sys
 from verinews import cli
 
-watched = ("scipy", "scipy.sparse", "scipy.optimize", "scipy.special", "concurrent.futures.process")
+watched = ("scipy", "scipy.sparse", "scipy.optimize", "scipy.special", "numpy.ma", "concurrent.futures.process")
 d, steps = sys.argv[1], json.loads(sys.argv[2])
 loaded = {}
 for step, argv in [["import", None], *steps]:
     if argv is not None:
-        assert cli.main([*argv, "--threads", "1"]) == 0, step
+        assert cli.main(argv) == 0, step
     loaded[step] = [name for name in watched if name in sys.modules]
 print(json.dumps(loaded))
 """
 
 
-def _modules_loaded_by(d, steps, env):
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORTS_SNIPPET, str(d), json.dumps(steps)],
-        capture_output=True, text=True, cwd=d, env=env, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.splitlines()[-1])
-
-
-def test_only_lr_training_loads_the_optimizer(tmp_path, child_env):
-    # Importing scipy.sparse costs every CLI process about a fifth of a
-    # second and scipy.optimize a third more; only the LR fit uses scipy,
-    # and only its sparse products. Only a pooled SGD fit (not run here:
+def test_no_command_imports_the_scipy_package(tmp_path, child_env):
+    # Importing scipy.sparse would cost every CLI process about 0.15 s
+    # after numpy, and scipy.optimize more; the sparse products load only
+    # scipy's compiled kernel file. numpy.ma (about 12 ms) is loaded by
+    # np.unique without return_counts. Only a pooled SGD fit (not run here:
     # --threads 1) loads the process-pool module.
     _write_labeled(tmp_path / "train.csv")
-    train = ["--in", "train.csv"]
-    lr = _modules_loaded_by(
-        tmp_path, [["train lr", ["train", "--model", "lr", *train, "--out", "lr.b"]]], child_env
-    )
-    assert lr == {"import": [], "train lr": ["scipy", "scipy.sparse"]}
-
-    steps = [[f"train {m}", ["train", "--model", m, *train, "--out", f"{m}.b"]] for m in ("nb", "sgd")]
+    train = ["--in", "train.csv", "--threads", "1"]
+    steps = [["prep", ["prep", *train, "--out", "prep.csv"]]]
+    steps += [[f"train {m}", ["train", "--model", m, *train, "--out", f"{m}.b"]] for m in ("nb", "lr", "sgd")]
     for m in ("nb", "lr", "sgd"):
-        steps.append([f"eval {m}", ["eval", "--model", f"{m}.b", *train, "--out", "r.json"]])
+        steps.append([f"eval {m}", ["eval", "--model", f"{m}.b", *train, "--format", "json", "--out", f"{m}.json"]])
         steps.append([f"predict {m}", ["predict", "--model", f"{m}.b", *train, "--out", "p.csv"]])
-    scoring = _modules_loaded_by(tmp_path, steps, child_env)
-    assert scoring == {step: [] for step in ["import", *(name for name, _ in steps)]}
+    steps.append(["report", ["report", "--in", "lr.json"]])
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_SNIPPET, str(tmp_path), json.dumps(steps)],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == {step: [] for step in ["import", *(name for name, _ in steps)]}
+
+
+_KERNEL_ORDER_SNIPPET = """
+import hashlib, sys
+import numpy as np
+if sys.argv[1] == "scipy first":
+    import scipy.sparse
+from verinews.features import CSR, _sparsetools, column_dots, row_dots
+
+rng = np.random.default_rng(3)
+dense = rng.normal(size=(30, 40)) * (rng.random((30, 40)) < 0.5)
+rows, cols = np.nonzero(dense)
+indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(dense, axis=1))))
+X = CSR(data=dense[rows, cols], indices=cols, indptr=indptr, shape=dense.shape)
+W, u = rng.normal(size=(4, 40)), rng.normal(size=30)
+ours = [row_dots(X, W), row_dots(X, W[0]), column_dots(X, u)]
+
+import scipy.sparse
+M = scipy.sparse.csr_matrix(dense)
+assert _sparsetools() is sys.modules["scipy.sparse._sparsetools"]
+assert [a.tobytes() for a in ours] == [(M @ W.T).tobytes(), (M @ W[0]).tobytes(), (M.T @ u).tobytes()]
+print(hashlib.sha256(b"".join(a.tobytes() for a in ours)).hexdigest())
+"""
+
+
+def test_kernel_loaded_before_or_after_scipy_sparse_gives_the_same_bytes(child_env):
+    # The kernel loaded on its own must serve a later import of
+    # scipy.sparse, and one that scipy.sparse loaded must be reused.
+    digests = set()
+    for order in ("kernel first", "scipy first"):
+        result = subprocess.run(
+            [sys.executable, "-c", _KERNEL_ORDER_SNIPPET, order],
+            capture_output=True, text=True, env=child_env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout.splitlines()[-1])
+    assert len(digests) == 1
+
+
+def test_missing_sparse_kernel_is_an_internal_error(tmp_path, child_env):
+    # A scipy without its _sparsetools file is an install fault, not bad
+    # input, so exit 1; the message names what was searched.
+    train, out, empty = _write_labeled(tmp_path / "train.csv"), tmp_path / "lr.b", tmp_path / "empty"
+    empty.mkdir()
+    prelude = f"from verinews import features; features._scipy_sparse_dir = lambda: {str(empty)!r}; "
+    argv = ["train", "--model", "lr", "--in", train, "--out", out, "--threads", 1]
+    child = _run_entry_point(argv, child_env, prelude=prelude)
+    version = importlib.metadata.version("scipy")
+    assert child.returncode == 1
+    assert child.err == f"internal error: scipy {version} has no _sparsetools extension in {empty}\n"
+    assert not out.exists()
 
 
 def _run_entry_point(argv, env, prelude="", stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs):

@@ -1,10 +1,12 @@
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from csr_rows import csr_rows
 from verinews.errors import DimensionMismatchError, VocabularyError
@@ -15,6 +17,7 @@ from verinews.features import (
     Vocabulary,
     build_vocabulary,
     class_sums,
+    column_dots,
     count_transform,
     featurize,
     fit_features,
@@ -370,20 +373,87 @@ def test_featurize_edge_shapes(small_vocab):
         featurize([doc("cat")], small_vocab, IdfWeights(idf=np.ones(1), n_docs=1))
 
 
-def test_kernels_equal_scipy_products_bit_for_bit():
-    # Rows of about 40 random weights, so a different summation order
-    # would show in the last bits.
-    rng = np.random.default_rng(31)
-    M = sp.random(60, 80, density=0.5, format="csr", random_state=rng)
-    X = CSR(data=M.data, indices=M.indices.astype(np.int64), indptr=M.indptr.astype(np.int64),
+@settings(max_examples=150)
+@given(
+    n=st.integers(0, 12),
+    dim=st.integers(0, 50),
+    density=st.sampled_from([0.0, 0.2, 0.7, 1.0]),
+    index_dtype=st.sampled_from([np.int32, np.int64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, dim=5, density=1.0, index_dtype=np.int64, seed=0)
+@example(n=5, dim=0, density=1.0, index_dtype=np.int32, seed=0)
+def test_kernels_equal_scipy_products_bit_for_bit(n, dim, density, index_dtype, seed):
+    # Rows of up to 50 random weights, so a different summation order
+    # would show in the last bits; every third row is empty.
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n, dim)) * (rng.random((n, dim)) < density)
+    dense[::3] = 0.0
+    M = sp.csr_matrix(dense)
+    X = CSR(data=M.data, indices=M.indices.astype(index_dtype), indptr=M.indptr.astype(index_dtype),
             shape=M.shape)
-    W = rng.normal(size=(4, 80))
-    labels = rng.integers(0, 4, size=60)
-    one_hot = sp.csr_matrix((np.ones(60), (labels, np.arange(60))), shape=(4, 60))
-    for rows in (X, M):
-        assert row_dots(rows, W).tobytes() == (M @ W.T).tobytes()
-        assert row_dots(rows, W[1]).tobytes() == (M @ W[1]).tobytes()
-        assert class_sums(rows, labels, 4).tobytes() == (one_hot @ M).toarray().tobytes()
+    W = rng.normal(size=(4, dim))
+    strided = rng.normal(size=(4, 2 * dim))[:, ::2]
+    for V in (W, W[:1], strided, np.asfortranarray(W)):
+        assert row_dots(X, V).tobytes() == (M @ V.T).tobytes()
+    for v in (W[1], strided[1], np.asfortranarray(W)[1]):
+        assert row_dots(X, v).tobytes() == (M @ v).tobytes()
+    u = rng.normal(size=n)
+    assert column_dots(X, u).tobytes() == (M.T @ u).tobytes()
+    labels = rng.integers(0, 4, size=n)
+    one_hot = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(4, n))
+    assert class_sums(X, labels, 4).tobytes() == (one_hot @ M).toarray().tobytes()
+
+
+def test_kernels_take_only_a_checked_csr():
+    M = sp.csr_matrix(np.eye(2))
+    for kernel in (row_dots, column_dots):
+        with pytest.raises(TypeError, match="CSR"):
+            kernel(M, np.ones(2))
+
+
+# Each case must raise before the compiled kernel reads past an array; a
+# child process turns a crash into a failed test, not a lost test run.
+_MALFORMED_SNIPPET = """
+import numpy as np
+from verinews.errors import DimensionMismatchError
+from verinews.features import CSR, column_dots, row_dots
+
+def csr(indices=(0, 2, 1), indptr=(0, 2, 3)):
+    indices, indptr = np.array(indices), np.array(indptr)
+    return CSR(data=np.ones(len(indices)), indices=indices, indptr=indptr, shape=(2, 3))
+
+X = csr()
+try:
+    {call}
+except {error} as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("row_dots(X, np.ones(2))", "DimensionMismatchError"),
+        ("row_dots(X, np.ones((4, 2)))", "DimensionMismatchError"),
+        ("row_dots(X, np.ones((2, 4, 3)))", "DimensionMismatchError"),
+        ("column_dots(X, np.ones(3))", "DimensionMismatchError"),
+        ("column_dots(X, np.ones((2, 1)))", "DimensionMismatchError"),
+        ("csr(indices=(0, 3, 1))", "ValueError"),
+        ("csr(indices=(0, -1, 1))", "ValueError"),
+        ("csr(indptr=(0, 3, 2))", "ValueError"),
+        ("csr(indptr=(1, 2, 3))", "ValueError"),
+        ("csr(indptr=(0, 2, 2))", "ValueError"),
+        ("csr(indptr=(0, 3))", "ValueError"),
+        ("X.indices[0] = 7", "ValueError"),
+    ],
+)
+def test_malformed_inputs_raise_instead_of_crashing(child_env, call, error):
+    code = _MALFORMED_SNIPPET.format(call=call, error=error)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised:"), result.stdout
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from verinews import models
 from verinews.corpus import Label
 from verinews.errors import DimensionMismatchError, TrainingError
-from csr_rows import csr_rows
+from csr_rows import csr_rows, from_scipy
 from verinews.features import CSR, build_vocabulary, featurize, fit_idf
 from verinews.models import (
     LinearModel,
@@ -252,12 +252,11 @@ def _random_multiclass_problem(rng, n=200, dim=60):
     X = sp.random(
         n, dim, density=0.1, format="csr", random_state=rng, data_rvs=lambda k: rng.uniform(0.1, 1.0, k)
     )
-    return X, rng.integers(0, 4, size=n)
+    return from_scipy(X), rng.integers(0, 4, size=n)
 
 
 def _curvature(z, X, y_pm, C):
     """D = C*sigma*(1-sigma) at z, as the Newton loop computes it."""
-    X = models._scipy_rows(X)
     _, margins = models._logistic_loss(z, X, y_pm, C)
     return models._logistic_gradient(z, X, y_pm, C, margins)[1]
 
@@ -308,7 +307,7 @@ class TestLogistic:
         for _ in range(10):
             z = rng.normal(size=X.shape[1] + 1)
             p = rng.normal(size=z.size)
-            hp = models._weighted_hessp(_curvature(z, X, y_pm, 100.0), p, models._scipy_rows(X))
+            hp = models._weighted_hessp(_curvature(z, X, y_pm, 100.0), p, X)
             fd = (
                 logistic_objective(z + h * p, X, y_pm, 100.0)[1]
                 - logistic_objective(z - h * p, X, y_pm, 100.0)[1]
@@ -325,7 +324,11 @@ class TestLogistic:
         dense = rng.uniform(-50, 50, size=(12, 3))
         problems = [
             (X, np.where(labels == 0, 1.0, -1.0), TrainConfig()),
-            (sp.csr_matrix(dense), np.where(dense @ rng.normal(size=3) > 0, 1.0, -1.0), TrainConfig(lr_C=1e3)),
+            (
+                from_scipy(sp.csr_matrix(dense)),
+                np.where(dense @ rng.normal(size=3) > 0, 1.0, -1.0),
+                TrainConfig(lr_C=1e3),
+            ),
         ]
         used = []
         hessp = models._weighted_hessp
@@ -410,7 +413,7 @@ class TestLogistic:
             rng = np.random.default_rng(seed)
             dense = rng.uniform(-50, 50, size=(12, 3))
             y_pm = np.where(dense @ rng.normal(size=3) > 0, 1.0, -1.0)
-            X = sp.csr_matrix(dense)
+            X = from_scipy(sp.csr_matrix(dense))
             steps.clear()
             iterates = []
             _, converged = _minimize_logistic(X, y_pm, TrainConfig(lr_C=C), callback=iterates.append)
@@ -572,7 +575,8 @@ class TestSgd:
     def test_matches_the_reference_loop_bit_for_bit(self, cfg, problem_seed):
         X, labels = _random_multiclass_problem(np.random.default_rng(problem_seed), n=300, dim=80)
         m = sgd_fit(X, [Label(int(c)) for c in labels], cfg)
-        weights, bias, converged = _reference_sgd_fit(X, labels, cfg)
+        M = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        weights, bias, converged = _reference_sgd_fit(M, labels, cfg)
         assert m.weights.tobytes() == weights.tobytes()
         assert m.bias.tobytes() == bias.tobytes()
         assert m.converged == converged
@@ -603,7 +607,9 @@ class TestSgd:
         X, labels = _random_multiclass_problem(np.random.default_rng(24), n=models.PARALLEL_MIN_DOCS, dim=20)
         y = [Label(int(c)) for c in labels]
         cfg = TrainConfig(sgd_epochs=1)
-        sgd_fit(X[:-1], y[:-1], cfg, workers=2)
+        end = X.indptr[-2]
+        head = CSR(data=X.data[:end], indices=X.indices[:end], indptr=X.indptr[:-1], shape=(len(y) - 1, 20))
+        sgd_fit(head, y[:-1], cfg, workers=2)
         assert pools == []
         sgd_fit(X, y, cfg, workers=2)
         assert pools == [2]
