@@ -14,11 +14,11 @@ once, so column entry counts are the document frequencies, and df pruning
 drops columns from that matrix and renumbers the rest.
 
 A corpus is one CSR matrix, checked once when it is built. The models
-need three products of it. Per-class column sums (NB) are an np.bincount
-kernel over its arrays. Row dot products X @ w (every score, the SGD
-epoch objective, the LR fit) and column dot products X.T @ u (the LR fit)
-run through scipy's compiled sparsetools. Only that one extension file is
-loaded, never the scipy package: importing scipy.sparse takes about
+need two products of it: row dot products X @ w (every score, the SGD
+epoch objective, the LR fit) and column dot products X.T @ u (the LR fit,
+and NB's per-class sums X.T @ one_hot). Both, and toarray, run through
+scipy's compiled sparsetools. Only that one extension file is loaded,
+never the scipy package: importing scipy.sparse takes about
 0.15 s after numpy, most of it spent loading numpy.f2py, numpy.ma and
 numpy.testing. Every product adds in storage order from 0.0, so each sum is
 the one scipy.sparse computes, bit for bit. The kernels read raw memory, so
@@ -112,13 +112,8 @@ class CSR:
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros(self.shape)
-        dense[row_ids(self), self.indices] = self.data
+        _sparsetools().csr_todense(*self.shape, self.indptr, self.indices, self.data, dense)
         return dense
-
-
-def row_ids(X: CSR) -> np.ndarray:
-    """The row of each stored entry, in storage order."""
-    return np.repeat(np.arange(X.shape[0], dtype=np.int64), np.diff(X.indptr))
 
 
 def row_dots(X: CSR, W: np.ndarray) -> np.ndarray:
@@ -142,19 +137,23 @@ def row_dots(X: CSR, W: np.ndarray) -> np.ndarray:
     return out
 
 
-def column_dots(X: CSR, u: np.ndarray) -> np.ndarray:
-    """X.T @ u for one length-n u; another shape raises
-    DimensionMismatchError.
+def column_dots(X: CSR, U: np.ndarray) -> np.ndarray:
+    """X.T @ U for an (n, k) U, or X.T @ u for one length-n u; a U of
+    another height raises DimensionMismatchError.
 
     Each column sums its entries in storage order, starting from 0.0.
     """
     n, dim = _checked(X).shape
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    if u.shape != (n,):
-        raise DimensionMismatchError(f"vector of shape {u.shape} for {n} rows")
-    out = np.zeros(dim)
+    U = np.ascontiguousarray(U, dtype=np.float64)
+    if U.ndim not in (1, 2) or U.shape[0] != n:
+        raise DimensionMismatchError(f"operand of shape {U.shape} for {n} rows")
     # The arrays of X read as column-compressed are those of X.T.
-    _sparsetools().csc_matvec(dim, n, X.indptr, X.indices, X.data, u, out)
+    if U.ndim == 1:
+        out = np.zeros(dim)
+        _sparsetools().csc_matvec(dim, n, X.indptr, X.indices, X.data, U, out)
+    else:
+        out = np.zeros((dim, U.shape[1]))
+        _sparsetools().csc_matvecs(dim, n, U.shape[1], X.indptr, X.indices, X.data, U, out)
     return out
 
 
@@ -193,14 +192,6 @@ def _scipy_sparse_dir() -> str:
     if spec is None or not spec.submodule_search_locations:
         raise ImportError("scipy is not installed; verinews needs its compiled sparse kernels")
     return os.path.join(spec.submodule_search_locations[0], "sparse")
-
-
-def class_sums(X: CSR, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """(n_classes, V) sums of the rows of each class, added in row order."""
-    dim = X.shape[1]
-    keys = labels[row_ids(X)] * dim + X.indices
-    sums = np.bincount(keys, weights=X.data, minlength=n_classes * dim)
-    return sums.reshape(n_classes, dim)
 
 
 @dataclass(frozen=True)
@@ -379,11 +370,7 @@ def stack(rows: list[CSR]) -> CSR:
     for X in rows:
         if X.shape[1] != dim:
             raise DimensionMismatchError(f"mixed column counts in stack: {X.shape[1]} != {dim}")
-    # Row lengths are the steps along the joined indptr arrays, less the
-    # step from each matrix's last entry to the next matrix's first.
-    n_rows = [X.shape[0] for X in rows]
-    steps = np.diff(np.concatenate([X.indptr for X in rows]))
-    lengths = np.delete(steps, np.cumsum(n_rows[:-1], dtype=np.int64) + np.arange(len(rows) - 1))
+    lengths = np.concatenate([np.diff(X.indptr) for X in rows])
     indptr = np.concatenate((np.zeros(1, np.int64), np.cumsum(lengths)))
     indices = np.concatenate([X.indices for X in rows])
     data = np.concatenate([X.data for X in rows])

@@ -15,9 +15,9 @@ _sgd_binary).
 The logistic classifier is fitted by LIBLINEAR's trust-region Newton
 method, written here with numpy reductions in place of BLAS calls, so its
 weights do not depend on the thread count either. Its hundreds of sparse
-products per class, like every score and the SGD epoch objective, are the
-features module's row_dots and column_dots: scipy's compiled sparsetools,
-loaded without importing the scipy package.
+products per class, like every score, the SGD epoch objective and NB's
+class sums, are the features module's row_dots and column_dots: scipy's
+compiled sparsetools, loaded without importing the scipy package.
 
 So no fit gains from BLAS threads, and the CLI starts OpenBLAS with one
 thread unless OPENBLAS_NUM_THREADS is set (see cli); pool workers inherit
@@ -36,7 +36,7 @@ import numpy as np
 
 from .corpus import Label
 from .errors import TrainingError
-from .features import CSR, class_sums, column_dots, row_dots, stack
+from .features import CSR, column_dots, row_dots, stack
 
 N_CLASSES = len(Label)
 _LABELS = tuple(Label)  # by code
@@ -120,22 +120,21 @@ def nb_fit(X: FeatureRows, y: list[Label], alpha: float = 1.0) -> NbModel:
     X, labels = _training_data(X, y)
     if not 0 < alpha < math.inf:
         raise TrainingError(f"smoothing alpha must be positive and finite, got {alpha}")
-    n, dim = X.shape
+    n = X.shape[0]
 
     # Each class's rows are added in document order: exact for counts,
-    # order-stable for other weights.
-    term_counts = class_sums(X, labels, N_CLASSES)
+    # order-stable for other weights. The sums are copied to C order,
+    # because the order numpy adds a row's entries in depends on the layout.
+    term_counts = np.ascontiguousarray(column_dots(X, np.eye(N_CLASSES)[labels]).T)
     doc_counts = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
 
-    with np.errstate(divide="ignore"):
+    # With no feature column the row sums are 0 and the log probabilities
+    # an empty (4, 0) array; a huge alpha overflows the row sums, and the
+    # finite check rejects it.
+    with np.errstate(divide="ignore", over="ignore"):
         class_log_prior = np.log(doc_counts / n)
-    if dim > 0:
         smoothed = term_counts + alpha
-        # A huge alpha overflows the row sums; the finite check rejects it.
-        with np.errstate(over="ignore"):
-            feature_log_prob = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
-    else:
-        feature_log_prob = np.zeros((N_CLASSES, 0))
+        feature_log_prob = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
     if not np.all(np.isfinite(feature_log_prob)):
         raise TrainingError(f"smoothing alpha {alpha} gives non-finite log probabilities")
     return NbModel(

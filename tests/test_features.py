@@ -16,7 +16,6 @@ from verinews.features import (
     IdfWeights,
     Vocabulary,
     build_vocabulary,
-    class_sums,
     column_dots,
     count_transform,
     featurize,
@@ -398,11 +397,18 @@ def test_kernels_equal_scipy_products_bit_for_bit(n, dim, density, index_dtype, 
         assert row_dots(X, V).tobytes() == (M @ V.T).tobytes()
     for v in (W[1], strided[1], np.asfortranarray(W)[1]):
         assert row_dots(X, v).tobytes() == (M @ v).tobytes()
-    u = rng.normal(size=n)
-    assert column_dots(X, u).tobytes() == (M.T @ u).tobytes()
+    U = rng.normal(size=(n, 4))
+    U_strided = rng.normal(size=(n, 8))[:, ::2]
+    for V in (U, U[:, :1], U_strided, np.asfortranarray(U)):
+        assert column_dots(X, V).tobytes() == (M.T @ V).tobytes()
+    for u in (U[:, 1], U_strided[:, 1]):
+        assert column_dots(X, u).tobytes() == (M.T @ u).tobytes()
+    # NB's class sums, as nb_fit takes them, equal scipy's one-hot product.
     labels = rng.integers(0, 4, size=n)
     one_hot = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(4, n))
-    assert class_sums(X, labels, 4).tobytes() == (one_hot @ M).toarray().tobytes()
+    sums = np.ascontiguousarray(column_dots(X, np.eye(4)[labels]).T)
+    assert sums.tobytes() == (one_hot @ M).toarray().tobytes()
+    assert X.toarray().tobytes() == M.toarray().tobytes()
 
 
 def test_kernels_take_only_a_checked_csr():
@@ -438,7 +444,8 @@ except {error} as exc:
         ("row_dots(X, np.ones((4, 2)))", "DimensionMismatchError"),
         ("row_dots(X, np.ones((2, 4, 3)))", "DimensionMismatchError"),
         ("column_dots(X, np.ones(3))", "DimensionMismatchError"),
-        ("column_dots(X, np.ones((2, 1)))", "DimensionMismatchError"),
+        ("column_dots(X, np.ones((3, 1)))", "DimensionMismatchError"),
+        ("column_dots(X, np.ones((2, 1, 1)))", "DimensionMismatchError"),
         ("csr(indices=(0, 3, 1))", "ValueError"),
         ("csr(indices=(0, -1, 1))", "ValueError"),
         ("csr(indptr=(0, 3, 2))", "ValueError"),
