@@ -7,7 +7,9 @@ written once by bench/corpus_gen.py:
 
 prep reads the whole file. Each model trains on its first 200 rows and is
 evaluated and predicts on the other 100, so the eval reports differ by
-model. A digest that moves means an output byte moved. The flow runs in
+model. Each model also trains on those rows with the vocabulary pruning
+flags of PRUNING, which drop terms there, and predicts the other 100. A
+digest that moves means an output byte moved. The flow runs in
 this process, and in child processes where numpy and glibc are told to
 dispatch without some of the host's CPU features.
 
@@ -49,6 +51,24 @@ DIGESTS = {
     "sgd.eval.txt": "d6e14aefacce02acfd5dd711acb1c49da1d2d21d1eedc0b798e8f9c909201c86",
     "sgd.eval.json": "56c89002173675f1160dcd14a87db4f181bee4f122965b050682698d2decfb33",
     "sgd.predictions.csv": "4b2a994100a291db4131b45521aac45d0da38a4eb5bf97786742db5966fe3454",
+    "nb.min-df.bundle": "44b0f1295ca9cf310e9d5ec7bb4c1b401882c1b08108d2ff69f2917a8b6c61c5",
+    "nb.min-df.predictions.csv": "7b2689ea3dbbf511faee02bd5a91f441e87e1372b68a47023503183fb9990c9c",
+    "lr.min-df.predicted_label": "21bd2edaf1764e7f2c9262446def7bc24e25634e60c878aa1564dc96c558acbd",
+    "sgd.min-df.bundle": "a6551a47aaa9715c594cb723f5b7f72f8d817f4f59ed4e0376ed3e1d1b20e0b6",
+    "sgd.min-df.predictions.csv": "97c77cc303da0e2edbfd564ddd5727b2019bf80b88071ad3dc643cd2f93afd7c",
+    "nb.max-df.bundle": "f8077df18a8721caaa275eea4cbf6769209c8226ad4809bea994e24c6fc6a33c",
+    "nb.max-df.predictions.csv": "5b9761bd049f312afb969b8d43e357fb26203e5cf535fa00ba3e897f1cb6ddf6",
+    "lr.max-df.predicted_label": "8202e34b59ec8b8a32c27dea5fb2ec11b6b3b25a3e9e13ccdce1ef2d233057fb",
+    "sgd.max-df.bundle": "9b2da5271328afa058a5fd2a0426a59c220d1103d5b7cd951984a3a70ee78ab4",
+    "sgd.max-df.predictions.csv": "79925125a119bb2964b2eb97323f5f0640e7d843231023fb24684a6e159a9efd",
+}
+
+# Pruning flags, by the name their outputs carry. On the 200 training rows
+# min-df keeps 363 of 1155 terms and max-terms cuts among the df-2 ties to
+# 200; max-df drops the 30 terms in more than 10 rows.
+PRUNING = {
+    "min-df": ["--min-df", "2", "--max-terms", "200"],
+    "max-df": ["--max-df", "10"],
 }
 
 
@@ -91,13 +111,24 @@ def _outputs(tmp_path, threads: list[str]) -> dict[str, bytes]:
             run("eval", "--in", test, "--model", bundle, "--format", fmt, "--out", report)
             outputs[report.name] = report.read_bytes()
         run("predict", "--in", test, "--model", bundle, "--out", preds)
-        if model == "lr":
-            labels = [row[1] for row in csv.reader(io.StringIO(preds.read_text(encoding="utf-8")))]
-            outputs["lr.predicted_label"] = "\n".join(labels).encode("utf-8")
-        else:
-            outputs[bundle.name] = bundle.read_bytes()
-            outputs[preds.name] = preds.read_bytes()
+        _keep(outputs, model, "", bundle, preds)
+    for name, flags in PRUNING.items():
+        for model in ("nb", "lr", "sgd"):
+            bundle, preds = tmp_path / f"{model}.{name}.bundle", tmp_path / f"{model}.{name}.predictions.csv"
+            run("train", "--model", model, "--in", train, "--out", bundle, *flags)
+            run("predict", "--in", test, "--model", bundle, "--out", preds)
+            _keep(outputs, model, f".{name}", bundle, preds)
     return outputs
+
+
+def _keep(outputs: dict[str, bytes], model: str, tag: str, bundle: Path, preds: Path):
+    """The bundle and predictions, or for lr the predicted_label column."""
+    if model == "lr":
+        labels = [row[1] for row in csv.reader(io.StringIO(preds.read_text(encoding="utf-8")))]
+        outputs[f"lr{tag}.predicted_label"] = "\n".join(labels).encode("utf-8")
+    else:
+        outputs[bundle.name] = bundle.read_bytes()
+        outputs[preds.name] = preds.read_bytes()
 
 
 def _digests(tmp_path, threads: list[str]) -> dict[str, str]:
@@ -121,7 +152,8 @@ def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, pooled):
         threads = []
     digests = _digests(tmp_path, threads)
     if pooled:
-        assert pools == [2]
+        # One pool for each sgd fit: the plain one and one per PRUNING entry.
+        assert pools == [2] * (1 + len(PRUNING))
     _check(digests)
 
 
