@@ -8,10 +8,11 @@ ln((1 + N) / (1 + df)) + 1 and TF-IDF vectors are L2-normalized.
 Every function here reads a corpus as a textprep.IdCorpus, whose array("q")
 token ids np.asarray views without a copy; a list of CleanDoc is converted
 in one place (_as_ids). A matrix maps each lemma, not each token, to a column.
-Training takes its vocabulary, IDF and matrix from one count matrix over
-every distinct lemma (fit_features). A row stores each column at most
-once, so column entry counts are the document frequencies, and df pruning
-drops columns from that matrix and renumbers the rest.
+Every matrix comes from featurize. A row stores each column at most once,
+so a count matrix's column entry counts are the document frequencies:
+fit_features reads them from featurize over every distinct lemma, and when
+df pruning drops terms it featurizes again over the kept ones; fit_idf is
+the IDF of featurize's counts.
 
 A corpus is one CSR matrix, checked once when it is built. The models
 need two products of it: row dot products X @ w (every score, the SGD
@@ -36,7 +37,7 @@ import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 
 import numpy as np
 
@@ -236,9 +237,8 @@ def fit_idf(corpus: Corpus, vocab: Vocabulary) -> IdfWeights:
     df counts documents containing the term at least once; terms in the
     vocabulary but absent from the corpus get df = 0.
     """
-    corpus = _as_ids(corpus)
-    _, indices, _ = _featurize_arrays(corpus, vocab, None)
-    return _idf(np.bincount(indices, minlength=vocab.size), len(corpus))
+    X = featurize(corpus, vocab)
+    return _idf(np.bincount(X.indices, minlength=vocab.size), X.shape[0])
 
 
 def fit_features(
@@ -264,8 +264,8 @@ def fit_features(
     # A lemma no document keeps has df 0, so min_df drops it below.
     terms = sorted(corpus.lemmas)
     vocab = Vocabulary(term_to_index={t: i for i, t in enumerate(terms)})
-    indptr, indices, data = _featurize_arrays(corpus, vocab, None)
-    df = np.bincount(indices, minlength=vocab.size)
+    X = featurize(corpus, vocab)
+    df = np.bincount(X.indices, minlength=vocab.size)
 
     keep = df >= min_df
     if max_df is not None:
@@ -276,20 +276,13 @@ def fit_features(
         keep[:] = False
         keep[candidates[np.argsort(-df[candidates], kind="stable")[:max_terms]]] = True
     if not keep.all():
-        # Renumbering the kept columns in order keeps each row sorted.
-        kept_entries = keep[indices]
-        indptr = np.concatenate(([0], np.cumsum(kept_entries)))[indptr]
-        indices = (np.cumsum(keep) - 1)[indices[kept_entries]]
-        data = data[kept_entries]
-        terms = [t for t, k in zip(terms, keep.tolist()) if k]
-        vocab = Vocabulary(term_to_index={t: i for i, t in enumerate(terms)})
+        vocab = Vocabulary(term_to_index={t: i for i, t in enumerate(compress(terms, keep.tolist()))})
+        X = featurize(corpus, vocab)
         df = df[keep]
 
-    idf = None
-    if tfidf:
-        idf = _idf(df, len(corpus))
-        _scale_rows(indptr, indices, data, idf)
-    X = CSR(data=data, indices=indices, indptr=indptr, shape=(len(corpus), vocab.size))
+    idf = _idf(df, len(corpus)) if tfidf else None
+    if tfidf:  # CSR checks only the weights' dtype and length, so they scale in place
+        _scale_rows(X.indptr, X.indices, X.data, idf)
     return vocab, idf, X
 
 
@@ -303,19 +296,9 @@ def featurize(corpus: Corpus, vocab: Vocabulary, idf: IdfWeights | None = None) 
     scaled by IDF and L2-normalized. Out-of-vocabulary tokens are dropped
     and a row with no vocabulary term stays empty.
     """
-    corpus = _as_ids(corpus)
-    indptr, indices, data = _featurize_arrays(corpus, vocab, idf)
-    return CSR(data=data, indices=indices, indptr=indptr, shape=(len(corpus), vocab.size))
-
-
-def _featurize_arrays(
-    corpus: IdCorpus, vocab: Vocabulary, idf: IdfWeights | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR (indptr, indices, data) arrays for featurize."""
     if idf is not None and idf.idf.shape[0] != vocab.size:
-        raise DimensionMismatchError(
-            f"idf length {idf.idf.shape[0]} != vocabulary size {vocab.size}"
-        )
+        raise DimensionMismatchError(f"idf length {idf.idf.shape[0]} != vocabulary size {vocab.size}")
+    corpus = _as_ids(corpus)
     n_docs, dim = len(corpus), vocab.size
     # Each lemma's column, or -1 out of vocabulary, then each token's.
     lemmas = corpus.lemmas
@@ -330,7 +313,7 @@ def _featurize_arrays(
     data = counts.astype(np.float64)
     if idf is not None:
         _scale_rows(indptr, indices, data, idf)
-    return indptr, indices, data
+    return CSR(data=data, indices=indices, indptr=indptr, shape=(n_docs, dim))
 
 
 def _scale_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, idf: IdfWeights):

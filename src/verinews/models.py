@@ -1,15 +1,16 @@
 """The three classifiers: Multinomial Naive Bayes on count vectors, and
 one-vs-rest logistic / hinge linear models on TF-IDF vectors.
 
-All training is deterministic. The SGD classifier shuffles with a PCG64
-generator seeded from the training config, so a fixed seed reproduces
-bit-identical weights on a given numpy and BLAS build. Its four
-one-vs-rest subproblems can run concurrently on a process pool that
-sgd_fit opens, with the same result, and its step loop keeps BLAS threads
-out of the fit, so the weights do not depend on the BLAS thread count
-either. Each step's score is still one short BLAS ddot, whose kernel may
-round differently from a sum in storage order; the weights use the score
-only through the margin test, where that has not changed a weight (see
+All training is deterministic. LR and SGD fit their four one-vs-rest
+subproblems through one driver, _one_vs_rest. The SGD classifier shuffles
+with a PCG64 generator seeded from the training config, so a fixed seed
+reproduces bit-identical weights on a given numpy and BLAS build. Its
+subproblems can run concurrently on a process pool that the driver opens,
+with the same result, and its step loop keeps BLAS threads out of the
+fit, so the weights do not depend on the BLAS thread count either. Each
+step's score is still one short BLAS ddot, whose kernel may round
+differently from a sum in storage order; the weights use the score only
+through the margin test, where that has not changed a weight (see
 _sgd_binary).
 
 The logistic classifier is fitted by LIBLINEAR's trust-region Newton
@@ -229,22 +230,18 @@ def lr_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig) -> LinearModel:
     Each subproblem is minimized by trust-region Newton (see
     _minimize_logistic) until the gradient max-norm drops to lr_tol or
     lr_max_iter Newton iterations elapse; hitting the limit only clears
-    the converged flag.
+    the converged flag. The four run through _one_vs_rest, the driver
+    sgd_fit shares, one after another: the benchmark trains LR only at
+    paper scale (1,264 documents, below PARALLEL_MIN_DOCS), so a pooled LR
+    fit has never been measured.
     """
-    X_csr, labels = _check_training_inputs(X, y)
-    dim = X_csr.shape[1]
+    return _one_vs_rest(X, y, cfg, _lr_binary, KIND_LOGISTIC, workers=1)
 
-    weights = np.zeros((N_CLASSES, dim))
-    bias = np.zeros(N_CLASSES)
-    converged = True
-    for c in range(N_CLASSES):
-        y_pm = np.where(labels == c, 1.0, -1.0)
-        z, ok = _minimize_logistic(X_csr, y_pm, cfg)
-        weights[c] = z[:-1]
-        bias[c] = z[-1]
-        converged = converged and ok
-    _check_finite(weights, bias)
-    return LinearModel(weights=weights, bias=bias, kind=KIND_LOGISTIC, converged=converged)
+
+def _lr_binary(X, labels, cfg, c, seed):
+    """(w, b, converged) for class c against the rest; TRON draws no seed."""
+    z, converged = _minimize_logistic(X, np.where(labels == c, 1.0, -1.0), cfg)
+    return z[:-1], z[-1], converged
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -357,44 +354,60 @@ def sgd_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig, workers: int | Non
     spawned from cfg.seed. Training stops early once the mean epoch
     objective improves by less than sgd_tol.
 
-    The four subproblems share nothing. workers defaults to the number of
-    cores. With workers > 1 and at least PARALLEL_MIN_DOCS documents they
-    run on min(workers, cores, N_CLASSES) processes, as a forked pool
-    starts them all at its first task. The initializer hands each process
-    the problem once (under fork, without a copy), so a task carries only
-    a class index and its seed. Results are gathered in class order and
-    equal the serial fit bit for bit.
+    The four run through _one_vs_rest, the driver lr_fit shares; only
+    this fit lets it open a pool of ``workers`` processes (default: every
+    core).
     """
-    X_csr, labels = _check_training_inputs(X, y)
+    return _one_vs_rest(X, y, cfg, _sgd_binary, KIND_HINGE, workers)
+
+
+def _one_vs_rest(X: FeatureRows, y: list[Label], cfg: TrainConfig, fit_class, kind, workers) -> LinearModel:
+    """The LinearModel of the four class-against-the-rest subproblems, each
+    fit_class(X, labels, cfg, c, seed) -> (w, b, converged) with one seed
+    spawned from cfg.seed per class. Single-class data raises TrainingError.
+
+    The subproblems share nothing. With workers (default: every core) > 1
+    and at least PARALLEL_MIN_DOCS documents they run on
+    min(workers, cores, N_CLASSES) processes, as a forked pool starts them
+    all at its first task. The initializer hands each process the problem
+    once (under fork, without a copy), so a task carries only a class index
+    and its seed. Results are gathered in class order and equal the serial
+    fit bit for bit.
+    """
+    X, labels = _training_data(X, y)
+    # Not np.unique, which imports numpy.ma (about 12 ms) to test for a mask.
+    if np.all(labels == labels[0]):
+        raise TrainingError("training data contains a single class")
     seeds = np.random.SeedSequence(cfg.seed).spawn(N_CLASSES)
     cores = default_workers()
     workers = min(cores if workers is None else workers, cores, N_CLASSES)
-    if workers <= 1 or X_csr.shape[0] < PARALLEL_MIN_DOCS:
-        results = list(map(partial(_sgd_binary, X_csr, labels, cfg), range(N_CLASSES), seeds))
+    if workers <= 1 or X.shape[0] < PARALLEL_MIN_DOCS:
+        results = list(map(partial(fit_class, X, labels, cfg), range(N_CLASSES), seeds))
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled fit pays its import
 
-        problem = (X_csr, labels, cfg)
-        with ProcessPoolExecutor(workers, initializer=_set_sgd_problem, initargs=problem) as pool:
-            results = list(pool.map(_sgd_pooled_class, range(N_CLASSES), seeds))
+        problem = (X, labels, cfg, fit_class)
+        with ProcessPoolExecutor(workers, initializer=_set_pool_problem, initargs=problem) as pool:
+            results = list(pool.map(_pooled_class, range(N_CLASSES), seeds))
 
-    weights = np.stack([w for w, _, _ in results])
-    bias = np.array([b for _, b, _ in results])
-    converged = all(stopped for _, _, stopped in results)
-    _check_finite(weights, bias)
-    return LinearModel(weights=weights, bias=bias, kind=KIND_HINGE, converged=converged)
-
-
-_sgd_problem: tuple = ()  # (X, labels, cfg) in a pool process; see sgd_fit
+    weights, bias, converged = zip(*results)
+    weights, bias = np.stack(weights), np.array(bias)
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+        raise TrainingError("training produced non-finite parameters")
+    return LinearModel(weights=weights, bias=bias, kind=kind, converged=all(converged))
 
 
-def _set_sgd_problem(*problem):
-    global _sgd_problem
-    _sgd_problem = problem
+_pool_problem: tuple = ()  # (X, labels, cfg, fit_class) in a pool process; see _one_vs_rest
 
 
-def _sgd_pooled_class(c, seed):
-    return _sgd_binary(*_sgd_problem, c, seed)
+def _set_pool_problem(*problem):
+    global _pool_problem
+    _pool_problem = problem
+
+
+def _pooled_class(c, seed):
+    X, labels, cfg, fit_class = _pool_problem
+    return fit_class(X, labels, cfg, c, seed)
 
 
 def _sgd_binary(X, labels, cfg, c, seed):
@@ -468,16 +481,3 @@ def _training_data(X: FeatureRows, y: list[Label]) -> tuple[CSR, np.ndarray]:
         raise TrainingError(f"{X.shape[0]} feature rows but {len(y)} labels")
     labels = np.fromiter((int(label) for label in y), dtype=np.int64, count=len(y))
     return X, labels
-
-
-def _check_training_inputs(X: FeatureRows, y: list[Label]) -> tuple[CSR, np.ndarray]:
-    X, labels = _training_data(X, y)
-    # Not np.unique, which imports numpy.ma (about 12 ms) to test for a mask.
-    if np.all(labels == labels[0]):
-        raise TrainingError("training data contains a single class")
-    return X, labels
-
-
-def _check_finite(weights: np.ndarray, bias: np.ndarray):
-    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
-        raise TrainingError("training produced non-finite parameters")

@@ -9,6 +9,7 @@ import signal
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -189,6 +190,19 @@ class TestTrain:
         assert run("train", "--model", "nb", "--in", train_csv, "--out", out, *extra) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    # Column 0 is false, column 2 partially_false.
+    @pytest.mark.parametrize("model, predicted", [("nb", 0), ("lr", 0), ("sgd", 2)])
+    def test_a_bound_that_drops_every_term_trains_an_empty_vocabulary(self, tmp_path, model, predicted, capsys):
+        # As README says, such a bundle scores every document on the NB priors
+        # or the linear biases alone, as it scores an all-OOV document.
+        golden = Path(__file__).with_name("golden_claims.csv")
+        out, report = tmp_path / "m.bundle", tmp_path / "report.json"
+        assert run("train", "--model", model, "--in", golden, "--out", out, "--min-df", 100_000, "--threads", 1) == 0
+        assert "vocabulary size: 0" in capsys.readouterr().out.splitlines()
+        assert run("eval", "--in", golden, "--model", out, "--format", "json", "--out", report) == 0
+        confusion = json.loads(report.read_text(encoding="utf-8"))["confusion"]
+        assert all(row[predicted] == sum(row) for row in confusion)
 
     @pytest.mark.parametrize(
         "model, flag, value",

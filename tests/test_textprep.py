@@ -535,7 +535,7 @@ def test_pool_is_capped_at_the_core_count(monkeypatch, cores):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(models, "default_workers", lambda: cores)
-    monkeypatch.setattr(models, "_sgd_problem", ())
+    monkeypatch.setattr(models, "_pool_problem", ())
     docs = _pool_docs()
     monkeypatch.setattr(models, "PARALLEL_MIN_DOCS", len(docs))
     bundle = train_bundle(docs, "sgd", FEATURE_TFIDF, _lemma_cfg, workers=10_000)
