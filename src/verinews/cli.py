@@ -84,16 +84,15 @@ def run() -> NoReturn:
 
     Every output file is closed and every SGD pool shut down before main
     returns, so interpreter teardown has nothing left to do but free numpy
-    and the loaded modules. On a 2-core host that took 14 ms a call: a
-    fresh interpreter importing the CLI and the sparse kernel ended in a
-    median of 116 ms with os._exit and 130 ms with sys.exit (20 alternated
-    pairs). A stdout flush that fails exits 2 with the OS error, unless
-    main already failed; a stderr that fails loses its text, not the exit
-    code; the failed stream is set to None in sys, so nothing is left to
-    flush at exit. Under a tracer or profiler (coverage, cProfile), which
-    write their results at exit, run ends with sys.exit instead. cProfile's
-    runner discards that SystemExit, so under python -m cProfile the exit
-    code is lost.
+    and the loaded modules: 14 ms a call on a 2-core host, the median gap
+    between fresh interpreters that import the CLI and the sparse kernel
+    and end with sys.exit or os._exit (20 alternated pairs). A stdout flush
+    that fails exits 2 with the OS error, unless main already failed; a
+    stderr that fails loses its text, not the exit code; the failed stream
+    is set to None in sys, so nothing is left to flush at exit. Under a
+    tracer or profiler (coverage, cProfile), which write their results at
+    exit, run ends with sys.exit instead. cProfile's runner discards that
+    SystemExit, so under python -m cProfile the exit code is lost.
     """
     try:
         code = main()

@@ -281,7 +281,8 @@ def fit_features(
         df = df[keep]
 
     idf = _idf(df, len(corpus)) if tfidf else None
-    if tfidf:  # CSR checks only the weights' dtype and length, so they scale in place
+    if idf is not None:
+        # CSR checks only the weights' dtype and length, so they scale in place.
         _scale_rows(X.indptr, X.indices, X.data, idf)
     return vocab, idf, X
 

@@ -355,8 +355,8 @@ def sgd_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig, workers: int | Non
     objective improves by less than sgd_tol.
 
     The four run through _one_vs_rest, the driver lr_fit shares; only
-    this fit lets it open a pool of ``workers`` processes (default: every
-    core).
+    this fit lets it open a process pool, of at most ``workers`` processes
+    (default: every core).
     """
     return _one_vs_rest(X, y, cfg, _sgd_binary, KIND_HINGE, workers)
 
