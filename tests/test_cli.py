@@ -486,6 +486,27 @@ class TestPrepAndReport:
         stdout = capsys.readouterr().out
         assert "Accuracy=" in stdout and "macro F1" in stdout
 
+    @pytest.mark.parametrize(
+        "cells, code",
+        [
+            # The total bound: 2**63-1 is the largest total a report may hold.
+            ([[2**61 - 1, 0, 0, 0], [0, 2**61, 0, 0], [0, 0, 2**61, 0], [0, 0, 0, 2**61]], 0),
+            ([[2**61, 0, 0, 0], [0, 2**61, 0, 0], [0, 0, 2**61, 0], [0, 0, 0, 2**61]], 2),
+            # One non-zero cell: three classes have no support and score 0.
+            ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 7, 0], [0, 0, 0, 0]], 0),
+        ],
+        ids=["total-2**63-1", "total-2**63", "one-cell"],
+    )
+    def test_report_total_bound(self, tmp_path, cells, code, capsys):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"confusion": cells}), encoding="utf-8")
+        assert run("report", "--in", report) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert "Accuracy=100.000" in captured.out
+        else:
+            assert captured.err.startswith("error: ") and "2**63" in captured.err
+
     def test_report_missing_file(self, tmp_path):
         assert run("report", "--in", tmp_path / "nope.json") == 2
 

@@ -6,10 +6,11 @@ written once by bench/corpus_gen.py:
     CorpusGenerator(2323).split("golden", 300, 14, 0.2).csv(labeled=True)
 
 prep reads the whole file. Each model trains on its first 200 rows and is
-evaluated and predicts on the other 100, so the eval reports differ by
-model. Each model also trains on those rows with the vocabulary pruning
-flags of PRUNING, which drop terms there, and predicts the other 100. A
-digest that moves means an output byte moved. The flow runs in
+evaluated and predicts on the other 100, so the eval reports, and the
+`report` renderings of the JSON ones, differ by model. Each model also
+trains on those rows with the vocabulary pruning flags of PRUNING, which
+drop terms there, and predicts the other 100. A digest that moves means an
+output byte moved. The flow runs in
 this process, and in child processes where numpy and glibc are told to
 dispatch without some of the host's CPU features.
 
@@ -43,13 +44,16 @@ DIGESTS = {
     "nb.bundle": "4d2fa7c372c10d7f5fef06d4f63935f9317b3bf61a0aec9fd179e81309c58fe5",
     "nb.eval.txt": "90160caaa8cbf32f0d04aff5404cdb70cba1d06384c4175614595be3342201f4",
     "nb.eval.json": "b92adfc6721d0d4a108ab357babaeb21f979e5ac816e300e2639ad9dc70c0c52",
+    "nb.report.txt": "81aff04916b3d96f7f9c54bb924f49953527fd6a0f2e7c112b32d2672911994d",
     "nb.predictions.csv": "d5f9a407964b0793fd7a0cf38a53a8535df00b064cddf045bff0e3281c9d8895",
     "lr.eval.txt": "cfe89aaccf03dc1f92fc166d80474bd67594dce89840dcae9415354b1124f8b9",
     "lr.eval.json": "842c8f158956dc8eb73ba78516ce4124792c55a99dc57ef9ac6f28a6c1fdb05e",
+    "lr.report.txt": "0b2533e83b781fe5fc9fe5fb64959aa455f60134fbdb35823c909f8007fcff32",
     "lr.predicted_label": "1c40185bcf0588e129de4e54ab23518febf5cc56795bebb411c0e958f48e3872",
     "sgd.bundle": "15212c66d0242e513b81fb348171ce86d9f00ae5d065762855c827c1c3475f05",
     "sgd.eval.txt": "d6e14aefacce02acfd5dd711acb1c49da1d2d21d1eedc0b798e8f9c909201c86",
     "sgd.eval.json": "56c89002173675f1160dcd14a87db4f181bee4f122965b050682698d2decfb33",
+    "sgd.report.txt": "2d96aea5eb4c1c9dca516c26e9c1aeec7b874d8014381992630538b59a013945",
     "sgd.predictions.csv": "4b2a994100a291db4131b45521aac45d0da38a4eb5bf97786742db5966fe3454",
     "nb.min-df.bundle": "44b0f1295ca9cf310e9d5ec7bb4c1b401882c1b08108d2ff69f2917a8b6c61c5",
     "nb.min-df.predictions.csv": "7b2689ea3dbbf511faee02bd5a91f441e87e1372b68a47023503183fb9990c9c",
@@ -89,11 +93,11 @@ print(json.dumps(test_golden._digests(Path(sys.argv[2]), ["--threads", "1"])))
 
 
 def _outputs(tmp_path, threads: list[str]) -> dict[str, bytes]:
-    stdout = io.StringIO()
-
-    def run(*argv):
+    def run(*argv, flags=threads) -> bytes:
+        stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            assert cli.main([*map(str, argv), *threads]) == 0
+            assert cli.main([*map(str, argv), *flags]) == 0
+        return stdout.getvalue().encode("utf-8")
 
     header, *rows = GOLDEN.read_bytes().splitlines(keepends=True)
     assert len(rows) == 300  # one line per row: no cell holds a newline
@@ -101,8 +105,7 @@ def _outputs(tmp_path, threads: list[str]) -> dict[str, bytes]:
     train.write_bytes(b"".join([header, *rows[:200]]))
     test.write_bytes(b"".join([header, *rows[200:]]))
 
-    run("prep", "--in", GOLDEN)
-    outputs = {"prep": stdout.getvalue().encode("utf-8")}
+    outputs = {"prep": run("prep", "--in", GOLDEN)}
     for model in ("nb", "lr", "sgd"):
         bundle, preds = tmp_path / f"{model}.bundle", tmp_path / f"{model}.predictions.csv"
         run("train", "--model", model, "--in", train, "--out", bundle)
@@ -110,6 +113,7 @@ def _outputs(tmp_path, threads: list[str]) -> dict[str, bytes]:
             report = tmp_path / f"{model}.eval.{'txt' if fmt == 'text' else fmt}"
             run("eval", "--in", test, "--model", bundle, "--format", fmt, "--out", report)
             outputs[report.name] = report.read_bytes()
+        outputs[f"{model}.report.txt"] = run("report", "--in", report, flags=[])  # report takes no --threads
         run("predict", "--in", test, "--model", bundle, "--out", preds)
         _keep(outputs, model, "", bundle, preds)
     for name, flags in PRUNING.items():
