@@ -47,6 +47,11 @@ class DimensionMismatchError(VerinewsError):
     """A feature matrix's column count does not match the model/vocabulary."""
 
 
+class ScoreError(VerinewsError, ValueError):
+    """A document has a NaN score or no finite class score: a bundle that
+    loads can still overflow on a long enough document."""
+
+
 class ReportError(VerinewsError):
     """A JSON eval report is malformed or holds an unusable confusion grid."""
 

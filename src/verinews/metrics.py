@@ -1,6 +1,10 @@
 """Evaluation: confusion matrix, per-class precision/recall/F1, macro-F1,
 accuracy, and the text renderings used by the CLI.
 
+The confusion matrix holds plain ints, so this module loads no numpy.
+`Confusion` checks its grid once, where it is built, and nothing that
+takes a `Confusion` checks it again.
+
 Conventions: a class with an empty prediction column or truth row scores 0
 (so macro-F1 stays defined on imbalanced data); grid cells print as
 "<count> <pct>%" with two-decimal percentages of the grand total; the grid
@@ -14,36 +18,42 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import Label
 from .errors import ReportError
 
 
 @dataclass(frozen=True)
 class Confusion:
-    """cells[i][j] = documents with true label i predicted as label j."""
+    """cells[i][j] = documents with true label i predicted as label j.
 
-    cells: np.ndarray  # (len(Label), len(Label)) int64
+    Takes any 4x4 nesting of values that `int` accepts (lists, a numpy
+    array) and keeps a tuple of four 4-tuples of ints. Raises ValueError
+    unless every cell is at least 0 and the total is from 1 to 2**63-1.
+    """
+
+    cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int64)
-        if cells.shape != (len(Label),) * 2:
-            raise ValueError(f"confusion cells must be 4x4, got {cells.shape}")
-        if np.any(cells < 0):
+        cells = tuple(tuple(int(cell) for cell in row) for row in self.cells)
+        lengths = [len(row) for row in cells]
+        if lengths != [len(Label)] * len(Label):
+            raise ValueError(f"confusion cells must be 4x4, got row lengths {lengths}")
+        if any(cell < 0 for row in cells for cell in row):
             raise ValueError("confusion cells must be non-negative")
-        cells.setflags(write=False)
+        total = sum(map(sum, cells))
+        if not 0 < total < 2**63:
+            raise ValueError(f"confusion total must be from 1 (not empty) to 2**63-1, got {total}")
         object.__setattr__(self, "cells", cells)
 
     @property
     def total(self) -> int:
-        return int(self.cells.sum())
+        return sum(map(sum, self.cells))
 
     def row_sum(self, label: Label) -> int:
-        return int(self.cells[int(label)].sum())
+        return sum(self.cells[label])
 
     def column_sum(self, label: Label) -> int:
-        return int(self.cells[:, int(label)].sum())
+        return sum(row[label] for row in self.cells)
 
 
 @dataclass(frozen=True)
@@ -65,17 +75,15 @@ def confusion_matrix(y_true: list[Label], y_pred: list[Label]) -> Confusion:
     """Exact counts with both axes in fixed label-code order."""
     if len(y_true) != len(y_pred):
         raise ValueError(f"length mismatch: {len(y_true)} true vs {len(y_pred)} predicted")
-    if not y_true:
-        raise ValueError("cannot build a confusion matrix from empty inputs")
-    cells = np.zeros((len(Label),) * 2, dtype=np.int64)
+    cells = [[0] * len(Label) for _ in Label]
     for t, p in zip(y_true, y_pred):
-        cells[int(t), int(p)] += 1
+        cells[t][p] += 1
     return Confusion(cells=cells)
 
 
 def class_metrics(conf: Confusion, c: Label) -> ClassMetrics:
     """Precision/recall/F1 for one class; zero divisions score 0."""
-    hit = float(conf.cells[int(c), int(c)])
+    hit = float(conf.cells[c][c])
     col = conf.column_sum(c)
     row = conf.row_sum(c)
     precision = hit / col if col else 0.0
@@ -85,9 +93,7 @@ def class_metrics(conf: Confusion, c: Label) -> ClassMetrics:
 
 
 def accuracy(conf: Confusion) -> float:
-    if conf.total == 0:
-        raise ValueError("accuracy undefined on an empty confusion matrix")
-    return float(np.trace(conf.cells)) / conf.total
+    return float(sum(conf.cells[c][c] for c in Label)) / conf.total
 
 
 def macro_average(values) -> float:
@@ -98,8 +104,6 @@ def macro_average(values) -> float:
 
 def macro_f1(conf: Confusion) -> float:
     """Mean of the per-class F1 values; zero-support classes count."""
-    if conf.total == 0:
-        raise ValueError("macro F1 undefined on an empty confusion matrix")
     return classification_report(conf).macro_f1
 
 
@@ -124,10 +128,8 @@ def render_confusion(conf: Confusion, title: str = "") -> str:
     Percentages are of the grand total with two decimals; the footer line
     is "Accuracy=" followed by the three-decimal accuracy percentage.
     """
-    if conf.total == 0:
-        raise ValueError("cannot render an empty confusion matrix")
     names = [label.display_name for label in Label]
-    cells = [[_cell_text(int(count), conf.total) for count in row] for row in conf.cells]
+    cells = [[_cell_text(count, conf.total) for count in row] for row in conf.cells]
     widths = [max(len(name), *map(len, column)) for name, column in zip(names, zip(*cells))]
     left = max(len(n) for n in names)
 
@@ -160,7 +162,7 @@ def report_to_json(report: EvalReport) -> str:
     """Machine-readable report: confusion cells, full-precision metrics."""
     payload = {
         "labels": [label.display_name for label in Label],
-        "confusion": report.confusion.cells.tolist(),
+        "confusion": report.confusion.cells,
         "total": report.confusion.total,
         "per_class": {
             label.display_name: {
@@ -181,28 +183,21 @@ def report_from_json(text: str) -> EvalReport:
     the confusion cells, which are the ground truth of the format).
 
     Raises ReportError unless the text is a JSON object whose "confusion"
-    is a 4x4 grid of non-negative integers with a total in [1, 2**63).
+    is a list of lists of integers that `Confusion` accepts.
     """
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ReportError(f"not a JSON report: {exc}") from exc
     grid = payload.get("confusion") if isinstance(payload, dict) else None
-    n = len(Label)
-    if not (_is_list_of(grid, n) and all(_is_list_of(row, n) for row in grid)):
-        raise ReportError("a report needs a 'confusion' key holding a 4x4 grid")
-    cells = [cell for row in grid for cell in row]
     # type() rather than isinstance(), which would let booleans through.
-    if not all(type(cell) is int and cell >= 0 for cell in cells):
-        raise ReportError("confusion cells must be non-negative integers")
-    total = sum(cells)
-    if not 0 < total <= np.iinfo(np.int64).max:
-        raise ReportError(f"confusion total must be between 1 and 2**63-1, got {total}")
-    return classification_report(Confusion(cells=np.array(grid, dtype=np.int64)))
-
-
-def _is_list_of(value, length: int) -> bool:
-    return isinstance(value, list) and len(value) == length
+    if not (isinstance(grid, list) and all(isinstance(row, list) and all(type(c) is int for c in row) for row in grid)):
+        raise ReportError("a report needs a 'confusion' key holding a 4x4 grid of integers")
+    try:
+        conf = Confusion(cells=grid)
+    except ValueError as exc:
+        raise ReportError(str(exc)) from exc
+    return classification_report(conf)
 
 
 def _cell_text(count: int, total: int) -> str:

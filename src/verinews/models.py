@@ -36,7 +36,7 @@ from typing import ClassVar
 import numpy as np
 
 from .corpus import Label
-from .errors import TrainingError
+from .errors import ScoreError, TrainingError
 from .features import CSR, column_dots, row_dots, stack
 
 N_CLASSES = len(Label)
@@ -160,15 +160,18 @@ def decision_scores(model: NbModel | LinearModel, X: FeatureRows) -> np.ndarray:
 def predict_labels(scores: np.ndarray) -> list[Label]:
     """Row-wise argmax with ties broken toward the lowest label code.
 
-    Raises ValueError on a NaN score or on a row with no finite score.
+    Raises ScoreError, a ValueError, on a NaN score or on a row with no
+    finite score; the latter names the first such row.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] != N_CLASSES:
         raise ValueError(f"expected rows of {N_CLASSES} scores, got shape {scores.shape}")
     if np.any(np.isnan(scores)):
-        raise ValueError("NaN score")
-    if not np.all(np.any(np.isfinite(scores), axis=1)):
-        raise ValueError("all class scores are -inf; no class is predictable")
+        raise ScoreError("NaN score")
+    finite = np.isfinite(scores).any(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ScoreError(f"no finite class score in document {row + 1}: scores {scores[row].tolist()}")
     return [_LABELS[i] for i in np.argmax(scores, axis=1).tolist()]
 
 

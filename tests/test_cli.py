@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import errno
 import importlib.metadata
 import json
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -350,6 +352,29 @@ class TestEval:
         assert result.returncode == 2, result.stderr
         assert "RuntimeWarning" not in result.stderr
         assert "row mass" in result.stderr
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("model", ["nb", "lr"])
+    def test_bundle_with_no_finite_score_is_exit_2(self, tmp_path, train_csv, model, command, capsys):
+        # The bundle passes every load check, yet a document with two of
+        # its terms scores no class finitely: NB log-probabilities of
+        # -1e308 sum to -inf, and linear weights of 1e308 to +inf. No bound
+        # on the weights rules that out for every document length, so this
+        # is bad input, not a bug.
+        path = tmp_path / f"{model}.bundle"
+        assert run("train", "--model", model, "--in", train_csv, "--out", path, "--threads", 1) == 0
+        bundle = read_bundle(path)
+        n_terms = bundle.vocab.size
+        if model == "nb":
+            log_prob = np.full((4, n_terms), -1e308)
+            log_prob[:, 0] = 0.0  # each row's mass is exp(0) = 1
+            edited = dataclasses.replace(bundle.model, feature_log_prob=log_prob)
+        else:
+            edited = dataclasses.replace(bundle.model, weights=np.full((4, n_terms), 1e308), bias=np.full(4, 1e308))
+        path.write_bytes(save_bundle_bytes(dataclasses.replace(bundle, model=edited)))
+        capsys.readouterr()
+        assert run(command, "--in", train_csv, "--model", path, "--out", tmp_path / "out") == 2
+        assert "error: no finite class score" in capsys.readouterr().err
 
     def test_eval_never_mutates_the_bundle(self, tmp_path, train_csv, nb_bundle):
         # held-out data carries OOV terms; they are dropped, not learned

@@ -36,14 +36,18 @@ def test_import_loads_no_submodule_and_no_numpy(tmp_path, child_env):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
 
-    # The text layer is standard library only: cleaning a corpus loads no numpy.
+    # The text layer and the metrics are standard library only: cleaning a
+    # corpus and rendering a JSON report load no numpy.
     snippet = (
         "import pathlib, sys\n"
         "from verinews.corpus import parse_csv, to_documents\n"
+        "from verinews.metrics import render_confusion, render_report, report_from_json\n"
         "from verinews.textprep import PipelineConfig, preprocess_corpus, preprocess_ids\n"
         "cfg = PipelineConfig.default()\n"
         "docs = to_documents(parse_csv(pathlib.Path(sys.argv[1]).read_bytes()), labeled=True)\n"
         "assert len(preprocess_ids(docs, cfg)) == len(preprocess_corpus(docs, cfg)) == len(docs) > 0\n"
+        "report = report_from_json('{\"confusion\": [[3, 1, 0, 0], [0, 2, 0, 0], [1, 0, 2, 0], [0, 0, 0, 1]]}')\n"
+        "assert 'Accuracy=80.000' in render_report(report) + render_confusion(report.confusion)\n"
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy'))\n"
     )
     golden = Path(__file__).with_name("golden_claims.csv")
