@@ -1192,6 +1192,128 @@ def test_entry_point_keeps_argparse_exit_codes(child_env):
     assert misused.out == ""
 
 
+# The --help text of the program and of each subcommand, at 80 columns.
+HELP_TEXT = {
+    "": """\
+usage: verinews [-h] {prep,train,eval,predict,report} ...
+
+news veracity classification toolkit
+
+positional arguments:
+  {prep,train,eval,predict,report}
+    prep                dump preprocessed tokens as CSV
+    train               train a model and write a bundle
+    eval                evaluate a bundle on a labeled CSV
+    predict             label an unlabeled CSV
+    report              render a JSON eval report as text
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "prep": """\
+usage: verinews prep [-h] [--config CONFIG] [--threads THREADS]
+                     [--stopwords STOPWORDS] [--lemmas LEMMAS]
+                     [--placeholder PLACEHOLDER]
+                     [--min-token-len MIN_TOKEN_LEN] --in INPUT [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       flat key=value config file
+  --threads THREADS     SGD training pool size (default: all cores)
+  --stopwords STOPWORDS
+                        stop-word list file (one token per line)
+  --lemmas LEMMAS       lemma exceptions file (surface<TAB>lemma)
+  --placeholder PLACEHOLDER
+                        numeric placeholder token
+  --min-token-len MIN_TOKEN_LEN
+  --in INPUT            input CSV
+  --out OUT             output CSV (default: stdout)
+""",
+    "train": """\
+usage: verinews train [-h] [--config CONFIG] [--threads THREADS]
+                      [--stopwords STOPWORDS] [--lemmas LEMMAS]
+                      [--placeholder PLACEHOLDER]
+                      [--min-token-len MIN_TOKEN_LEN] --in INPUT --out OUT
+                      [--model {lr,nb,sgd}] [--features {count,tfidf}]
+                      [--force] [--nb-alpha NB_ALPHA] [--lr-c LR_C]
+                      [--lr-tol LR_TOL] [--lr-max-iter LR_MAX_ITER]
+                      [--sgd-alpha SGD_ALPHA] [--sgd-epochs SGD_EPOCHS]
+                      [--sgd-tol SGD_TOL] [--seed SEED] [--min-df MIN_DF]
+                      [--max-df MAX_DF] [--max-terms MAX_TERMS]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       flat key=value config file
+  --threads THREADS     SGD training pool size (default: all cores)
+  --stopwords STOPWORDS
+                        stop-word list file (one token per line)
+  --lemmas LEMMAS       lemma exceptions file (surface<TAB>lemma)
+  --placeholder PLACEHOLDER
+                        numeric placeholder token
+  --min-token-len MIN_TOKEN_LEN
+  --in INPUT            labeled training CSV
+  --out OUT             bundle output path
+  --model {lr,nb,sgd}
+  --features {count,tfidf}
+  --force               allow unusual model/feature pairs
+  --nb-alpha NB_ALPHA
+  --lr-c LR_C
+  --lr-tol LR_TOL
+  --lr-max-iter LR_MAX_ITER
+  --sgd-alpha SGD_ALPHA
+  --sgd-epochs SGD_EPOCHS
+  --sgd-tol SGD_TOL
+  --seed SEED
+  --min-df MIN_DF       vocabulary pruning (default off)
+  --max-df MAX_DF       vocabulary pruning (default off)
+  --max-terms MAX_TERMS
+                        vocabulary cap (default off)
+""",
+    "eval": """\
+usage: verinews eval [-h] [--config CONFIG] [--threads THREADS] --in INPUT
+                     --model MODEL [--format {text,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       flat key=value config file
+  --threads THREADS     SGD training pool size (default: all cores)
+  --in INPUT            labeled evaluation CSV
+  --model MODEL         bundle path
+  --format {text,json}
+  --out OUT             write the report here instead of stdout
+""",
+    "predict": """\
+usage: verinews predict [-h] [--config CONFIG] [--threads THREADS] --in INPUT
+                        --model MODEL --out OUT
+
+options:
+  -h, --help         show this help message and exit
+  --config CONFIG    flat key=value config file
+  --threads THREADS  SGD training pool size (default: all cores)
+  --in INPUT         unlabeled CSV
+  --model MODEL      bundle path
+  --out OUT          predictions CSV path
+""",
+    "report": """\
+usage: verinews report [-h] [--config CONFIG] --in INPUT
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  flat key=value config file
+  --in INPUT       JSON report path
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXT))
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        run(*filter(None, [command, "--help"]))
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXT[command]
+
+
 @pytest.mark.parametrize("command", ["report", "eval", "predict"])
 def test_broken_stderr_keeps_the_exit_code(tmp_path, nb_bundle, child_env, monkeypatch, capsys, command):
     # A closed or full stderr loses the message, not the exit code, and no
