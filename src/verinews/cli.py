@@ -149,14 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--model", choices=sorted(DEFAULT_FEATURES))
     train.add_argument("--features", choices=[FEATURE_COUNT, FEATURE_TFIDF])
     train.add_argument("--force", action="store_true", help="allow unusual model/feature pairs")
-    train.add_argument("--nb-alpha", type=float, dest="nb_alpha")
-    train.add_argument("--lr-c", type=float, dest="lr_c")
-    train.add_argument("--lr-tol", type=float, dest="lr_tol")
-    train.add_argument("--lr-max-iter", type=int, dest="lr_max_iter")
-    train.add_argument("--sgd-alpha", type=float, dest="sgd_alpha")
-    train.add_argument("--sgd-epochs", type=int, dest="sgd_epochs")
-    train.add_argument("--sgd-tol", type=float, dest="sgd_tol")
-    train.add_argument("--seed", type=int)
+    # One flag per TrainConfig field, named and typed by it: lr_C is --lr-c.
+    for f in dataclasses.fields(TrainConfig):
+        key = f.name.lower()
+        train.add_argument(f"--{key.replace('_', '-')}", type=type(f.default), dest=key)
     train.add_argument("--min-df", type=int, dest="min_df", help="vocabulary pruning (default off)")
     train.add_argument("--max-df", type=int, dest="max_df", help="vocabulary pruning (default off)")
     train.add_argument("--max-terms", type=int, dest="max_terms", help="vocabulary cap (default off)")
@@ -266,7 +262,7 @@ def _cmd_train(args) -> int:
             train_cfg=_resolve_train_config(args),
             workers=args.threads,
             created_at=_source_date_epoch(),
-            **_given(args, "nb_alpha", "min_df", "max_df", "max_terms"),
+            **_given(args, "min_df", "max_df", "max_terms"),
         )
     except VocabularyError as exc:
         raise UsageError(f"--{exc.param.replace('_', '-')}: {exc}") from exc
@@ -395,26 +391,20 @@ def _given(args, *keys: str) -> dict:
 
 def _resolve_train_config(args) -> TrainConfig:
     """TrainConfig fields are set by the key that spells them in lower case
-    (lr_C by --lr-c or lr_c=)."""
+    (lr_C by --lr-c or lr_c=); a bad value raises SettingError."""
     names = {f.name.lower(): f.name for f in dataclasses.fields(TrainConfig)}
-    try:
-        return TrainConfig(**{names[key]: value for key, value in _given(args, *names).items()})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return TrainConfig(**{names[key]: value for key, value in _given(args, *names).items()})
 
 
 def _resolve_pipeline(args) -> PipelineConfig:
     changes = _given(args, "min_token_len")
     if args.placeholder is not None:
         changes["numeric_placeholder"] = args.placeholder
-    try:
-        if args.stopwords:
-            changes["stopword_list"] = parse_stopwords(_read_text(args.stopwords))
-        if args.lemmas:
-            changes["lemma_exceptions"] = parse_lemma_exceptions(_read_text(args.lemmas))
-        return dataclasses.replace(PipelineConfig.default(), **changes)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.stopwords:
+        changes["stopword_list"] = parse_stopwords(_read_text(args.stopwords))
+    if args.lemmas:
+        changes["lemma_exceptions"] = parse_lemma_exceptions(_read_text(args.lemmas))
+    return dataclasses.replace(PipelineConfig.default(), **changes)
 
 
 def _source_date_epoch() -> int | None:

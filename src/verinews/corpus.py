@@ -5,7 +5,8 @@ UTF-8 CSV with a header row naming at least ``public_id``, ``title`` and
 ``text``. decode_utf8 is the one decoder for every text input: strict
 UTF-8, with one leading byte-order mark skipped. Labeled files additionally
 carry a rating column, accepted under either the ``our rating`` or
-``our_rating`` spelling. Columns are matched by header name, not position.
+``our_rating`` spelling. Columns are matched by header name, not position,
+and a header may name each column that is read only once.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def parse_csv(data: bytes | str) -> list[RawRecord]:
     strings.
 
     Raises EncodingError (with the byte offset) on bytes that are not
-    UTF-8, CsvSchemaError when a required header column is absent and
-    CsvParseError (with the offending data row number) on malformed input.
+    UTF-8, CsvSchemaError when a required column is absent or named twice,
+    and CsvParseError (with the offending data row number) on malformed input.
     """
     text = decode_utf8(data) if isinstance(data, bytes) else data.removeprefix(_BYTE_ORDER_MARK)
     # The csv module rejects fields over 131072 characters by default; no
@@ -123,10 +124,15 @@ def _read_records(reader) -> list[RawRecord]:
     if header is None:
         raise CsvSchemaError("empty input: no header row")
 
-    columns = {name.strip().lower(): i for i, name in enumerate(header)}
+    names = [name.strip().lower() for name in header]
+    columns = {name: i for i, name in enumerate(names)}
     for required in REQUIRED_HEADERS:
         if required not in columns:
             raise CsvSchemaError(f"missing required column: {required!r}")
+    for spellings in (*((h,) for h in REQUIRED_HEADERS), RATING_HEADERS):
+        found = [name for name in names if name in spellings]
+        if len(found) > 1:
+            raise CsvSchemaError(f"header names one column more than once: {', '.join(map(repr, found))}")
     id_col, title_col, text_col = (columns[h] for h in REQUIRED_HEADERS)
     rating_col = next((columns[h] for h in RATING_HEADERS if h in columns), None)
 

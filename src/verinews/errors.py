@@ -31,8 +31,12 @@ class LabelError(VerinewsError):
     """A rating string does not name one of the four veracity classes."""
 
 
+class SettingError(VerinewsError, ValueError):
+    """A bad cleaning or training setting: PipelineConfig, TrainConfig or a lemma table."""
+
+
 class TrainingError(VerinewsError):
-    """Training preconditions violated (empty data, bad hyperparameters...)."""
+    """Training preconditions violated (empty data, one class...) or a fit overflowed."""
 
 
 class VocabularyError(VerinewsError):

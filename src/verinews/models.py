@@ -36,7 +36,7 @@ from typing import ClassVar
 import numpy as np
 
 from .corpus import Label
-from .errors import ScoreError, TrainingError
+from .errors import ScoreError, SettingError, TrainingError
 from .features import CSR, column_dots, row_dots, stack
 
 N_CLASSES = len(Label)
@@ -65,14 +65,14 @@ KIND_HINGE = "hinge"
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for the linear models.
-
-    The hinge classifier uses the step-size schedule
-    eta_t = 1 / (sgd_alpha * (t0 + t)) with eta_0 = sgd_alpha**-0.25 and
-    t0 = 1 / (sgd_alpha * eta_0); at the default sgd_alpha = 1e-4 that is
-    eta_0 = 10 and t0 = 1000.
+    """Hyperparameters of all three fits; each field is also a train flag
+    and config key (lr_C is --lr-c and lr_c=). The hinge classifier uses
+    the step-size schedule eta_t = 1 / (sgd_alpha * (t0 + t)) with
+    eta_0 = sgd_alpha**-0.25 and t0 = 1 / (sgd_alpha * eta_0); at the
+    default sgd_alpha = 1e-4 that is eta_0 = 10 and t0 = 1000.
     """
 
+    nb_alpha: float = 1.0
     lr_C: float = 100.0
     lr_tol: float = 1e-4
     lr_max_iter: int = 100
@@ -82,13 +82,13 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("lr_C", "lr_tol", "sgd_alpha", "sgd_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        for name in ("nb_alpha", "lr_C", "lr_tol", "sgd_alpha", "sgd_tol"):
+            if not 0 < (value := getattr(self, name)) < math.inf:
+                raise SettingError(f"{name} must be positive and finite, got {value}")
         if self.lr_max_iter < 1 or self.sgd_epochs < 1:
-            raise ValueError("iteration limits must be >= 1")
+            raise SettingError("iteration limits must be >= 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise SettingError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,13 @@ class LinearModel:
     converged: bool = True
 
 
-def nb_fit(X: FeatureRows, y: list[Label], alpha: float = 1.0) -> NbModel:
+def nb_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig = TrainConfig()) -> NbModel:
     """Estimate priors and smoothed per-class term distributions.
 
     feature_log_prob[c][t] = ln((T_ct + alpha) / (sum_t' T_ct' + alpha*V))
-    where T_ct is the total count of term t over class-c documents.
+    where alpha = cfg.nb_alpha and T_ct is the total count of term t in class c.
     """
     X, labels = _training_data(X, y)
-    if not 0 < alpha < math.inf:
-        raise TrainingError(f"smoothing alpha must be positive and finite, got {alpha}")
     n = X.shape[0]
 
     # Each class's rows are added in document order: exact for counts,
@@ -134,14 +132,14 @@ def nb_fit(X: FeatureRows, y: list[Label], alpha: float = 1.0) -> NbModel:
     # finite check rejects it.
     with np.errstate(divide="ignore", over="ignore"):
         class_log_prior = np.log(doc_counts / n)
-        smoothed = term_counts + alpha
+        smoothed = term_counts + cfg.nb_alpha
         feature_log_prob = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
     if not np.all(np.isfinite(feature_log_prob)):
-        raise TrainingError(f"smoothing alpha {alpha} gives non-finite log probabilities")
+        raise TrainingError(f"smoothing alpha {cfg.nb_alpha} gives non-finite log probabilities")
     return NbModel(
         class_log_prior=class_log_prior,
         feature_log_prob=feature_log_prob,
-        alpha=float(alpha),
+        alpha=float(cfg.nb_alpha),
     )
 
 

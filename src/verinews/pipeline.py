@@ -55,7 +55,6 @@ def train_bundle(
     feature_kind: str,
     pipeline_cfg: PipelineConfig | None = None,
     train_cfg: TrainConfig | None = None,
-    nb_alpha: float = 1.0,
     workers: int | None = None,
     created_at: int | None = None,
     min_df: int = 1,
@@ -64,11 +63,13 @@ def train_bundle(
 ) -> ModelBundle:
     """Full training pass: clean, build vocabulary, featurize, fit.
 
-    workers caps the SGD fit's process pool, all cores by default; see
-    models.sgd_fit.
+    train_cfg holds every fit's hyperparameters. workers caps the SGD
+    fit's process pool, all cores by default; see models.sgd_fit.
     """
     if model_kind not in DEFAULT_FEATURES:
         raise ValueError(f"unknown model kind {model_kind!r}")
+    if feature_kind not in (FEATURE_COUNT, FEATURE_TFIDF):
+        raise ValueError(f"unknown feature kind {feature_kind!r}")
     if any(d.label is None for d in docs):
         raise TrainingError("training requires a fully labeled corpus")
     pipeline_cfg = pipeline_cfg or PipelineConfig.default()
@@ -83,12 +84,8 @@ def train_bundle(
     )
     labels = [d.label for d in docs]
 
-    if model_kind == MODEL_NB:
-        model = nb_fit(X, labels, alpha=nb_alpha)
-    elif model_kind == MODEL_LR:
-        model = lr_fit(X, labels, train_cfg)
-    else:
-        model = sgd_fit(X, labels, train_cfg, workers=workers)
+    fits = {MODEL_NB: nb_fit, MODEL_LR: lr_fit, MODEL_SGD: lambda *a: sgd_fit(*a, workers=workers)}
+    model = fits[model_kind](X, labels, train_cfg)
 
     return ModelBundle(
         pipeline=pipeline_cfg,

@@ -35,6 +35,7 @@ from importlib import resources
 from itertools import chain, count
 
 from .corpus import Document, Label
+from .errors import SettingError
 
 DEFAULT_PLACEHOLDER = "somenuber"
 DEFAULT_MIN_TOKEN_LEN = 3
@@ -57,10 +58,11 @@ _VOWELS = frozenset("aeiou")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Immutable cleaning configuration.
+    """Immutable cleaning configuration; a bad value raises SettingError.
 
-    The numeric placeholder must itself survive the pipeline: lowercase
-    alphabetic, at least min_token_len long, and not a stop word.
+    The numeric placeholder and each lemma must be lowercase alphabetic,
+    the shape of a cleaned token. The placeholder must also survive the
+    filters: at least min_token_len long, and not a stop word.
     """
 
     stopword_list: frozenset[str] = field(default_factory=frozenset)
@@ -70,14 +72,16 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.min_token_len < 1:
-            raise ValueError("min_token_len must be >= 1")
+            raise SettingError("min_token_len must be >= 1")
         p = self.numeric_placeholder
-        if not _TOKEN_SHAPE_RE.fullmatch(p):
-            raise ValueError(f"numeric_placeholder must be lowercase alphabetic: {p!r}")
+        lemmas = {f"lemma of {surface!r}": lemma for surface, lemma in self.lemma_exceptions.items()}
+        for name, token in {"numeric_placeholder": p, **lemmas}.items():
+            if not _TOKEN_SHAPE_RE.fullmatch(token):
+                raise SettingError(f"{name} must be lowercase alphabetic: {token!r}")
         if len(p) < self.min_token_len:
-            raise ValueError(f"numeric_placeholder shorter than min_token_len: {p!r}")
+            raise SettingError(f"numeric_placeholder shorter than min_token_len: {p!r}")
         if p in self.stopword_list:
-            raise ValueError(f"numeric_placeholder is a stop word: {p!r}")
+            raise SettingError(f"numeric_placeholder is a stop word: {p!r}")
 
     @cached_property
     def longest_exception(self) -> int:
@@ -163,7 +167,7 @@ def parse_lemma_exceptions(text: str) -> dict[str, str]:
             continue
         surface, sep, lemma = entry.partition("\t")
         if not sep or not surface.strip() or not lemma.strip():
-            raise ValueError(f"bad lemma exceptions line: {line!r}")
+            raise SettingError(f"bad lemma exceptions line: {line!r}")
         table[surface.strip()] = lemma.strip()
     return table
 

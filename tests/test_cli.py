@@ -230,6 +230,30 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_bad_nb_alpha_message_names_the_value(self, tmp_path, train_csv, via, capsys):
+        cfgfile = tmp_path / "v.conf"
+        cfgfile.write_text("nb_alpha=nan\n" if via == "config" else "# none\n", encoding="utf-8")
+        flags = ("--nb-alpha", "nan") if via == "flag" else ()
+        assert run("train", "--model", "nb", "--in", train_csv, "--out", tmp_path / "m.bundle",
+                   "--config", cfgfile, *flags) == 2
+        assert capsys.readouterr().err == "error: nb_alpha must be positive and finite, got nan\n"
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+    def test_each_train_config_field_is_a_flag_and_a_config_key(self, tmp_path, field):
+        # The flag spells the field in lower case with dashes and takes the
+        # type of its default; the config key spells it with underscores.
+        value = getattr(TrainConfig(), field) * 2
+        key = field.lower()
+        cfgfile = tmp_path / "v.conf"
+        cfgfile.write_text(f"{key}={value}\n", encoding="utf-8")
+        parser = cli._build_parser()
+        for argv in (["--" + key.replace("_", "-"), str(value)], ["--config", str(cfgfile)]):
+            args = parser.parse_args(["train", "--in", "x", "--out", "y", *argv])
+            cli._merge_config(parser, args, cli._load_config_file(args.config, cli._config_keys(parser)))
+            assert type(getattr(args, key)) is type(value)
+            assert cli._resolve_train_config(args) == TrainConfig(**{field: value})
+
     def test_config_keys_are_the_flags_that_configure(self):
         keys = cli._config_keys(cli._build_parser())
         assert {"lr_c", "lr_tol", "lr_max_iter", "sgd_alpha", "sgd_epochs", "sgd_tol", "seed"} <= keys
@@ -495,6 +519,35 @@ class TestPrepAndReport:
         assert len(lines) == 1 + len(LABELED_ROWS)
         assert lines[1].startswith("a1,false,")
         assert "somenuber" in lines[3]  # Home Alone 2 row
+
+    @pytest.mark.parametrize("command", ["prep", "train"])
+    def test_lemma_that_cleaning_cannot_make_is_exit_2_naming_the_entry(self, tmp_path, train_csv, command, capsys):
+        lemmas = tmp_path / "lemmas.tsv"
+        lemmas.write_text("officials\tofficial\nrunning\tRun,Ning\nhouses\thome base\n", encoding="utf-8")
+        out = tmp_path / "m.bundle"
+        extra = ("--model", "nb", "--out", out) if command == "train" else ()
+        assert run(command, "--in", train_csv, "--lemmas", lemmas, *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: lemma of 'running' must be lowercase alphabetic: 'Run,Ning'\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("public_id,title,text,text,our_rating", "'text', 'text'"),
+            ("public_id,title,text,our rating,our_rating", "'our rating', 'our_rating'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["prep", "train"])
+    def test_header_that_names_a_read_column_twice_is_exit_2(self, tmp_path, header, message, command, capsys):
+        data = tmp_path / "rows.csv"
+        data.write_text(f"{header}\na1,Title,first body,second body,true\n", encoding="utf-8")
+        out = tmp_path / "m.bundle"
+        extra = ("--model", "nb", "--out", out) if command == "train" else ()
+        assert run(command, "--in", data, *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: header names one column more than once: {message}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_prep_to_file_unlabeled(self, tmp_path, unlabeled_csv):
         out = tmp_path / "tokens.csv"

@@ -119,9 +119,12 @@ def test_parse_csv_missing_cells_become_empty():
 
 
 def test_parse_csv_short_row_under_a_repeated_header_name():
-    # The last "title" column wins, and it lies past the row's end.
-    (record,) = parse_csv("public_id,title,text,title\nx1,a,b\n")
-    assert record == RawRecord(public_id="x1", title="", text="b")
+    # A repeated column that is not read pads the short row like any other;
+    # a repeated read column makes the header ambiguous.
+    (record,) = parse_csv("public_id,title,text,notes,notes\nx1,a,b\n")
+    assert record == RawRecord(public_id="x1", title="a", text="b")
+    with pytest.raises(CsvSchemaError, match="more than once: 'title', 'title'$"):
+        parse_csv("public_id,title,text,title\nx1,a,b\n")
 
 
 def test_parse_csv_1264_rows():
@@ -139,6 +142,20 @@ def test_parse_csv_accepts_both_rating_spellings():
     for header in ("our rating", "our_rating"):
         (record,) = parse_csv(f"public_id,title,text,{header}\nx,t,b,other\n")
         assert record.rating == "other"
+
+
+@pytest.mark.parametrize(
+    "header, repeated",
+    [
+        ("public_id,title,text,text,our_rating", "'text', 'text'"),
+        ("public_id,Public_ID ,title,text", "'public_id', 'public_id'"),
+        ("public_id,title,text,our_rating,our_rating", "'our_rating', 'our_rating'"),
+        ("public_id,title,text,our rating,our_rating", "'our rating', 'our_rating'"),
+    ],
+)
+def test_parse_csv_rejects_a_header_that_names_a_read_column_twice(header, repeated):
+    with pytest.raises(CsvSchemaError, match=f"^header names one column more than once: {repeated}$"):
+        parse_csv(f"{header}\nx1,a,b,c,true\n")
 
 
 def test_parse_csv_without_rating_column():

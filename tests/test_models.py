@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from verinews import models
 from verinews.corpus import Label
-from verinews.errors import DimensionMismatchError, TrainingError
+from verinews.errors import DimensionMismatchError, SettingError, TrainingError, VerinewsError
 from csr_rows import csr_rows, from_scipy
 from verinews.features import CSR, build_vocabulary, featurize, fit_idf
 from verinews.models import (
@@ -70,7 +71,7 @@ class TestNbFit:
         # class 0 term totals (3, 1) with alpha=1 -> theta (4/6, 2/6)
         X = csr_rows([{0: 3, 1: 1}, {0: 1}], 2)
         y = [Label.FALSE, Label.TRUE]
-        m = nb_fit(X, y, alpha=1.0)
+        m = nb_fit(X, y, TrainConfig(nb_alpha=1.0))
         np.testing.assert_allclose(np.exp(m.feature_log_prob[0]), [4 / 6, 2 / 6])
 
     def test_symmetric_counts_give_equal_rows(self):
@@ -84,15 +85,21 @@ class TestNbFit:
             nb_fit(csr_rows([], 1), [])
 
     def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(TrainingError, match="alpha"):
-            nb_fit(csr_rows([{0: 1}], 1), [Label.FALSE], alpha=0.0)
+        with pytest.raises(SettingError, match="nb_alpha must be positive and finite, got 0.0"):
+            nb_fit(csr_rows([{0: 1}], 1), [Label.FALSE], TrainConfig(nb_alpha=0.0))
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     @pytest.mark.parametrize("dim", [0, 1])
     def test_nan_or_infinite_alpha_rejected(self, alpha, dim):
-        # With an empty vocabulary no log probability shows the bad alpha.
-        with pytest.raises(TrainingError, match="alpha"):
-            nb_fit(csr_rows([{0: 1} if dim else {}], dim), [Label.FALSE], alpha=alpha)
+        # TrainConfig rejects the alpha before the fit sees any data, so an
+        # empty vocabulary, where no log probability shows it, fails alike.
+        with pytest.raises(SettingError, match=f"nb_alpha must be positive and finite, got {alpha}"):
+            nb_fit(csr_rows([{0: 1} if dim else {}], dim), [Label.FALSE], TrainConfig(nb_alpha=alpha))
+
+    def test_alpha_too_large_for_finite_log_probabilities_rejected(self):
+        # Two columns of alpha 1e308 overflow the row sum.
+        with pytest.raises(TrainingError, match="non-finite log probabilities"):
+            nb_fit(csr_rows([{0: 1}], 2), [Label.FALSE], TrainConfig(nb_alpha=1e308))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(TrainingError):
@@ -167,7 +174,7 @@ def test_nb_fit_matches_per_document_reference(data, alpha, tfidf):
     prior, log_prob = reference_nb_fit(X, labels, alpha)
     # The fit also takes a list of matrices, whose rows it stacks.
     for X in (X, [featurize([d], vocab, idf) for d in docs]):
-        m = nb_fit(X, labels, alpha=alpha)
+        m = nb_fit(X, labels, TrainConfig(nb_alpha=alpha))
         assert m.class_log_prior.tobytes() == prior.tobytes()
         assert m.feature_log_prob.tobytes() == log_prob.tobytes()
 
@@ -680,3 +687,17 @@ class TestTrainConfig:
         # A NaN lr_tol would end the Newton loop before its first step.
         with pytest.raises(ValueError, match="lr_tol"):
             TrainConfig(lr_tol=value)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"nb_alpha": -0.5}, "nb_alpha must be positive and finite, got -0.5"),
+            ({"lr_C": math.inf}, "lr_C must be positive and finite, got inf"),
+            ({"sgd_epochs": 0}, "iteration limits must be >= 1"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_a_bad_setting_raises_setting_error_naming_its_value(self, changes, message):
+        with pytest.raises(SettingError, match=re.escape(message)) as caught:
+            TrainConfig(**changes)
+        assert isinstance(caught.value, VerinewsError) and isinstance(caught.value, ValueError)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import struct
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -457,6 +458,19 @@ def _vocab_term_byte(value):
     return edit
 
 
+def _lemma_go_to(value):
+    """An edit that changes the saved lemma "go" of "went" and records the
+    digest of the edited table, so only the lemma's shape is at fault."""
+    table = dict(dataclasses.asdict(_pipeline()), lemma_exceptions={"went": value.decode()})
+    digest = PipelineConfig.digest(SimpleNamespace(**table))
+
+    def edit(sections):
+        assert sections[1][1].endswith(b"\x02\x00\x00\x00go")
+        sections[1][1][-2:] = value
+        _meta(pipeline_digest=digest)(sections)
+    return edit
+
+
 _V = _nb_bundle()[0].vocab.size
 _NAN = struct.pack("<d", float("nan"))
 
@@ -477,6 +491,7 @@ REJECTED = {
     "nan-linear-weight": ("sgd", _set_model_bytes(10, _NAN), BundleValidationError, "weights"),
     "non-utf8-vocabulary-term": ("nb", _vocab_term_byte(b"\xff"), BundleIntegrityError, None),
     "unknown-feature-kind": ("lr", _meta(feature_kind="hashing"), BundleValidationError, "feature_kind"),
+    "lemma-with-a-comma": ("nb", _lemma_go_to(b"g,"), BundleValidationError, "pipeline"),
 }
 
 

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from test_features import assert_same_array, assert_same_csr
 from test_models import _count_pools
-from verinews import models
+from verinews import models, pipeline
 from verinews.corpus import Document, Label, decode_utf8, parse_csv, to_documents
+from verinews.errors import SettingError, VerinewsError
 from verinews.features import featurize, fit_features
 from verinews.persistence import FEATURE_COUNT, FEATURE_TFIDF
 from verinews.pipeline import evaluate_bundle, predict_bundle, preprocess_many, train_bundle
@@ -282,7 +283,8 @@ _suffix_tokens = st.lists(
     default=st.booleans(),
 )
 def test_lemmatizer_matches_the_copying_reference(keys, values, tokens, tails, default):
-    table = dict(zip(keys, values + keys[1:] + keys[:1]))
+    # PipelineConfig rejects an empty lemma, so the table keeps none.
+    table = {k: v for k, v in zip(keys, values + keys[1:] + keys[:1]) if v}
     cfg = _CFG if default else PipelineConfig(lemma_exceptions=table)
     candidates = [*tokens, *keys, *values, *(k + t for k in keys for t in tails)]
     if default:  # chains of cuts that land on a key of the bundled table
@@ -557,6 +559,19 @@ def test_pool_is_capped_at_the_core_count(monkeypatch, cores):
     assert sizes == []
 
 
+@pytest.mark.parametrize(
+    "model_kind, feature_kind, message",
+    [("svm", FEATURE_COUNT, "unknown model kind 'svm'"), ("lr", "bogus", "unknown feature kind 'bogus'")],
+)
+def test_train_bundle_rejects_an_unknown_kind_before_any_work(monkeypatch, model_kind, feature_kind, message):
+    def no_work(*args):
+        raise AssertionError("cleaned before the kinds were checked")
+
+    monkeypatch.setattr(pipeline, "preprocess_ids", no_work)
+    with pytest.raises(ValueError, match=message):
+        train_bundle(_pool_docs(), model_kind, feature_kind)
+
+
 def test_train_bundle_pools_on_every_core_by_default(monkeypatch):
     pools = _count_pools(monkeypatch)
     monkeypatch.setattr(models, "default_workers", lambda: 2)
@@ -603,6 +618,31 @@ class TestConfig:
     def test_lemma_file_rejects_missing_tab(self):
         with pytest.raises(ValueError, match="lemma"):
             parse_lemma_exceptions("went go\n")
+
+    @pytest.mark.parametrize("lemma", ["Run,Ning", "home base", "Run", "run2", "caf\u00e9", ""])
+    def test_lemma_must_have_the_shape_of_a_cleaned_token(self, lemma):
+        # Cleaning makes only lowercase ASCII letters; a comma would also
+        # split prep's comma-joined token column.
+        with pytest.raises(SettingError, match=re.escape(f"lemma of 'houses' must be lowercase alphabetic: {lemma!r}")):
+            PipelineConfig(lemma_exceptions={"running": "run", "houses": lemma})
+
+    def test_bundled_lemmas_have_the_shape_of_a_cleaned_token(self, cfg):
+        assert all(re.fullmatch("[a-z]+", lemma) for lemma in cfg.lemma_exceptions.values())
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PipelineConfig(min_token_len=0),
+            lambda: PipelineConfig(numeric_placeholder="num123"),
+            lambda: PipelineConfig(lemma_exceptions={"went": "Go"}),
+            lambda: parse_lemma_exceptions("went\n"),
+        ],
+        ids=["min-token-len", "placeholder", "lemma", "lemma-line"],
+    )
+    def test_a_bad_setting_raises_setting_error(self, make):
+        with pytest.raises(SettingError) as caught:
+            make()
+        assert isinstance(caught.value, VerinewsError) and isinstance(caught.value, ValueError)
 
     def test_digest_tracks_rule_set(self, cfg):
         assert cfg.digest() == PipelineConfig.default().digest()
