@@ -18,8 +18,7 @@ _EXPORTS = {
     "features": ("IdfWeights", "Vocabulary", "build_vocabulary", "featurize", "fit_idf"),
     "metrics": ("ClassMetrics", "Confusion", "EvalReport", "accuracy", "class_metrics", "classification_report",
                 "confusion_matrix", "macro_f1", "render_confusion", "render_report"),
-    "models": ("LinearModel", "NbModel", "TrainConfig", "decision_scores", "lr_fit", "nb_fit", "predict_labels",
-               "sgd_fit"),
+    "models": ("LinearModel", "TrainConfig", "decision_scores", "lr_fit", "nb_fit", "predict_labels", "sgd_fit"),
     "persistence": ("ModelBundle", "load_bundle", "read_bundle", "save_bundle_bytes", "write_bundle"),
     "pipeline": ("evaluate_bundle", "predict_bundle", "train_bundle"),
     "textprep": ("CleanDoc", "PipelineConfig", "lemmatize_token", "normalize_text", "preprocess_document",

@@ -42,7 +42,7 @@ if "numpy" not in sys.modules:
 from .corpus import Label, RawRecord, dataset_stats, decode_utf8, format_csv, parse_csv, to_documents
 from .errors import VerinewsError, VocabularyError
 from .metrics import render_confusion, render_report, report_from_json, report_to_json
-from .models import LinearModel, TrainConfig
+from .models import KIND_NB, TrainConfig
 from .persistence import FEATURE_COUNT, FEATURE_TFIDF, load_bundle, write_bundle
 from .pipeline import DEFAULT_FEATURES, evaluate_bundle, predict_bundle, train_bundle
 from .textprep import PipelineConfig, parse_lemma_exceptions, parse_stopwords, preprocess_corpus
@@ -273,7 +273,7 @@ def _cmd_train(args) -> int:
     print(f"trained {model_kind} on {stats.total} documents ({feature_kind})")
     print(f"class counts: {counts}")
     print(f"vocabulary size: {bundle.vocab.size}")
-    if isinstance(bundle.model, LinearModel):
+    if bundle.model_kind != KIND_NB:
         print(f"converged: {'yes' if bundle.model.converged else 'NO (hit iteration limit)'}")
     print(f"wrote {args.out}")
     return 0

@@ -1,6 +1,11 @@
 """The three classifiers: Multinomial Naive Bayes on count vectors, and
 one-vs-rest logistic / hinge linear models on TF-IDF vectors.
 
+All three are a LinearModel, scored by decision_scores as X @ W.T + b.
+Multinomial NB is linear in the term counts (Rennie et al., ICML 2003):
+its weights are the log term probabilities log theta_ct and its bias the
+log class prior, -inf for a class absent from training.
+
 All training is deterministic. LR and SGD fit their four one-vs-rest
 subproblems through one driver, _one_vs_rest. The SGD classifier shuffles
 with a PCG64 generator seeded from the training config, so a fixed seed
@@ -31,8 +36,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import ClassVar
-
 import numpy as np
 
 from .corpus import Label
@@ -92,30 +95,22 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class NbModel:
-    """Laplace-smoothed multinomial model. Rows of exp(feature_log_prob)
-    sum to 1; classes absent from training get a -inf prior."""
-
-    class_log_prior: np.ndarray  # (4,)
-    feature_log_prob: np.ndarray  # (4, V)
-    alpha: float
-    kind: ClassVar[str] = KIND_NB
-
-
-@dataclass(frozen=True)
 class LinearModel:
-    """One-vs-rest linear decision model (logistic or hinge)."""
+    """Per-class weights and bias: one-vs-rest logistic or hinge, or NB
+    with weights log theta (rows of exp(weights) sum to 1) and bias the log
+    prior. alpha is NB's smoothing, None for the other kinds."""
 
     weights: np.ndarray  # (4, V)
     bias: np.ndarray  # (4,)
     kind: str
     converged: bool = True
+    alpha: float | None = None
 
 
-def nb_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig = TrainConfig()) -> NbModel:
+def nb_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig = TrainConfig()) -> LinearModel:
     """Estimate priors and smoothed per-class term distributions.
 
-    feature_log_prob[c][t] = ln((T_ct + alpha) / (sum_t' T_ct' + alpha*V))
+    weights[c][t] = ln((T_ct + alpha) / (sum_t' T_ct' + alpha*V))
     where alpha = cfg.nb_alpha and T_ct is the total count of term t in class c.
     """
     X, labels = _training_data(X, y)
@@ -136,23 +131,13 @@ def nb_fit(X: FeatureRows, y: list[Label], cfg: TrainConfig = TrainConfig()) -> 
         feature_log_prob = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
     if not np.all(np.isfinite(feature_log_prob)):
         raise TrainingError(f"smoothing alpha {cfg.nb_alpha} gives non-finite log probabilities")
-    return NbModel(
-        class_log_prior=class_log_prior,
-        feature_log_prob=feature_log_prob,
-        alpha=float(cfg.nb_alpha),
-    )
+    return LinearModel(weights=feature_log_prob, bias=class_log_prior, kind=KIND_NB, alpha=float(cfg.nb_alpha))
 
 
-def decision_scores(model: NbModel | LinearModel, X: FeatureRows) -> np.ndarray:
-    """(n, 4) per-class scores, one row per row of X: the NB log posterior
-    (prior + sum_t x_t * log theta) or the linear w_c . x + b_c."""
-    if isinstance(X, list):
-        X = stack(X)
-    if isinstance(model, NbModel):
-        weights, offsets = model.feature_log_prob, model.class_log_prior
-    else:
-        weights, offsets = model.weights, model.bias
-    return row_dots(X, weights) + offsets
+def decision_scores(model: LinearModel, X: CSR) -> np.ndarray:
+    """(n, 4) per-class scores w_c . x + b_c, one row per row of X; for NB
+    the log posterior up to a constant, log prior + sum_t x_t log theta."""
+    return row_dots(X, model.weights) + model.bias
 
 
 def predict_labels(scores: np.ndarray) -> list[Label]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BundleIntegrityError, BundleValidationError, BundleVersionError
 from .features import IdfWeights, Vocabulary
-from .models import KIND_HINGE, KIND_LOGISTIC, KIND_NB, N_CLASSES, LinearModel, NbModel
+from .models import KIND_HINGE, KIND_LOGISTIC, KIND_NB, N_CLASSES, LinearModel
 from .textprep import PipelineConfig
 
 MAGIC = b"VNEWSBDL"
@@ -51,7 +51,7 @@ class ModelBundle:
     pipeline: PipelineConfig
     vocab: Vocabulary
     idf: IdfWeights | None
-    model: NbModel | LinearModel
+    model: LinearModel
     feature_kind: str
     n_train_docs: int
     created_at: int | None = None  # epoch seconds; None = not recorded
@@ -209,11 +209,14 @@ def _encode_idf(idf: IdfWeights | None) -> bytes | None:
     return struct.pack("<QQ", idf.n_docs, idf.idf.shape[0]) + _encode_f64(idf.idf)
 
 
-def _encode_model(model: NbModel | LinearModel) -> bytes:
+def _encode_model(model: LinearModel) -> bytes:
+    """An NB model, the one that carries a smoothing alpha, is written as
+    alpha, V, its bias (log priors) and its weights (log probabilities);
+    any other as V, the converged flag, its weights and its bias."""
     code = _MODEL_CODES[model.kind]
-    if isinstance(model, NbModel):
-        head = struct.pack("<BdQ", code, model.alpha, model.feature_log_prob.shape[1])
-        return head + _encode_f64(model.class_log_prior) + _encode_f64(model.feature_log_prob)
+    if model.alpha is not None:
+        head = struct.pack("<BdQ", code, model.alpha, model.weights.shape[1])
+        return head + _encode_f64(model.bias) + _encode_f64(model.weights)
     head = struct.pack("<BQB", code, model.weights.shape[1], int(model.converged))
     return head + _encode_f64(model.weights) + _encode_f64(model.bias)
 
@@ -357,7 +360,7 @@ def _decode_idf(r: _Reader, vocab_size: int) -> IdfWeights:
     return IdfWeights(idf=idf, n_docs=n_docs)
 
 
-def _decode_model(r: _Reader, expected_kind: str, vocab_size: int) -> NbModel | LinearModel:
+def _decode_model(r: _Reader, expected_kind: str, vocab_size: int) -> LinearModel:
     (code,) = r.unpack("<B", "model kind")
     kind = _MODEL_NAMES.get(code)
     if kind is None:
@@ -373,12 +376,12 @@ def _decode_model(r: _Reader, expected_kind: str, vocab_size: int) -> NbModel | 
         if v != vocab_size:
             raise BundleValidationError("model", f"nb has {v} term columns != vocabulary size {vocab_size}")
         prior = r.f64(N_CLASSES, "nb priors")
-        _require_unit_mass("class_log_prior", prior)
+        _require_unit_mass("bias", prior)
         log_prob = r.f64(N_CLASSES * v, "nb log probs").reshape(N_CLASSES, v)
-        _require_finite("feature_log_prob", log_prob)
+        _require_finite("weights", log_prob)
         if v > 0:
-            _require_unit_mass("feature_log_prob", log_prob)
-        return NbModel(class_log_prior=prior, feature_log_prob=log_prob, alpha=alpha)
+            _require_unit_mass("weights", log_prob)
+        return LinearModel(weights=log_prob, bias=prior, kind=kind, alpha=alpha)
     v, converged = r.unpack("<QB", "linear header")
     if converged > 1:
         raise BundleValidationError("converged", f"flag byte {converged} is not 0 or 1")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Document, Label
 from .errors import TrainingError
-from .features import featurize, fit_features
+from .features import featurize, fit_features, stack
 from .metrics import EvalReport, classification_report, confusion_matrix
 from .models import (
     FeatureRows,
@@ -99,8 +99,9 @@ def train_bundle(
 
 
 def score_matrix(bundle: ModelBundle, X: FeatureRows) -> np.ndarray:
-    """(n, 4) decision scores; rows follow the input order."""
-    return decision_scores(bundle.model, X)
+    """(n, 4) decision scores; rows follow the input order, and a list of
+    matrices is stacked once."""
+    return decision_scores(bundle.model, stack(X) if isinstance(X, list) else X)
 
 
 def predict_bundle(bundle: ModelBundle, docs: list[Document]) -> tuple[list[Label], np.ndarray]:

@@ -361,7 +361,7 @@ class TestEval:
     def test_overflowing_nb_bundle_is_exit_2_with_no_warning(self, tmp_path, train_csv, nb_bundle, child_env):
         # exp(1000) overflows in the row-mass check. The bundle is bad
         # input, so even with warnings as errors it must exit 2, not 1.
-        # save_bundle_bytes refuses such a model, so feature_log_prob[0, 0],
+        # save_bundle_bytes refuses such a model, so weights[0, 0],
         # which starts the last 4 * V doubles before the checksum, is
         # overwritten in the saved bytes and the bundle resealed.
         raw = bytearray(nb_bundle.read_bytes())
@@ -392,7 +392,7 @@ class TestEval:
         if model == "nb":
             log_prob = np.full((4, n_terms), -1e308)
             log_prob[:, 0] = 0.0  # each row's mass is exp(0) = 1
-            edited = dataclasses.replace(bundle.model, feature_log_prob=log_prob)
+            edited = dataclasses.replace(bundle.model, weights=log_prob)
         else:
             edited = dataclasses.replace(bundle.model, weights=np.full((4, n_terms), 1e308), bias=np.full(4, 1e308))
         path.write_bytes(save_bundle_bytes(dataclasses.replace(bundle, model=edited)))

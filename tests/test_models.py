@@ -15,8 +15,8 @@ from verinews.errors import DimensionMismatchError, SettingError, TrainingError,
 from csr_rows import csr_rows, from_scipy
 from verinews.features import CSR, build_vocabulary, featurize, fit_idf
 from verinews.models import (
+    KIND_NB,
     LinearModel,
-    NbModel,
     TrainConfig,
     _minimize_logistic,
     decision_scores,
@@ -62,23 +62,23 @@ class TestNbFit:
         X = csr_rows([{0: 1}] * 4, 1)
         y = [Label.FALSE, Label.FALSE, Label.TRUE, Label.PARTIALLY_FALSE]
         m = nb_fit(X, y)
-        assert m.class_log_prior[0] == pytest.approx(math.log(0.5))
-        assert m.class_log_prior[1] == pytest.approx(math.log(0.25))
-        assert m.class_log_prior[2] == pytest.approx(math.log(0.25))
-        assert m.class_log_prior[3] == -math.inf
+        assert m.bias[0] == pytest.approx(math.log(0.5))
+        assert m.bias[1] == pytest.approx(math.log(0.25))
+        assert m.bias[2] == pytest.approx(math.log(0.25))
+        assert m.bias[3] == -math.inf
 
     def test_smoothing_hand_values(self):
         # class 0 term totals (3, 1) with alpha=1 -> theta (4/6, 2/6)
         X = csr_rows([{0: 3, 1: 1}, {0: 1}], 2)
         y = [Label.FALSE, Label.TRUE]
         m = nb_fit(X, y, TrainConfig(nb_alpha=1.0))
-        np.testing.assert_allclose(np.exp(m.feature_log_prob[0]), [4 / 6, 2 / 6])
+        np.testing.assert_allclose(np.exp(m.weights[0]), [4 / 6, 2 / 6])
 
     def test_symmetric_counts_give_equal_rows(self):
         X = csr_rows([{0: 2, 1: 2}, {0: 2, 1: 2}], 2)
         y = [Label.FALSE, Label.TRUE]
         m = nb_fit(X, y)
-        np.testing.assert_array_equal(m.feature_log_prob[0], m.feature_log_prob[1])
+        np.testing.assert_array_equal(m.weights[0], m.weights[1])
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
@@ -107,8 +107,8 @@ class TestNbFit:
 
     def test_empty_vocabulary_allowed(self):
         m = nb_fit(csr_rows([{}, {}], 0), [Label.FALSE, Label.TRUE])
-        assert m.feature_log_prob.shape == (4, 0)
-        assert decision_scores(m, csr_rows([{}], 0))[0].tolist() == m.class_log_prior.tolist()
+        assert m.weights.shape == (4, 0)
+        assert decision_scores(m, csr_rows([{}], 0))[0].tolist() == m.bias.tolist()
 
 
 _corpora = st.integers(1, 5).flatmap(
@@ -129,8 +129,8 @@ def test_nb_rows_always_sum_to_one(data):
     counts, labels = data
     X = csr_rows([dict(enumerate(row)) for row in counts], 4)
     m = nb_fit(X, labels)
-    np.testing.assert_allclose(np.exp(m.feature_log_prob).sum(axis=1), 1.0, atol=1e-9)
-    assert np.exp(m.class_log_prior).sum() == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(np.exp(m.weights).sum(axis=1), 1.0, atol=1e-9)
+    assert np.exp(m.bias).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def reference_nb_fit(X, y, alpha):
@@ -175,14 +175,14 @@ def test_nb_fit_matches_per_document_reference(data, alpha, tfidf):
     # The fit also takes a list of matrices, whose rows it stacks.
     for X in (X, [featurize([d], vocab, idf) for d in docs]):
         m = nb_fit(X, labels, TrainConfig(nb_alpha=alpha))
-        assert m.class_log_prior.tobytes() == prior.tobytes()
-        assert m.feature_log_prob.tobytes() == log_prob.tobytes()
+        assert m.bias.tobytes() == prior.tobytes()
+        assert m.weights.tobytes() == log_prob.tobytes()
 
 
 class TestNbPosterior:
     def test_zero_vector_returns_priors(self):
         m = nb_fit(csr_rows([{0: 1}, {1: 1}], 2), [Label.FALSE, Label.TRUE])
-        np.testing.assert_array_equal(decision_scores(m, csr_rows([{}], 2))[0], m.class_log_prior)
+        np.testing.assert_array_equal(decision_scores(m, csr_rows([{}], 2))[0], m.bias)
 
     def test_matches_probability_space_oracle(self):
         rng = np.random.default_rng(7)
@@ -200,9 +200,10 @@ class TestNbPosterior:
     def test_constant_prior_shift_preserves_argmax(self):
         X = csr_rows([{0: 2}, {1: 3}, {0: 1}, {1: 1}], 2)
         m = nb_fit(X, [Label.FALSE, Label.TRUE, Label.PARTIALLY_FALSE, Label.OTHER])
-        shifted = NbModel(
-            class_log_prior=m.class_log_prior + 5.0,
-            feature_log_prob=m.feature_log_prob,
+        shifted = LinearModel(
+            bias=m.bias + 5.0,
+            weights=m.weights,
+            kind=KIND_NB,
             alpha=m.alpha,
         )
         x = csr_rows([{0: 1, 1: 1}], 2)

@@ -19,8 +19,8 @@ from verinews.errors import (
 from verinews.features import IdfWeights, Vocabulary, build_vocabulary, featurize, fit_idf
 from verinews.models import (
     KIND_HINGE,
+    KIND_NB,
     LinearModel,
-    NbModel,
     TrainConfig,
     decision_scores,
     lr_fit,
@@ -111,7 +111,7 @@ class TestRoundTrip:
         )
         again = load_bundle(save_bundle_bytes(bundle))
         assert again.vocab.size == 0
-        assert again.model.class_log_prior.tolist() == model.class_log_prior.tolist()
+        assert again.model.bias.tolist() == model.bias.tolist()
 
     def test_nb_scores_bit_identical(self):
         bundle, X = _nb_bundle()
@@ -231,7 +231,7 @@ class TestValidation:
             load_bundle(save_bundle_bytes(bad))
 
     @pytest.mark.parametrize(
-        "field, bad", [("class_log_prior", np.nan), ("feature_log_prob", np.nan), ("feature_log_prob", -np.inf)]
+        "field, bad", [("bias", np.nan), ("weights", np.nan), ("weights", -np.inf)]
     )
     def test_non_finite_nb_parameters_rejected_on_load(self, field, bad):
         # save_bundle_bytes seals the bundle with a valid checksum, so only
@@ -271,7 +271,7 @@ def _reversed(vocab):
 # name -> (nb or lr bundle, edit, the field load_bundle reports).
 UNLOADABLE = {
     "nb-width-differs-from-vocabulary": (
-        "nb", lambda b: _with_model(b, feature_log_prob=b.model.feature_log_prob[:, :-1]), "model"
+        "nb", lambda b: _with_model(b, weights=b.model.weights[:, :-1]), "model"
     ),
     "linear-width-differs-from-vocabulary": ("lr", lambda b: _with_model(b, weights=b.model.weights[:, :-1]), "weights"),
     "zero-nb-alpha": ("nb", lambda b: _with_model(b, alpha=0.0), "alpha"),
@@ -612,9 +612,10 @@ def _layout_nb():
         pipeline=_LAYOUT_PIPELINE,
         vocab=_LAYOUT_VOCAB,
         idf=None,
-        model=NbModel(
-            class_log_prior=np.log(np.full(4, 0.25)),
-            feature_log_prob=np.log(np.full((4, 2), 0.5)),
+        model=LinearModel(
+            bias=np.log(np.full(4, 0.25)),
+            weights=np.log(np.full((4, 2), 0.5)),
+            kind=KIND_NB,
             alpha=1.0,
         ),
         feature_kind="count",
