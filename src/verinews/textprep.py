@@ -60,8 +60,9 @@ _VOWELS = frozenset("aeiou")
 class PipelineConfig:
     """Immutable cleaning configuration; a bad value raises SettingError.
 
-    The numeric placeholder and each lemma must be lowercase alphabetic,
-    the shape of a cleaned token. The placeholder must also survive the
+    The numeric placeholder and each lemma-table surface and lemma must be
+    lowercase alphabetic, the shape of a cleaned token: a surface of any
+    other shape could never match. The placeholder must also survive the
     filters: at least min_token_len long, and not a stop word.
     """
 
@@ -74,8 +75,10 @@ class PipelineConfig:
         if self.min_token_len < 1:
             raise SettingError("min_token_len must be >= 1")
         p = self.numeric_placeholder
-        lemmas = {f"lemma of {surface!r}": lemma for surface, lemma in self.lemma_exceptions.items()}
-        for name, token in {"numeric_placeholder": p, **lemmas}.items():
+        tokens = [("numeric_placeholder", p)]
+        for surface, lemma in self.lemma_exceptions.items():
+            tokens += [("lemma surface", surface), (f"lemma of {surface!r}", lemma)]
+        for name, token in tokens:
             if not _TOKEN_SHAPE_RE.fullmatch(token):
                 raise SettingError(f"{name} must be lowercase alphabetic: {token!r}")
         if len(p) < self.min_token_len:

@@ -531,6 +531,18 @@ class TestPrepAndReport:
         assert captured.err == "error: lemma of 'running' must be lowercase alphabetic: 'Run,Ning'\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["prep", "train"])
+    def test_lemma_surface_that_cleaning_cannot_make_is_exit_2(self, tmp_path, train_csv, command, capsys):
+        # Cleaning lowercases every token, so this entry could never match.
+        lemmas = tmp_path / "lemmas.tsv"
+        lemmas.write_text("officials\tofficial\nRunning\tsprint\n", encoding="utf-8")
+        out = tmp_path / "m.bundle"
+        extra = ("--model", "nb", "--out", out) if command == "train" else ()
+        assert run(command, "--in", train_csv, "--lemmas", lemmas, *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: lemma surface must be lowercase alphabetic: 'Running'\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize(
         "header, message",
         [

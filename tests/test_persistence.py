@@ -458,15 +458,17 @@ def _vocab_term_byte(value):
     return edit
 
 
-def _lemma_go_to(value):
-    """An edit that changes the saved lemma "go" of "went" and records the
-    digest of the edited table, so only the lemma's shape is at fault."""
-    table = dict(dataclasses.asdict(_pipeline()), lemma_exceptions={"went": value.decode()})
+def _lemma_went_go_to(surface, lemma):
+    """An edit that saves the lemma entry "went" -> "go" as surface ->
+    lemma, each of the same length, and records the digest of the edited
+    table, so only the entry's shape is at fault."""
+    table = dict(dataclasses.asdict(_pipeline()), lemma_exceptions={surface.decode(): lemma.decode()})
     digest = PipelineConfig.digest(SimpleNamespace(**table))
 
     def edit(sections):
-        assert sections[1][1].endswith(b"\x02\x00\x00\x00go")
-        sections[1][1][-2:] = value
+        assert sections[1][1].endswith(b"\x04\x00\x00\x00went\x02\x00\x00\x00go")
+        sections[1][1][-10:-6] = surface
+        sections[1][1][-2:] = lemma
         _meta(pipeline_digest=digest)(sections)
     return edit
 
@@ -491,7 +493,8 @@ REJECTED = {
     "nan-linear-weight": ("sgd", _set_model_bytes(10, _NAN), BundleValidationError, "weights"),
     "non-utf8-vocabulary-term": ("nb", _vocab_term_byte(b"\xff"), BundleIntegrityError, None),
     "unknown-feature-kind": ("lr", _meta(feature_kind="hashing"), BundleValidationError, "feature_kind"),
-    "lemma-with-a-comma": ("nb", _lemma_go_to(b"g,"), BundleValidationError, "pipeline"),
+    "lemma-with-a-comma": ("nb", _lemma_went_go_to(b"went", b"g,"), BundleValidationError, "pipeline"),
+    "lemma-surface-in-capitals": ("nb", _lemma_went_go_to(b"Went", b"go"), BundleValidationError, "pipeline"),
 }
 
 

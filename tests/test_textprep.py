@@ -283,8 +283,8 @@ _suffix_tokens = st.lists(
     default=st.booleans(),
 )
 def test_lemmatizer_matches_the_copying_reference(keys, values, tokens, tails, default):
-    # PipelineConfig rejects an empty lemma, so the table keeps none.
-    table = {k: v for k, v in zip(keys, values + keys[1:] + keys[:1]) if v}
+    # PipelineConfig rejects an empty surface or lemma, so the table keeps none.
+    table = {k: v for k, v in zip(keys, values + keys[1:] + keys[:1]) if k and v}
     cfg = _CFG if default else PipelineConfig(lemma_exceptions=table)
     candidates = [*tokens, *keys, *values, *(k + t for k in keys for t in tails)]
     if default:  # chains of cuts that land on a key of the bundled table
@@ -462,9 +462,8 @@ def test_id_corpora_compare_by_value(cfg):
 
 def test_lemmatizer_returns_the_empty_token():
     # No suffix rule applies to "", and it has no last letter to test.
-    assert _lemmatize_stable("", _CFG) == ""
-    mapped = PipelineConfig(lemma_exceptions={"": "abc"})
-    assert _lemmatize_stable("", mapped) == reference_lemmatize_stable("", mapped) == "abc"
+    # PipelineConfig rejects "" as a surface, so no table maps it.
+    assert _lemmatize_stable("", _CFG) == reference_lemmatize_stable("", _CFG) == ""
 
 
 _PATHOLOGICAL_SNIPPET = """
@@ -628,6 +627,17 @@ class TestConfig:
 
     def test_bundled_lemmas_have_the_shape_of_a_cleaned_token(self, cfg):
         assert all(re.fullmatch("[a-z]+", lemma) for lemma in cfg.lemma_exceptions.values())
+
+    @pytest.mark.parametrize("surface", ["Running", "run ning", "run2", "don't", "caf\u00e9", ""])
+    def test_lemma_surface_must_have_the_shape_of_a_cleaned_token(self, surface):
+        # Cleaning makes only lowercase ASCII letters, so such an entry
+        # could never match, yet it would change the pipeline digest.
+        with pytest.raises(SettingError, match=re.escape(f"lemma surface must be lowercase alphabetic: {surface!r}")):
+            PipelineConfig(lemma_exceptions={"running": "run", surface: "sprint"})
+
+    def test_bundled_lemma_surfaces_have_the_shape_of_a_cleaned_token(self, cfg):
+        assert len(cfg.lemma_exceptions) == 77
+        assert all(re.fullmatch("[a-z]+", surface) for surface in cfg.lemma_exceptions)
 
     @pytest.mark.parametrize(
         "make",
