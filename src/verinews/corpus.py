@@ -159,18 +159,6 @@ def _read_records(reader) -> list[RawRecord]:
     return records
 
 
-def serialize_csv(records: Iterable[RawRecord], with_rating: bool = True) -> str:
-    """Inverse of parse_csv for record lists (used for round-trip checks
-    and test fixtures). Emits a rating column only when requested."""
-    if with_rating:
-        header = ["public_id", "title", "text", "our_rating"]
-        rows = [[r.public_id, r.title, r.text, r.rating or ""] for r in records]
-    else:
-        header = ["public_id", "title", "text"]
-        rows = [[r.public_id, r.title, r.text] for r in records]
-    return format_csv([header, *rows])
-
-
 def format_csv(rows: Iterable[list[str]]) -> str:
     """The one output CSV dialect: minimal quoting and "\n" line ends."""
     out = io.StringIO()
