@@ -36,6 +36,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
+
 import numpy as np
 
 from .corpus import Label

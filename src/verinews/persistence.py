@@ -210,11 +210,8 @@ def _encode_idf(idf: IdfWeights | None) -> bytes | None:
 
 
 def _encode_model(model: LinearModel) -> bytes:
-    """An NB model, the one that carries a smoothing alpha, is written as
-    alpha, V, its bias (log priors) and its weights (log probabilities);
-    any other as V, the converged flag, its weights and its bias."""
     code = _MODEL_CODES[model.kind]
-    if model.alpha is not None:
+    if model.alpha is not None:  # NB: alpha, V, then the bias (log priors) first
         head = struct.pack("<BdQ", code, model.alpha, model.weights.shape[1])
         return head + _encode_f64(model.bias) + _encode_f64(model.weights)
     head = struct.pack("<BQB", code, model.weights.shape[1], int(model.converged))
