@@ -636,7 +636,6 @@ class TestConfig:
             PipelineConfig(lemma_exceptions={"running": "run", surface: "sprint"})
 
     def test_bundled_lemma_surfaces_have_the_shape_of_a_cleaned_token(self, cfg):
-        assert len(cfg.lemma_exceptions) == 77
         assert all(re.fullmatch("[a-z]+", surface) for surface in cfg.lemma_exceptions)
 
     @pytest.mark.parametrize(
