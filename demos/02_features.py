@@ -31,7 +31,7 @@ print()
 # exactly 1.0; rarer terms score higher.
 idf = fit_idf(corpus, vocab)
 for term, i in vocab.term_to_index.items():
-    print(f"idf[{term}] = {idf.idf[i]:.6f}")
+    print(f"idf[{term}] = {idf[i]:.6f}")
 print()
 
 # TF-IDF rows are L2-normalized, so every non-empty document sits on

@@ -13,9 +13,8 @@ resolves, on first access, to the same object as its submodule's.
 from importlib import import_module as _import_module
 
 _EXPORTS = {
-    "corpus": ("ClassCounts", "Document", "Label", "RawRecord", "dataset_stats", "parse_csv", "parse_label",
-               "to_documents"),
-    "features": ("IdfWeights", "Vocabulary", "build_vocabulary", "featurize", "fit_idf"),
+    "corpus": ("Document", "Label", "RawRecord", "dataset_stats", "parse_csv", "parse_label", "to_documents"),
+    "features": ("Vocabulary", "build_vocabulary", "featurize", "fit_idf"),
     "metrics": ("ClassMetrics", "Confusion", "EvalReport", "accuracy", "class_metrics", "classification_report",
                 "confusion_matrix", "macro_f1", "render_confusion", "render_report"),
     "models": ("LinearModel", "TrainConfig", "decision_scores", "lr_fit", "nb_fit", "predict_labels", "sgd_fit"),

@@ -268,9 +268,8 @@ def _cmd_train(args) -> int:
         raise UsageError(f"--{exc.param.replace('_', '-')}: {exc}") from exc
     write_bundle(bundle, args.out)
 
-    stats = dataset_stats(docs)
-    counts = " ".join(f"{label.display_name}={n}" for label, n in stats.counts.items())
-    print(f"trained {model_kind} on {stats.total} documents ({feature_kind})")
+    counts = " ".join(f"{label.display_name}={n}" for label, n in dataset_stats(docs).items())
+    print(f"trained {model_kind} on {len(docs)} documents ({feature_kind})")
     print(f"class counts: {counts}")
     print(f"vocabulary size: {bundle.vocab.size}")
     if bundle.model_kind != KIND_NB:
@@ -368,7 +367,7 @@ def _write_text(path: str | None, text: str):
 def _load_config_file(path: str | None, keys: set[str]) -> dict[str, str]:
     if not path:
         return {}
-    values = {}
+    values, line_of = {}, {}
     for i, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -379,7 +378,9 @@ def _load_config_file(path: str | None, keys: set[str]) -> dict[str, str]:
             raise UsageError(f"{path}:{i}: expected key=value, got {line!r}")
         if key not in keys:
             raise UsageError(f"{path}:{i}: unknown config key {key!r}")
-        values[key] = value
+        if key in line_of:
+            raise UsageError(f"{path}:{i}: config key {key!r} is already set on line {line_of[key]}")
+        values[key], line_of[key] = value, i
     return values
 
 

@@ -1,4 +1,5 @@
-"""CSV corpus ingestion: raw records, validated labels, typed documents.
+"""CSV corpus ingestion: raw records, validated labels, typed documents,
+and per-label counts as a plain {label: count} dict.
 
 The expected file layout is a standard comma-delimited, double-quoted,
 UTF-8 CSV with a header row naming at least ``public_id``, ``title`` and
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
@@ -63,20 +63,6 @@ class Document:
     title: str
     body: str
     label: Label | None = None
-
-
-@dataclass(frozen=True)
-class ClassCounts:
-    """Per-label document counts over a fully labeled corpus."""
-
-    counts: dict[Label, int]
-    total: int
-
-    def __post_init__(self):
-        if sorted(self.counts) != sorted(Label):
-            raise ValueError("counts must cover exactly the four labels")
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total must equal the sum of per-label counts")
 
 
 def parse_label(raw: str) -> Label:
@@ -190,15 +176,15 @@ def to_documents(records: list[RawRecord], labeled: bool) -> list[Document]:
     return docs
 
 
-def dataset_stats(docs: list[Document]) -> ClassCounts:
-    """Exact per-label counts. Every document must be labeled."""
-    tally: Counter[Label] = Counter()
+def dataset_stats(docs: list[Document]) -> dict[Label, int]:
+    """{label: document count} over all four labels, in code order, zeros
+    included; the counts sum to len(docs). Every document must be labeled."""
+    counts = dict.fromkeys(Label, 0)
     for doc in docs:
         if doc.label is None:
             raise VerinewsError(f"unlabeled document in stats input: {doc.id!r}")
-        tally[doc.label] += 1
-    counts = {label: tally.get(label, 0) for label in Label}
-    return ClassCounts(counts=counts, total=len(docs))
+        counts[doc.label] += 1
+    return counts
 
 
 def decode_utf8(data: bytes) -> str:

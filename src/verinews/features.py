@@ -12,7 +12,8 @@ Every matrix comes from featurize. A row stores each column at most once,
 so a count matrix's column entry counts are the document frequencies:
 fit_features reads them from featurize over every distinct lemma, and when
 df pruning drops terms it featurizes again over the kept ones; fit_idf is
-the IDF of featurize's counts.
+the IDF of featurize's counts, a read-only float64 vector with one value
+per column (a bundle keeps the training document count as n_train_docs).
 
 A corpus is one CSR matrix, checked once when it is built. The models
 need two products of it: row dot products X @ w (every score, the SGD
@@ -195,19 +196,6 @@ def _scipy_sparse_dir() -> str:
     return os.path.join(spec.submodule_search_locations[0], "sparse")
 
 
-@dataclass(frozen=True)
-class IdfWeights:
-    """Inverse document frequencies, one per vocabulary column."""
-
-    idf: np.ndarray  # float64, length = vocabulary size
-    n_docs: int
-
-    def __post_init__(self):
-        idf = np.asarray(self.idf, dtype=np.float64)
-        idf.setflags(write=False)
-        object.__setattr__(self, "idf", idf)
-
-
 def _as_ids(corpus: Corpus) -> IdCorpus:
     """The corpus as token ids; a list of CleanDoc is converted here."""
     if isinstance(corpus, IdCorpus):
@@ -231,8 +219,9 @@ def build_vocabulary(
     return vocab
 
 
-def fit_idf(corpus: Corpus, vocab: Vocabulary) -> IdfWeights:
-    """idf(t) = ln((1 + N) / (1 + df(t))) + 1, so idf >= 1 always.
+def fit_idf(corpus: Corpus, vocab: Vocabulary) -> np.ndarray:
+    """idf(t) = ln((1 + N) / (1 + df(t))) + 1, so idf >= 1 always, as a
+    read-only float64 vector with one value per vocabulary column.
 
     df counts documents containing the term at least once; terms in the
     vocabulary but absent from the corpus get df = 0.
@@ -247,7 +236,7 @@ def fit_features(
     min_df: int = 1,
     max_df: int | None = None,
     max_terms: int | None = None,
-) -> tuple[Vocabulary, IdfWeights | None, CSR]:
+) -> tuple[Vocabulary, np.ndarray | None, CSR]:
     """Vocabulary, IDF (with ``tfidf``, else None) and featurize's matrix
     of a training corpus.
 
@@ -287,18 +276,20 @@ def fit_features(
     return vocab, idf, X
 
 
-def _idf(df: np.ndarray, n_docs: int) -> IdfWeights:
+def _idf(df: np.ndarray, n_docs: int) -> np.ndarray:
     idf = np.log((1.0 + n_docs) / (1.0 + df.astype(np.float64))) + 1.0
-    return IdfWeights(idf=idf, n_docs=n_docs)
+    idf.setflags(write=False)
+    return idf
 
 
-def featurize(corpus: Corpus, vocab: Vocabulary, idf: IdfWeights | None = None) -> CSR:
-    """One row per document: raw term counts, or with ``idf`` the counts
-    scaled by IDF and L2-normalized. Out-of-vocabulary tokens are dropped
-    and a row with no vocabulary term stays empty.
+def featurize(corpus: Corpus, vocab: Vocabulary, idf: np.ndarray | None = None) -> CSR:
+    """One row per document: raw term counts, or with ``idf`` (one value
+    per vocabulary column) the counts scaled by IDF and L2-normalized.
+    Out-of-vocabulary tokens are dropped and a row with no vocabulary term
+    stays empty.
     """
-    if idf is not None and idf.idf.shape[0] != vocab.size:
-        raise DimensionMismatchError(f"idf length {idf.idf.shape[0]} != vocabulary size {vocab.size}")
+    if idf is not None and np.shape(idf) != (vocab.size,):
+        raise DimensionMismatchError(f"idf of shape {np.shape(idf)} for vocabulary size {vocab.size}")
     corpus = _as_ids(corpus)
     n_docs, dim = len(corpus), vocab.size
     # Each lemma's column, or -1 out of vocabulary, then each token's.
@@ -317,9 +308,9 @@ def featurize(corpus: Corpus, vocab: Vocabulary, idf: IdfWeights | None = None) 
     return CSR(data=data, indices=indices, indptr=indptr, shape=(n_docs, dim))
 
 
-def _scale_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, idf: IdfWeights):
+def _scale_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, idf: np.ndarray):
     """Scale counts by IDF and L2-normalize each row, in place."""
-    data *= idf.idf[indices]
+    data *= np.asarray(idf, dtype=np.float64)[indices]
     # Each norm is summed over its own row, as a one-row sum would be (a
     # segmented reduction changes the last bits of some norms). The rows
     # of one length are summed together, as the rows of a 2-D array.
@@ -341,7 +332,7 @@ def count_transform(doc: CleanDoc, vocab: Vocabulary) -> CSR:
     return featurize([doc], vocab)
 
 
-def tfidf_transform(doc: CleanDoc, vocab: Vocabulary, idf: IdfWeights) -> CSR:
+def tfidf_transform(doc: CleanDoc, vocab: Vocabulary, idf: np.ndarray) -> CSR:
     """featurize([doc], vocab, idf)."""
     return featurize([doc], vocab, idf)
 

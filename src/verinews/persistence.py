@@ -2,10 +2,12 @@
 
 A bundle is self-contained: it embeds the stop-word list and lemma table
 (not paths to them), the vocabulary, optional IDF weights, and the model
-parameters. Encoding is deterministic (sorted maps, raw little-endian
-IEEE-754 doubles) so the same bundle always produces identical bytes, and
-a trailing SHA-256 digest detects any corruption. The exact layout is
-documented byte-by-byte in docs/bundle-format.md.
+parameters. The IDF section's document count is written from
+n_train_docs and must equal it on load. Encoding is deterministic (sorted
+maps, raw little-endian IEEE-754 doubles) so the same bundle always
+produces identical bytes, and a trailing SHA-256 digest detects any
+corruption. The exact layout is documented byte-by-byte in
+docs/bundle-format.md.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BundleIntegrityError, BundleValidationError, BundleVersionError
-from .features import IdfWeights, Vocabulary
+from .features import Vocabulary
 from .models import KIND_HINGE, KIND_LOGISTIC, KIND_NB, N_CLASSES, LinearModel
 from .textprep import PipelineConfig
 
@@ -50,7 +52,7 @@ class ModelBundle:
 
     pipeline: PipelineConfig
     vocab: Vocabulary
-    idf: IdfWeights | None
+    idf: np.ndarray | None  # read-only float64, one value per vocabulary term
     model: LinearModel
     feature_kind: str
     n_train_docs: int
@@ -82,7 +84,7 @@ def save_bundle_bytes(bundle: ModelBundle) -> bytes:
             (_SECTION_META, _encode_meta(bundle)),
             (_SECTION_PIPELINE, _encode_pipeline(bundle.pipeline)),
             (_SECTION_VOCAB, _encode_vocab(bundle.vocab)),
-            (_SECTION_IDF, _encode_idf(bundle.idf)),
+            (_SECTION_IDF, _encode_idf(bundle.idf, bundle.n_train_docs)),
             (_SECTION_MODEL, _encode_model(bundle.model)),
         )
         if body is not None
@@ -133,7 +135,7 @@ def load_bundle(blob: bytes) -> ModelBundle:
     vocab = payload.section(_SECTION_VOCAB, _decode_vocab)
     idf = None
     if meta["feature_kind"] == FEATURE_TFIDF:
-        idf = payload.section(_SECTION_IDF, lambda r: _decode_idf(r, vocab.size))
+        idf = payload.section(_SECTION_IDF, lambda r: _decode_idf(r, vocab.size, meta["n_train_docs"]))
     model = payload.section(_SECTION_MODEL, lambda r: _decode_model(r, meta["model_kind"], vocab.size))
     if payload.remaining():
         raise BundleIntegrityError(f"{payload.remaining()} bytes after the model section")
@@ -203,10 +205,10 @@ def _encode_vocab(vocab: Vocabulary) -> bytes:
     return struct.pack("<Q", vocab.size) + _encode_strs(vocab.terms())
 
 
-def _encode_idf(idf: IdfWeights | None) -> bytes | None:
+def _encode_idf(idf: np.ndarray | None, n_docs: int) -> bytes | None:
     if idf is None:
         return None
-    return struct.pack("<QQ", idf.n_docs, idf.idf.shape[0]) + _encode_f64(idf.idf)
+    return struct.pack("<QQ", n_docs, len(idf)) + _encode_f64(idf)
 
 
 def _encode_model(model: LinearModel) -> bytes:
@@ -347,14 +349,17 @@ def _require_increasing(field: str, strings: list[str]) -> None:
             raise BundleValidationError(field, f"out of order: {a!r} !< {b!r}")
 
 
-def _decode_idf(r: _Reader, vocab_size: int) -> IdfWeights:
+def _decode_idf(r: _Reader, vocab_size: int, n_train_docs: int) -> np.ndarray:
     n_docs, size = r.unpack("<QQ", "idf header")
+    if n_docs != n_train_docs:
+        raise BundleValidationError("idf", f"document count {n_docs} != n_train_docs {n_train_docs}")
     if size != vocab_size:
         raise BundleValidationError("idf", f"length {size} != vocabulary size {vocab_size}")
     idf = r.f64(size, "idf values")
-    if not np.all(idf >= 1.0):
-        raise BundleValidationError("idf", "values below 1.0")
-    return IdfWeights(idf=idf, n_docs=n_docs)
+    if not np.all((idf >= 1.0) & (idf < math.inf)):
+        raise BundleValidationError("idf", "values not finite and at least 1.0")
+    idf.setflags(write=False)
+    return idf
 
 
 def _decode_model(r: _Reader, expected_kind: str, vocab_size: int) -> LinearModel:

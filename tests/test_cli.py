@@ -150,6 +150,14 @@ class TestTrain:
         assert run("train", "--model", "nb", "--in", train_csv,
                    "--out", tmp_path / "m.bundle", "--config", cfgfile) == 2
 
+    def test_config_key_set_twice_is_exit_2(self, tmp_path, train_csv, capsys):
+        cfgfile = tmp_path / "v.conf"
+        cfgfile.write_text("nb_alpha=0.5\n# smoothing\nnb_alpha=2\n", encoding="utf-8")
+        out = tmp_path / "m.bundle"
+        assert run("train", "--model", "nb", "--in", train_csv, "--out", out, "--config", cfgfile) == 2
+        assert capsys.readouterr().err == f"error: {cfgfile}:3: config key 'nb_alpha' is already set on line 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("model", ["nb", "lr", "sgd"])
     def test_no_hyperparameter_flags_means_the_library_defaults(self, tmp_path, train_csv, model, monkeypatch):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)

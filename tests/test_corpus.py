@@ -2,7 +2,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from verinews.corpus import (
-    ClassCounts,
     Document,
     Label,
     RawRecord,
@@ -275,21 +274,19 @@ def test_to_documents_preserves_order():
 
 
 def test_dataset_stats_empty():
-    stats = dataset_stats([])
-    assert stats.total == 0
-    assert all(stats.counts[l] == 0 for l in Label)
+    assert dataset_stats([]) == {label: 0 for label in Label}
 
 
 def test_dataset_stats_toy():
     docs = [Document(id=str(i), title="", body="", label=Label(c)) for i, c in enumerate([0, 0, 1, 2])]
     stats = dataset_stats(docs)
-    assert stats.counts == {Label.FALSE: 2, Label.TRUE: 1, Label.PARTIALLY_FALSE: 1, Label.OTHER: 0}
-    assert stats.total == 4
+    assert stats == {Label.FALSE: 2, Label.TRUE: 1, Label.PARTIALLY_FALSE: 1, Label.OTHER: 0}
+    assert list(stats) == list(Label)
 
 
 def test_dataset_stats_full_sized_corpus():
     docs = [Document(id=str(i), title="", body="", label=Label(i % 4)) for i in range(1264)]
-    assert dataset_stats(docs).total == 1264
+    assert sum(dataset_stats(docs).values()) == 1264
 
 
 def test_dataset_stats_rejects_unlabeled():
@@ -302,10 +299,5 @@ def test_dataset_stats_permutation_invariant(codes, rnd):
     docs = [Document(id=str(i), title="", body="", label=c) for i, c in enumerate(codes)]
     shuffled = list(docs)
     rnd.shuffle(shuffled)
-    assert dataset_stats(docs).counts == dataset_stats(shuffled).counts
-    assert dataset_stats(docs).total == len(codes)
-
-
-def test_class_counts_validates_total():
-    with pytest.raises(ValueError):
-        ClassCounts(counts={l: 1 for l in Label}, total=3)
+    assert dataset_stats(docs) == dataset_stats(shuffled)
+    assert sum(dataset_stats(docs).values()) == len(codes)

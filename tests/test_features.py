@@ -13,7 +13,6 @@ from verinews.errors import DimensionMismatchError, VocabularyError
 from verinews.features import (
     CSR,
     _scale_rows,
-    IdfWeights,
     Vocabulary,
     build_vocabulary,
     column_dots,
@@ -107,9 +106,8 @@ class TestIdf:
         corpus = [doc("cat", "dog"), doc("dog")]
         vocab = build_vocabulary(corpus)
         idf = fit_idf(corpus, vocab)
-        assert idf.n_docs == 2
-        assert idf.idf[vocab.term_to_index["cat"]] == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
-        assert idf.idf[vocab.term_to_index["dog"]] == pytest.approx(1.0, abs=1e-12)
+        assert idf[vocab.term_to_index["cat"]] == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
+        assert idf[vocab.term_to_index["dog"]] == pytest.approx(1.0, abs=1e-12)
 
     def test_vocab_term_absent_from_corpus(self):
         vocab = build_vocabulary([doc("alpha"), doc("beta")])
@@ -118,24 +116,24 @@ class TestIdf:
         superset = build_vocabulary([doc("alpha"), doc("beta"), doc("ghost")])
         idf = fit_idf([doc("alpha"), doc("beta"), doc("alpha")], superset)
         n = 3
-        assert idf.idf[superset.term_to_index["ghost"]] == pytest.approx(math.log(n + 1) + 1)
+        assert idf[superset.term_to_index["ghost"]] == pytest.approx(math.log(n + 1) + 1)
 
     def test_single_doc_idf_is_one(self):
         corpus = [doc("only")]
         idf = fit_idf(corpus, build_vocabulary(corpus))
-        assert idf.idf.tolist() == [1.0]
+        assert idf.tolist() == [1.0]
 
     def test_idf_at_least_one(self):
         corpus = [doc("a" * 3, "bbb"), doc("bbb"), doc("ccc")]
         idf = fit_idf(corpus, build_vocabulary(corpus))
-        assert np.all(idf.idf >= 1.0)
+        assert np.all(idf >= 1.0)
 
     def test_permutation_invariant(self):
         docs = [doc("aaa", "bbb"), doc("bbb"), doc("ccc", "aaa")]
         vocab = build_vocabulary(docs)
         a = fit_idf(docs, vocab)
         b = fit_idf(docs[::-1], vocab)
-        assert a.idf.tobytes() == b.idf.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
 class TestTfidf:
@@ -165,7 +163,20 @@ class TestTfidf:
 
     def test_idf_length_mismatch_rejected(self, small_vocab):
         with pytest.raises(DimensionMismatchError):
-            featurize([doc("cat")], small_vocab, IdfWeights(idf=np.ones(1), n_docs=1))
+            featurize([doc("cat")], small_vocab, np.ones(1))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2,), (1, 3), ()], ids=["column", "short", "row", "scalar"])
+    def test_idf_must_be_one_value_per_column(self, small_vocab, shape):
+        with pytest.raises(DimensionMismatchError, match="idf"):
+            featurize([doc("cat")], small_vocab, np.ones(shape))
+
+    def test_fitted_idf_is_read_only(self):
+        corpus = [doc("cat", "dog"), doc("dog")]
+        _, fitted, _ = fit_features(corpus, True)
+        for idf in (fitted, fit_idf(corpus, build_vocabulary(corpus))):
+            assert idf.dtype == np.float64 and idf.ndim == 1
+            with pytest.raises(ValueError, match="read-only"):
+                idf[0] = 2.0
 
 
 _token = st.text(alphabet="abcdefg", min_size=3, max_size=6)
@@ -209,7 +220,7 @@ def test_transforms_bit_identical_across_runs(corpus):
     vb = build_vocabulary(list(corpus))
     assert va == vb
     ia, ib = fit_idf(corpus, va), fit_idf(corpus, vb)
-    assert ia.idf.tobytes() == ib.idf.tobytes()
+    assert ia.tobytes() == ib.tobytes()
     assert_same_csr(featurize(corpus, va, ia), featurize(list(corpus), vb, ib))
 
 
@@ -251,7 +262,7 @@ def reference_count(d, vocab):
 
 def reference_tfidf(d, vocab, idf):
     counts = reference_count(d, vocab)
-    weighted = counts.data * idf.idf[counts.indices]
+    weighted = counts.data * idf[counts.indices]
     if counts.nnz:
         weighted = weighted / np.sqrt(np.sum(weighted**2))
     return CSR(data=weighted, indices=counts.indices, indptr=counts.indptr, shape=counts.shape)
@@ -320,7 +331,7 @@ def reference_idf(corpus, vocab):
         seen = {lookup[t] for t in set(d.tokens) if t in lookup}
         if seen:
             df[np.fromiter(seen, dtype=np.int64, count=len(seen))] += 1.0
-    return IdfWeights(idf=np.log((1.0 + len(corpus)) / (1.0 + df)) + 1.0, n_docs=len(corpus))
+    return np.log((1.0 + len(corpus)) / (1.0 + df)) + 1.0
 
 
 _fit_tokens = st.text(alphabet="abcde", min_size=1, max_size=2)
@@ -343,20 +354,19 @@ def test_fit_features_matches_the_per_document_reference(corpus, min_df, max_df,
     assert list(vocab.term_to_index.items()) == list(want_vocab.term_to_index.items())
     want_idf = reference_idf(corpus, want_vocab) if tfidf else None
     if tfidf:
-        assert idf.n_docs == want_idf.n_docs
-        assert_same_array(idf.idf, want_idf.idf)
+        assert_same_array(idf, want_idf)
     else:
         assert idf is None
     assert_same_csr(X, featurize(corpus, want_vocab, want_idf))
     assert build_vocabulary(corpus, min_df, max_df, max_terms) == want_vocab
-    assert_same_array(fit_idf(corpus, want_vocab).idf, reference_idf(corpus, want_vocab).idf)
+    assert_same_array(fit_idf(corpus, want_vocab), reference_idf(corpus, want_vocab))
 
 
 def test_fit_features_edge_cases():
     vocab, idf, X = fit_features([], True)
-    assert vocab.size == 0 and idf.n_docs == 0 and X.shape == (0, 0)
+    assert vocab.size == 0 and idf.size == 0 and X.shape == (0, 0)
     vocab, idf, X = fit_features([doc(), doc("cat")], True, min_df=2)
-    assert vocab.size == 0 and idf.idf.size == 0
+    assert vocab.size == 0 and idf.size == 0
     assert X.shape == (2, 0) and X.indptr.tolist() == [0, 0, 0]
     with pytest.raises(VocabularyError, match="max_terms"):
         fit_features([doc("cat")], False, max_terms=0)
@@ -369,7 +379,7 @@ def test_featurize_edge_shapes(small_vocab):
     idf = fit_idf([doc("cat")], small_vocab)
     assert featurize([doc(), doc("zebra")], small_vocab, idf).nnz == 0
     with pytest.raises(DimensionMismatchError):
-        featurize([doc("cat")], small_vocab, IdfWeights(idf=np.ones(1), n_docs=1))
+        featurize([doc("cat")], small_vocab, np.ones(1))
 
 
 @settings(max_examples=150)
@@ -473,8 +483,8 @@ def test_row_norms_by_length_equal_one_row_sums(seed):
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     indices = rng.integers(0, 50, size=indptr[-1])
     data = rng.integers(1, 6, size=indptr[-1]).astype(np.float64)
-    idf = IdfWeights(idf=1.0 + rng.random(50) * 5, n_docs=100)
-    scaled = data * idf.idf[indices]
+    idf = 1.0 + rng.random(50) * 5
+    scaled = data * idf[indices]
     squares = scaled**2
     norms = [np.add.reduce(squares[lo:hi]) for lo, hi in zip(indptr[:-1], indptr[1:])]
     want = scaled / np.repeat(np.sqrt(norms), lengths)

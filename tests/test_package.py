@@ -10,11 +10,11 @@ import verinews
 
 # The names `import verinews` exports, by the submodule that defines each:
 # every name it has exported since the package was written, but NbModel,
-# which left when NB became a LinearModel.
+# which left when NB became a LinearModel, and IdfWeights and ClassCounts,
+# which left when the IDF became a plain vector and dataset_stats a dict.
 EXPORTS = {
-    "corpus": ["ClassCounts", "Document", "Label", "RawRecord", "dataset_stats", "parse_csv", "parse_label",
-               "to_documents"],
-    "features": ["IdfWeights", "Vocabulary", "build_vocabulary", "featurize", "fit_idf"],
+    "corpus": ["Document", "Label", "RawRecord", "dataset_stats", "parse_csv", "parse_label", "to_documents"],
+    "features": ["Vocabulary", "build_vocabulary", "featurize", "fit_idf"],
     "metrics": ["ClassMetrics", "Confusion", "EvalReport", "accuracy", "class_metrics", "classification_report",
                 "confusion_matrix", "macro_f1", "render_confusion", "render_report"],
     "models": ["LinearModel", "TrainConfig", "decision_scores", "lr_fit", "nb_fit", "predict_labels", "sgd_fit"],

@@ -16,7 +16,7 @@ from verinews.errors import (
     BundleValidationError,
     BundleVersionError,
 )
-from verinews.features import IdfWeights, Vocabulary, build_vocabulary, featurize, fit_idf
+from verinews.features import Vocabulary, build_vocabulary, featurize, fit_idf
 from verinews.models import (
     KIND_HINGE,
     KIND_NB,
@@ -222,7 +222,7 @@ class TestValidation:
         bad = ModelBundle(
             pipeline=bundle.pipeline,
             vocab=bundle.vocab,
-            idf=IdfWeights(idf=np.full(bundle.vocab.size, 0.5), n_docs=3),
+            idf=np.full(bundle.vocab.size, 0.5),
             model=bundle.model,
             feature_kind="tfidf",
             n_train_docs=1,
@@ -278,9 +278,8 @@ UNLOADABLE = {
     "nan-linear-weights": ("lr", lambda b: _with_model(b, weights=np.full_like(b.model.weights, np.nan)), "weights"),
     "linear-model-of-kind-nb": ("lr", lambda b: _with_model(b, kind="nb"), "model"),
     "vocabulary-not-in-term-order": ("nb", lambda b: dataclasses.replace(b, vocab=_reversed(b.vocab)), "vocab"),
-    "idf-shorter-than-vocabulary": (
-        "lr", lambda b: dataclasses.replace(b, idf=IdfWeights(idf=b.idf.idf[:-1], n_docs=b.idf.n_docs)), "idf"
-    ),
+    "idf-shorter-than-vocabulary": ("lr", lambda b: dataclasses.replace(b, idf=b.idf[:-1]), "idf"),
+    "infinite-idf": ("lr", lambda b: dataclasses.replace(b, idf=np.full_like(b.idf, np.inf)), "idf"),
 }
 
 
@@ -448,6 +447,15 @@ def _shorten_idf(sections):
     sections[3][1] = bytearray(struct.pack("<QQ", n_docs, size - 1)) + body[16:-8]
 
 
+def _set_idf_bytes(at, value):
+    def edit(sections):
+        sections[3][1][at : at + len(value)] = value
+    return edit
+
+
+_IDF_COUNT_7 = _set_idf_bytes(0, struct.pack("<Q", 7))  # the lr bundle has n_train_docs 12
+
+
 def _idf_section(values):
     return [4, bytearray(struct.pack(f"<QQ{len(values)}d", 3, len(values), *values))]
 
@@ -484,6 +492,9 @@ REJECTED = {
     "unknown-model-code": ("nb", _set_model_bytes(0, b"\x07"), BundleValidationError, "model"),
     "metadata-kind-differs-from-payload": ("nb", _meta(model_kind="logistic"), BundleValidationError, "model_kind"),
     "idf-length-differs-from-vocabulary": ("lr", _shorten_idf, BundleValidationError, "idf"),
+    "idf-count-differs-from-n-train-docs": ("lr", _IDF_COUNT_7, BundleValidationError, "idf"),
+    "infinite-idf-value": ("lr", _set_idf_bytes(16, struct.pack("<d", np.inf)), BundleValidationError, "idf"),
+    "nan-idf-value": ("lr", _set_idf_bytes(24, _NAN), BundleValidationError, "idf"),
     "nb-width-differs-from-vocabulary": (
         "nb", _replace_model_header("<dQ", 1.0, _V - 1, drop=4), BundleValidationError, "model"
     ),
@@ -506,6 +517,23 @@ def test_sealed_fault_is_rejected_with_its_class_and_field(name):
         load_bundle(_edited(raw, edit))
     assert type(caught.value) is error
     assert getattr(caught.value, "field", None) == field
+
+
+def test_idf_count_is_checked_before_later_faults():
+    def edit(sections):
+        _shorten_idf(sections)
+        _set_model_bytes(10, _NAN)(sections)
+        _IDF_COUNT_7(sections)
+    with pytest.raises(BundleValidationError, match="document count 7 != n_train_docs 12") as caught:
+        load_bundle(_edited(_SAVED[1], edit))
+    assert caught.value.field == "idf"
+
+
+def test_loaded_idf_is_read_only():
+    idf = load_bundle(_SAVED[1]).idf
+    assert idf.dtype == np.float64 and idf.ndim == 1
+    with pytest.raises(ValueError, match="read-only"):
+        idf[0] = 2.0
 
 
 @pytest.mark.parametrize(
@@ -641,7 +669,7 @@ def _layout_hinge():
     bundle = ModelBundle(
         pipeline=_LAYOUT_PIPELINE,
         vocab=_LAYOUT_VOCAB,
-        idf=IdfWeights(idf=np.array([1.0, 1.5]), n_docs=3),
+        idf=np.array([1.0, 1.5]),
         model=LinearModel(
             weights=np.array(weights), bias=np.array(bias), kind=KIND_HINGE, converged=False
         ),
@@ -666,8 +694,7 @@ def _fields(bundle):
     def plain(value):
         return (value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
     model = {f.name: plain(getattr(bundle.model, f.name)) for f in dataclasses.fields(bundle.model)}
-    idf = None if bundle.idf is None else (plain(bundle.idf.idf), bundle.idf.n_docs)
-    return (bundle.pipeline, bundle.vocab, idf, bundle.model.kind, model,
+    return (bundle.pipeline, bundle.vocab, plain(bundle.idf), bundle.model.kind, model,
             bundle.feature_kind, bundle.n_train_docs, bundle.created_at)
 
 

@@ -447,8 +447,7 @@ def test_id_corpus_equals_the_clean_doc_path(docs, scored, min_df, max_df, max_t
                 vocab, idf, X = fit_features(corpus, tfidf, min_df, max_df, max_terms)
                 assert list(vocab.term_to_index.items()) == list(want_vocab.term_to_index.items())
                 if tfidf:
-                    assert idf.n_docs == want_idf.n_docs
-                    assert_same_array(idf.idf, want_idf.idf)
+                    assert_same_array(idf, want_idf)
                 assert_same_csr(X, want_X)
             want_scored = featurize(scored_clean, want_vocab, want_idf)
             assert_same_csr(featurize(scored_ids, want_vocab, want_idf), want_scored)
