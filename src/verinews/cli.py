@@ -18,6 +18,17 @@ console script), which calls main, flushes stdout and stderr and ends the
 process without interpreter teardown. main returns the exit code and
 suits callers in the same process. prep, eval and report write to stdout,
 and exit 2 when it is closed.
+
+Importing this module loads no numpy, and prep and report never do.
+train, eval and predict read, parse and clean their CSV in a child
+process forked before numpy loads, while this process imports numpy and
+the modules that fit and score and, for eval and predict, loads the
+bundle; the child hands back the cleaned corpus (see _overlapped). Where
+the platform cannot fork, numpy is already loaded (main called in a
+process that imported it) or a thread is running, the same steps run
+here, one after the other. Either way the outputs, the exit code and the
+error line are the same, and the child is reaped before the command
+returns.
 """
 
 from __future__ import annotations
@@ -26,9 +37,13 @@ import argparse
 import contextlib
 import dataclasses
 import os
+import pickle
+import signal
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 # Importing numpy starts OpenBLAS's worker pool, one thread per core, and a
 # worker then spins on its core for a while. verinews makes no BLAS call
@@ -39,13 +54,12 @@ from typing import NoReturn
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .corpus import Label, RawRecord, dataset_stats, decode_utf8, format_csv, parse_csv, to_documents
+from .corpus import Label, RawRecord, decode_utf8, format_csv, parse_csv, to_documents
 from .errors import VerinewsError, VocabularyError
 from .metrics import render_confusion, render_report, report_from_json, report_to_json
-from .models import KIND_NB, TrainConfig
-from .persistence import FEATURE_COUNT, FEATURE_TFIDF, load_bundle, write_bundle
-from .pipeline import DEFAULT_FEATURES, evaluate_bundle, predict_bundle, train_bundle
-from .textprep import PipelineConfig, parse_lemma_exceptions, parse_stopwords, preprocess_corpus
+from .persistence import load_bundle, read_pipeline, write_bundle
+from .settings import DEFAULT_FEATURES, FEATURE_COUNT, FEATURE_TFIDF, KIND_NB, TrainConfig
+from .textprep import PipelineConfig, parse_lemma_exceptions, parse_stopwords, preprocess_corpus, preprocess_ids
 
 # 9999-12-31T23:59:59Z, the last second that stdlib time functions format.
 MAX_SOURCE_DATE_EPOCH = 253402300799
@@ -248,17 +262,22 @@ def _cmd_train(args) -> int:
             f"pass --force to train on {feature_kind}"
         )
 
-    records = _read_records(args.input)
-    if records and records[0].rating is None:
-        raise UsageError(f"{args.input}: no rating column; training needs labels")
-    docs = to_documents(records, labeled=True)
+    def clean():
+        records = _read_records(args.input)
+        if records and records[0].rating is None:
+            raise UsageError(f"{args.input}: no rating column; training needs labels")
+        docs = to_documents(records, labeled=True)
+        cfg = _resolve_pipeline(args)
+        return [d.label for d in docs], preprocess_ids(docs, cfg), cfg
 
+    (labels, corpus, pipeline_cfg), pipeline = _overlapped(clean, _pipeline_module)
     try:
-        bundle = train_bundle(
-            docs,
+        bundle = pipeline.train_corpus(
+            corpus,
+            labels,
             model_kind,
             feature_kind,
-            pipeline_cfg=_resolve_pipeline(args),
+            pipeline_cfg,
             train_cfg=_resolve_train_config(args),
             workers=args.threads,
             created_at=_source_date_epoch(),
@@ -268,8 +287,9 @@ def _cmd_train(args) -> int:
         raise UsageError(f"--{exc.param.replace('_', '-')}: {exc}") from exc
     write_bundle(bundle, args.out)
 
-    counts = " ".join(f"{label.display_name}={n}" for label, n in dataset_stats(docs).items())
-    print(f"trained {model_kind} on {len(docs)} documents ({feature_kind})")
+    class_counts = Counter(labels)
+    counts = " ".join(f"{label.display_name}={class_counts[label]}" for label in Label)
+    print(f"trained {model_kind} on {len(labels)} documents ({feature_kind})")
     print(f"class counts: {counts}")
     print(f"vocabulary size: {bundle.vocab.size}")
     if bundle.model_kind != KIND_NB:
@@ -279,14 +299,20 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    bundle = load_bundle(_read_bytes(args.model))
-    records = _read_records(args.input)
-    if not records:
-        raise UsageError(f"{args.input}: no data rows to evaluate")
-    if records[0].rating is None:
-        raise UsageError(f"{args.input}: no rating column; evaluation needs labels")
-    docs = to_documents(records, labeled=True)
-    report = evaluate_bundle(bundle, docs)
+    blob = _read_bytes(args.model)
+    cleaning = read_pipeline(blob)
+
+    def clean():
+        records = _read_records(args.input)
+        if not records:
+            raise UsageError(f"{args.input}: no data rows to evaluate")
+        if records[0].rating is None:
+            raise UsageError(f"{args.input}: no rating column; evaluation needs labels")
+        docs = to_documents(records, labeled=True)
+        return [d.label for d in docs], preprocess_ids(docs, cleaning)
+
+    (labels, corpus), (pipeline, bundle) = _overlapped(clean, lambda: (_pipeline_module(), load_bundle(blob)))
+    report = pipeline.evaluate_corpus(bundle, corpus, labels)
 
     if args.format == "json":
         text = report_to_json(report)
@@ -298,13 +324,19 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    bundle = load_bundle(_read_bytes(args.model))
-    docs = to_documents(_read_records(args.input), labeled=False)
-    _warn_duplicate_ids([doc.id for doc in docs])
-    preds, scores = predict_bundle(bundle, docs)
+    blob = _read_bytes(args.model)
+    cleaning = read_pipeline(blob)
+
+    def clean():
+        docs = to_documents(_read_records(args.input), labeled=False)
+        return [doc.id for doc in docs], preprocess_ids(docs, cleaning)
+
+    (ids, corpus), (pipeline, bundle) = _overlapped(clean, lambda: (_pipeline_module(), load_bundle(blob)))
+    _warn_duplicate_ids(ids)
+    preds, scores = pipeline.predict_corpus(bundle, corpus)
     rows = [
-        [doc.id, label.display_name, *map(repr, row)]
-        for doc, label, row in zip(docs, preds, scores.tolist())
+        [public_id, label.display_name, *map(repr, row)]
+        for public_id, label, row in zip(ids, preds, scores.tolist())
     ]
     header = ["public_id", "predicted_label", *(f"score_{label.display_name}" for label in Label)]
     Path(args.out).write_text(format_csv([header, *rows]), encoding="utf-8")
@@ -332,6 +364,96 @@ def _cmd_report(args) -> int:
     report = report_from_json(_read_text(args.input))
     _write_text(None, render_report(report) + "\n" + render_confusion(report.confusion))
     return 0
+
+
+# --- cleaning in a child process -------------------------------------------
+
+
+def _overlapped(clean: Callable, load: Callable) -> tuple:
+    """(clean(), load()), with clean run in a child process forked before
+    numpy loads while load() runs here: the standard-library half of a
+    command (read, parse and clean the CSV) on one core, and the numpy
+    half (imports, the bundle) on another.
+
+    It forks only where the platform can, numpy is not loaded yet (once
+    it is, nothing is left to overlap) and no other thread runs (a child
+    forked from a threaded process gets only the forking thread, and
+    Python 3.12 warns); otherwise, or if the fork fails, load() and then
+    clean() run here, the order in which a command reports its faults. So
+    a fault in load() wins over one in the child.
+
+    The child pickles clean()'s result to a pipe, or else the text of its
+    error, and exits with the code main gives that error (2 for an input
+    error, 1 otherwise); errors travel as text because some exceptions
+    here do not unpickle. It ends with os._exit, so it flushes no stdio
+    and runs no exit handler. The whole payload is read before the child
+    is reaped, so neither side waits on a full pipe; on any exception
+    here the child is killed, and it is reaped on every path. If this
+    process is killed instead, the child ends at its write to the pipe,
+    which then has no reader.
+    """
+    can_fork = hasattr(os, "fork") and "numpy" not in sys.modules and threading.active_count() == 1
+    pid = None
+    if can_fork:
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
+        loaded = load()
+        return clean(), loaded
+    if pid == 0:
+        _run_child(clean, read_end, write_end)
+    os.close(write_end)
+    reaped = False
+    try:
+        with open(read_end, "rb") as pipe:
+            loaded = load()
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code not in (0, 1, 2) or not payload:
+        raise RuntimeError(f"the cleaning process ended with status {code} and no result")
+    result = pickle.loads(payload)
+    if code == 2:
+        raise UsageError(result)
+    if code == 1:
+        raise RuntimeError(result)
+    return result, loaded
+
+
+def _run_child(clean: Callable, read_end: int, write_end: int) -> NoReturn:
+    """The forked child: clean(), its result or error text to the pipe,
+    and os._exit with main's exit code for it."""
+    status = 1
+    try:
+        os.close(read_end)  # or a write to a full pipe would outlive the parent
+        try:
+            result, code = clean(), 0
+        except (UsageError, VerinewsError, OSError) as exc:
+            result, code = str(exc), 2
+        except Exception as exc:  # noqa: BLE001 - reported by the parent as an internal error
+            result, code = str(exc), 1
+        with open(write_end, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = code
+    finally:
+        os._exit(status)
+
+
+def _pipeline_module():
+    """verinews.pipeline, imported with numpy and the modules that fit and
+    score."""
+    from . import pipeline
+
+    return pipeline
 
 
 # --- option plumbing ------------------------------------------------------

@@ -28,6 +28,10 @@ compiled sparsetools, loaded without importing the scipy package.
 So no fit gains from BLAS threads, and the CLI starts OpenBLAS with one
 thread unless OPENBLAS_NUM_THREADS is set (see cli); pool workers inherit
 that setting. A preset count leaves the weights unchanged.
+
+TrainConfig and the kind names are defined in settings, which loads no
+numpy, so the CLI can build its parser without this module; they are
+importable from here as well.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from functools import partial
 import numpy as np
 
 from .corpus import Label
-from .errors import ScoreError, SettingError, TrainingError
+from .errors import ScoreError, TrainingError
 from .features import CSR, column_dots, row_dots, stack
+from .settings import KIND_HINGE, KIND_LOGISTIC, KIND_NB, TrainConfig
 
 N_CLASSES = len(Label)
 _LABELS = tuple(Label)  # by code
@@ -61,38 +66,6 @@ FeatureRows = CSR | list[CSR]
 # radius scales (SIGMA).
 ETA = (1e-4, 0.25, 0.75)
 SIGMA = (0.25, 0.5, 4.0)
-
-KIND_NB = "nb"
-KIND_LOGISTIC = "logistic"
-KIND_HINGE = "hinge"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters of all three fits; each field is also a train flag
-    and config key (lr_C is --lr-c and lr_c=). The hinge classifier uses
-    the step-size schedule eta_t = 1 / (sgd_alpha * (t0 + t)) with
-    eta_0 = sgd_alpha**-0.25 and t0 = 1 / (sgd_alpha * eta_0); at the
-    default sgd_alpha = 1e-4 that is eta_0 = 10 and t0 = 1000.
-    """
-
-    nb_alpha: float = 1.0
-    lr_C: float = 100.0
-    lr_tol: float = 1e-4
-    lr_max_iter: int = 100
-    sgd_alpha: float = 1e-4
-    sgd_epochs: int = 1000
-    sgd_tol: float = 1e-3
-    seed: int = 42
-
-    def __post_init__(self):
-        for name in ("nb_alpha", "lr_C", "lr_tol", "sgd_alpha", "sgd_tol"):
-            if not 0 < (value := getattr(self, name)) < math.inf:
-                raise SettingError(f"{name} must be positive and finite, got {value}")
-        if self.lr_max_iter < 1 or self.sgd_epochs < 1:
-            raise SettingError("iteration limits must be >= 1")
-        if self.seed < 0:
-            raise SettingError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

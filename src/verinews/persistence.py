@@ -8,6 +8,11 @@ maps, raw little-endian IEEE-754 doubles) so the same bundle always
 produces identical bytes, and a trailing SHA-256 digest detects any
 corruption. The exact layout is documented byte-by-byte in
 docs/bundle-format.md.
+
+Only the functions that encode or decode the vocabulary, IDF and model
+sections load numpy, features and models, so read_pipeline gives a
+bundle's cleaning config without numpy: the CLI reads it before it forks
+the process that cleans the input (see cli).
 """
 
 from __future__ import annotations
@@ -19,20 +24,21 @@ import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BundleIntegrityError, BundleValidationError, BundleVersionError
-from .features import Vocabulary
-from .models import KIND_HINGE, KIND_LOGISTIC, KIND_NB, N_CLASSES, LinearModel
+from .settings import FEATURE_COUNT, FEATURE_TFIDF, KIND_HINGE, KIND_LOGISTIC, KIND_NB
 from .textprep import PipelineConfig
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .features import Vocabulary
+    from .models import LinearModel
 
 MAGIC = b"VNEWSBDL"
 FORMAT_VERSION = 1
 CHECKSUM_LEN = 32
-
-FEATURE_COUNT = "count"
-FEATURE_TFIDF = "tfidf"
 
 _SECTION_META = 1
 _SECTION_PIPELINE = 2
@@ -114,24 +120,7 @@ def load_bundle(blob: bytes) -> ModelBundle:
     first one in byte order, as a BundleIntegrityError or a
     BundleValidationError.
     """
-    reader = _Reader(blob)
-
-    if reader.take(len(MAGIC), "magic") != MAGIC:
-        raise BundleIntegrityError("not a model bundle (bad magic)")
-    version, payload_len = reader.unpack("<IQ", "header")
-    if version != FORMAT_VERSION:
-        raise BundleVersionError(
-            f"bundle format version {version} is not supported (only {FORMAT_VERSION})"
-        )
-    payload = _Reader(reader.take(payload_len, "payload"))
-    digest = reader.take(CHECKSUM_LEN, "checksum")
-    if reader.remaining():
-        raise BundleIntegrityError("trailing bytes after checksum")
-    if hashlib.sha256(blob[: len(blob) - CHECKSUM_LEN]).digest() != digest:
-        raise BundleIntegrityError("checksum mismatch (corrupted bundle)")
-
-    meta = payload.section(_SECTION_META, _decode_meta)
-    pipeline = payload.section(_SECTION_PIPELINE, lambda r: _decode_pipeline(r, meta["pipeline_digest"]))
+    payload, meta, pipeline = _read_head(blob)
     vocab = payload.section(_SECTION_VOCAB, _decode_vocab)
     idf = None
     if meta["feature_kind"] == FEATURE_TFIDF:
@@ -150,8 +139,39 @@ def load_bundle(blob: bytes) -> ModelBundle:
     )
 
 
+def read_pipeline(blob: bytes) -> PipelineConfig:
+    """The cleaning config of the bundle blob, read without numpy: the
+    header, checksum, metadata and pipeline checks load_bundle makes first,
+    raising the same error for the same first fault there. The vocabulary,
+    IDF and model sections are not read."""
+    return _read_head(blob)[2]
+
+
 def read_bundle(path: str | Path) -> ModelBundle:
     return load_bundle(Path(path).read_bytes())
+
+
+def _read_head(blob: bytes) -> tuple[_Reader, dict, PipelineConfig]:
+    """(payload reader after the pipeline section, metadata, pipeline)."""
+    reader = _Reader(blob)
+
+    if reader.take(len(MAGIC), "magic") != MAGIC:
+        raise BundleIntegrityError("not a model bundle (bad magic)")
+    version, payload_len = reader.unpack("<IQ", "header")
+    if version != FORMAT_VERSION:
+        raise BundleVersionError(
+            f"bundle format version {version} is not supported (only {FORMAT_VERSION})"
+        )
+    payload = _Reader(reader.take(payload_len, "payload"))
+    digest = reader.take(CHECKSUM_LEN, "checksum")
+    if reader.remaining():
+        raise BundleIntegrityError("trailing bytes after checksum")
+    if hashlib.sha256(blob[: len(blob) - CHECKSUM_LEN]).digest() != digest:
+        raise BundleIntegrityError("checksum mismatch (corrupted bundle)")
+
+    meta = payload.section(_SECTION_META, _decode_meta)
+    pipeline = payload.section(_SECTION_PIPELINE, lambda r: _decode_pipeline(r, meta["pipeline_digest"]))
+    return payload, meta, pipeline
 
 
 # --- encoding -----------------------------------------------------------
@@ -171,6 +191,8 @@ def _encode_strs(strings: Iterable[str]) -> bytes:
 
 
 def _encode_f64(arr: np.ndarray) -> bytes:
+    import numpy as np
+
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
@@ -241,6 +263,8 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def f64(self, count: int, what: str) -> np.ndarray:
+        import numpy as np
+
         return np.frombuffer(self.take(8 * count, what), dtype="<f8").copy()
 
     def strings(self, count: int, what: str) -> list[str]:
@@ -335,6 +359,8 @@ def _decode_pipeline(r: _Reader, digest: str) -> PipelineConfig:
 
 
 def _decode_vocab(r: _Reader) -> Vocabulary:
+    from .features import Vocabulary
+
     (count,) = r.unpack("<Q", "vocabulary size")
     terms = r.strings(count, "vocabulary term")
     _require_increasing("vocab", terms)
@@ -350,6 +376,8 @@ def _require_increasing(field: str, strings: list[str]) -> None:
 
 
 def _decode_idf(r: _Reader, vocab_size: int, n_train_docs: int) -> np.ndarray:
+    import numpy as np
+
     n_docs, size = r.unpack("<QQ", "idf header")
     if n_docs != n_train_docs:
         raise BundleValidationError("idf", f"document count {n_docs} != n_train_docs {n_train_docs}")
@@ -363,6 +391,8 @@ def _decode_idf(r: _Reader, vocab_size: int, n_train_docs: int) -> np.ndarray:
 
 
 def _decode_model(r: _Reader, expected_kind: str, vocab_size: int) -> LinearModel:
+    from .models import N_CLASSES, LinearModel
+
     (code,) = r.unpack("<B", "model kind")
     kind = _MODEL_NAMES.get(code)
     if kind is None:
@@ -397,6 +427,8 @@ def _decode_model(r: _Reader, expected_kind: str, vocab_size: int) -> LinearMode
 
 
 def _require_finite(field: str, values: np.ndarray) -> None:
+    import numpy as np
+
     if not np.all(np.isfinite(values)):
         raise BundleValidationError(field, "non-finite values")
 
@@ -405,6 +437,8 @@ def _require_unit_mass(field: str, log_p: np.ndarray) -> None:
     """Each row of exp(log_p) must sum to 1 within 1e-9. Written as `not
     <=` so that a NaN fails; a log-probability that overflows exp gives an
     inf, which fails too."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         mass = np.sum(np.exp(log_p), axis=-1)
     if not np.all(np.abs(mass - 1.0) <= 1e-9):

@@ -3,11 +3,15 @@
 These functions tie the modules together behind the bundle abstraction so
 the CLI, the demos, and library users share one code path. Cleaning hands
 features an IdCorpus, array("q") token ids that features views without a
-copy, so no per-token string list is built between the two. Cleaning is
-serial: it cleans each distinct whitespace run once per call, which beats
-a process pool at every corpus size the benchmark runs. The worker count
-passes through to models.sgd_fit, which alone decides whether to fan its
-four classes out over a pool of its own.
+copy, so no per-token string list is built between the two. Each
+Document-level function cleans and then calls its IdCorpus-level
+counterpart (train_corpus, predict_corpus, evaluate_corpus), the one fit
+and scoring path; the CLI calls those directly with a corpus cleaned in a
+child process while it loads numpy (see cli). Cleaning itself is serial
+in one process: it cleans each distinct whitespace run once per call,
+which beats a process pool at every corpus size the benchmark runs. The
+worker count passes through to models.sgd_fit, which alone decides
+whether to fan its four classes out over a pool of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .features import featurize, fit_features, stack
 from .metrics import EvalReport, classification_report, confusion_matrix
 from .models import (
     FeatureRows,
-    TrainConfig,
     decision_scores,
     default_workers,  # noqa: F401 - re-exported as part of pipeline's API
     lr_fit,
@@ -28,14 +31,9 @@ from .models import (
     predict_labels,
     sgd_fit,
 )
-from .persistence import FEATURE_COUNT, FEATURE_TFIDF, ModelBundle
-from .textprep import CleanDoc, PipelineConfig, preprocess_corpus, preprocess_ids
-
-MODEL_NB = "nb"
-MODEL_LR = "lr"
-MODEL_SGD = "sgd"
-
-DEFAULT_FEATURES = {MODEL_NB: FEATURE_COUNT, MODEL_LR: FEATURE_TFIDF, MODEL_SGD: FEATURE_TFIDF}
+from .persistence import ModelBundle
+from .settings import DEFAULT_FEATURES, FEATURE_COUNT, FEATURE_TFIDF, MODEL_LR, MODEL_NB, MODEL_SGD, TrainConfig
+from .textprep import CleanDoc, IdCorpus, PipelineConfig, preprocess_corpus, preprocess_ids
 
 
 def preprocess_many(
@@ -61,28 +59,58 @@ def train_bundle(
     max_df: int | None = None,
     max_terms: int | None = None,
 ) -> ModelBundle:
-    """Full training pass: clean, build vocabulary, featurize, fit.
+    """Full training pass: clean with pipeline_cfg (default:
+    PipelineConfig.default()), then train_corpus. Unknown kinds raise
+    before any cleaning."""
+    _check_kinds(model_kind, feature_kind)
+    pipeline_cfg = pipeline_cfg or PipelineConfig.default()
+    return train_corpus(
+        preprocess_ids(docs, pipeline_cfg),
+        [d.label for d in docs],
+        model_kind,
+        feature_kind,
+        pipeline_cfg,
+        train_cfg=train_cfg,
+        workers=workers,
+        created_at=created_at,
+        min_df=min_df,
+        max_df=max_df,
+        max_terms=max_terms,
+    )
+
+
+def train_corpus(
+    corpus: IdCorpus,
+    labels: list[Label | None],
+    model_kind: str,
+    feature_kind: str,
+    pipeline_cfg: PipelineConfig,
+    train_cfg: TrainConfig | None = None,
+    workers: int | None = None,
+    created_at: int | None = None,
+    min_df: int = 1,
+    max_df: int | None = None,
+    max_terms: int | None = None,
+) -> ModelBundle:
+    """Build the vocabulary, featurize and fit on a corpus that
+    pipeline_cfg cleaned, one label per document; the bundle embeds
+    pipeline_cfg.
 
     train_cfg holds every fit's hyperparameters. workers caps the SGD
     fit's process pool, all cores by default; see models.sgd_fit.
     """
-    if model_kind not in DEFAULT_FEATURES:
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    if feature_kind not in (FEATURE_COUNT, FEATURE_TFIDF):
-        raise ValueError(f"unknown feature kind {feature_kind!r}")
-    if any(d.label is None for d in docs):
+    _check_kinds(model_kind, feature_kind)
+    if any(label is None for label in labels):
         raise TrainingError("training requires a fully labeled corpus")
-    pipeline_cfg = pipeline_cfg or PipelineConfig.default()
     train_cfg = train_cfg or TrainConfig()
 
     vocab, idf, X = fit_features(
-        preprocess_ids(docs, pipeline_cfg),
+        corpus,
         feature_kind == FEATURE_TFIDF,
         min_df=min_df,
         max_df=max_df,
         max_terms=max_terms,
     )
-    labels = [d.label for d in docs]
 
     fits = {MODEL_NB: nb_fit, MODEL_LR: lr_fit, MODEL_SGD: lambda *a: sgd_fit(*a, workers=workers)}
     model = fits[model_kind](X, labels, train_cfg)
@@ -93,9 +121,16 @@ def train_bundle(
         idf=idf,
         model=model,
         feature_kind=feature_kind,
-        n_train_docs=len(docs),
+        n_train_docs=len(corpus),
         created_at=created_at,
     )
+
+
+def _check_kinds(model_kind: str, feature_kind: str):
+    if model_kind not in DEFAULT_FEATURES:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    if feature_kind not in (FEATURE_COUNT, FEATURE_TFIDF):
+        raise ValueError(f"unknown feature kind {feature_kind!r}")
 
 
 def score_matrix(bundle: ModelBundle, X: FeatureRows) -> np.ndarray:
@@ -105,14 +140,25 @@ def score_matrix(bundle: ModelBundle, X: FeatureRows) -> np.ndarray:
 
 
 def predict_bundle(bundle: ModelBundle, docs: list[Document]) -> tuple[list[Label], np.ndarray]:
-    X = featurize(preprocess_ids(docs, bundle.pipeline), bundle.vocab, bundle.idf)
-    scores = score_matrix(bundle, X)
+    """Clean with the bundle's pipeline, then predict_corpus."""
+    return predict_corpus(bundle, preprocess_ids(docs, bundle.pipeline))
+
+
+def predict_corpus(bundle: ModelBundle, corpus: IdCorpus) -> tuple[list[Label], np.ndarray]:
+    """(labels, (n, 4) scores) of a corpus that bundle.pipeline cleaned."""
+    scores = score_matrix(bundle, featurize(corpus, bundle.vocab, bundle.idf))
     return predict_labels(scores), scores
 
 
 def evaluate_bundle(bundle: ModelBundle, docs: list[Document]) -> EvalReport:
-    """Score a labeled corpus against the bundle's frozen vocabulary."""
-    if any(d.label is None for d in docs):
+    """Clean with the bundle's pipeline, then evaluate_corpus."""
+    return evaluate_corpus(bundle, preprocess_ids(docs, bundle.pipeline), [d.label for d in docs])
+
+
+def evaluate_corpus(bundle: ModelBundle, corpus: IdCorpus, labels: list[Label | None]) -> EvalReport:
+    """Score a corpus that bundle.pipeline cleaned, one true label per
+    document, against the bundle's frozen vocabulary."""
+    if any(label is None for label in labels):
         raise TrainingError("evaluation requires a fully labeled corpus")
-    preds, _ = predict_bundle(bundle, docs)
-    return classification_report(confusion_matrix([d.label for d in docs], preds))
+    preds, _ = predict_corpus(bundle, corpus)
+    return classification_report(confusion_matrix(labels, preds))

@@ -839,11 +839,14 @@ def test_bundle_does_not_depend_on_the_blas_thread_count(tmp_path, child_env, mo
     assert bundles[0] == bundles[1]
 
 
+# verinews.cli loads no numpy; train, eval and predict import
+# verinews.pipeline, which does, so the snippet loads it after the CLI.
 _BLAS_SNIPPET = """
 import json, os, sys
 if sys.argv[1] == "numpy first":
     import numpy
 import verinews.cli
+import verinews.pipeline
 threads = next(line.split()[1] for line in open("/proc/self/status") if line.startswith("Threads:"))
 print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), int(threads)]))
 """

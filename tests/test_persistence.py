@@ -33,6 +33,7 @@ from verinews.persistence import (
     ModelBundle,
     load_bundle,
     read_bundle,
+    read_pipeline,
     save_bundle_bytes,
     write_bundle,
 )
@@ -517,6 +518,35 @@ def test_sealed_fault_is_rejected_with_its_class_and_field(name):
         load_bundle(_edited(raw, edit))
     assert type(caught.value) is error
     assert getattr(caught.value, "field", None) == field
+
+
+@pytest.mark.parametrize("name", [*REJECTED, *NON_CANONICAL])
+def test_read_pipeline_makes_load_bundles_first_checks(name):
+    # read_pipeline raises what load_bundle raises for a fault up to the
+    # pipeline section, and otherwise returns the pipeline load_bundle
+    # would; the vocabulary, IDF and model sections are not read.
+    model, edit = (REJECTED.get(name) or NON_CANONICAL[name])[:2]
+    raw = _SAVED[["nb", "lr", "sgd"].index(model)]
+    blob = _edited(raw, edit)
+    with pytest.raises(BundleError) as caught:
+        load_bundle(blob)
+    try:
+        cfg = read_pipeline(blob)
+    except BundleError as exc:
+        assert (type(exc), str(exc)) == (type(caught.value), str(caught.value))
+    else:
+        assert cfg == load_bundle(raw).pipeline
+
+
+def test_read_pipeline_of_a_good_bundle_is_its_pipeline():
+    for raw in _SAVED:
+        assert read_pipeline(raw) == load_bundle(raw).pipeline
+    with pytest.raises(BundleIntegrityError, match="checksum mismatch"):
+        read_pipeline(_SAVED[0][:-1] + bytes([_SAVED[0][-1] ^ 1]))
+    with pytest.raises(BundleValidationError, match="pipeline_digest"):
+        read_pipeline(_edited(_SAVED[0], REJECTED["pipeline-digest-mismatch"][1]))
+    # A fault past the pipeline section is load_bundle's to find.
+    assert read_pipeline(_edited(_SAVED[0], NON_CANONICAL["zero-nb-alpha"][1])) == load_bundle(_SAVED[0]).pipeline
 
 
 def test_idf_count_is_checked_before_later_faults():
